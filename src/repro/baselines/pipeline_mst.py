@@ -96,6 +96,8 @@ class _PipelineMSTProtocol(NodeProtocol):
         if parent is None:
             if self._all_children_done(vertex):
                 api.finish(vertex)
+            else:
+                api.wait(vertex)
             return
         if vertex in self._done_sent:
             return
@@ -114,10 +116,15 @@ class _PipelineMSTProtocol(NodeProtocol):
             api.send(vertex, parent, "edge", payload=(edge,), words=1)
             self._messages_sent += 1
             budget -= 1
-        if budget > 0 and not pending and self._all_children_done(vertex):
+        if budget == 0:
+            return  # stopped by the bandwidth budget: more to send next round
+        if not pending and self._all_children_done(vertex):
             api.send(vertex, parent, "done", words=1)
             self._done_sent.add(vertex)
             api.finish(vertex)
+        else:
+            # Blocked on the children: only their next report changes that.
+            api.wait(vertex)
 
     # -------------------------------------------------------------- #
 

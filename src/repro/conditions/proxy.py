@@ -107,6 +107,7 @@ class ConditionedEngine(Engine):
         self.send_to_neighbors = inner.send_to_neighbors
         self.remaining_capacity = inner.remaining_capacity
         self.edge_weight = inner.edge_weight
+        self.has_edge = inner.has_edge
         self.node = inner.node
         self.vertices = inner.vertices
         self.sorted_edges = inner.sorted_edges
@@ -248,6 +249,9 @@ class ConditionedEngine(Engine):
 
     def edge_weight(self, u: VertexId, v: VertexId) -> float:
         return self._inner.edge_weight(u, v)
+
+    def has_edge(self, u: VertexId, v: VertexId) -> bool:
+        return self._inner.has_edge(u, v)
 
     def send(
         self,

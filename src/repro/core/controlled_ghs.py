@@ -313,34 +313,35 @@ def _merge_components(
     constituent -- an arbitrary but deterministic choice.
     """
     adjacency: Dict[FragmentId, Set[FragmentId]] = {}
-    edges_in_component: Dict[FragmentId, List[Edge]] = {}
-    involved: Set[FragmentId] = set()
-    for edge, a, b in merge_edges:
+    for _, a, b in merge_edges:
         adjacency.setdefault(a, set()).add(b)
         adjacency.setdefault(b, set()).add(a)
-        involved.update((a, b))
 
-    visited: Set[FragmentId] = set()
-    groups: List[Tuple[List[FragmentId], List[Edge], VertexId]] = []
-    for start in sorted(involved):
-        if start in visited:
+    component_of: Dict[FragmentId, int] = {}
+    components: List[List[FragmentId]] = []
+    for start in sorted(adjacency):
+        if start in component_of:
             continue
         component: List[FragmentId] = []
         stack = [start]
-        visited.add(start)
+        component_of[start] = len(components)
         while stack:
             current = stack.pop()
             component.append(current)
-            for neighbor in adjacency.get(current, ()):
-                if neighbor not in visited:
-                    visited.add(neighbor)
+            for neighbor in adjacency[current]:
+                if neighbor not in component_of:
+                    component_of[neighbor] = len(components)
                     stack.append(neighbor)
-        component_set = set(component)
-        component_edges = [
-            edge for edge, a, b in merge_edges if a in component_set and b in component_set
-        ]
-        # Deduplicate (a mutual MWOE pair contributes the same edge twice).
-        component_edges = sorted(set(component_edges))
+        components.append(component)
+
+    # Both ends of a merge edge lie in one component, so one pass over
+    # the edges groups them.
+    edges_of: List[List[Edge]] = [[] for _ in components]
+    for edge, a, _ in merge_edges:
+        edges_of[component_of[a]].append(edge)
+
+    groups: List[Tuple[List[FragmentId], List[Edge], VertexId]] = []
+    for component, component_edges in zip(components, edges_of):
         large_members = [fid for fid in component if fid not in small_ids]
         if len(large_members) > 1:
             raise FragmentError(
@@ -351,5 +352,6 @@ def _merge_components(
             new_root = forest.root_of(large_members[0])
         else:
             new_root = forest.root_of(max(component))
-        groups.append((sorted(component), component_edges, new_root))
+        # Deduplicate (a mutual MWOE pair contributes the same edge twice).
+        groups.append((sorted(component), sorted(set(component_edges)), new_root))
     return groups

@@ -21,8 +21,10 @@ restructures the hot path for throughput:
   (it reads as zero words used) without touching the array -- per-round
   reset by generation stamping instead of reallocating dictionaries;
 * metrics are charged in bulk per round: message and word totals as one
-  addition each, the per-kind histogram through C-level
-  ``Counter.update`` over the delivered buckets.
+  addition each, the per-kind histogram through one C-level
+  ``Counter.update`` over the round's messages;
+* edge checks (:meth:`FastNetwork.has_edge`) answer from the same
+  routing table, not from networkx.
 
 The equivalence suite (``tests/test_engine_equivalence.py``) pins down
 that both kernels report identical MST edges, round counts, message
@@ -42,6 +44,7 @@ standalone execution.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, NamedTuple, Tuple
 
@@ -239,6 +242,10 @@ class FastNetwork(Engine):
             raise SimulationError(f"no edge between {u} and {v}")
         return self._nbr_weight[slot]
 
+    def has_edge(self, u: VertexId, v: VertexId) -> bool:
+        """True when ``{u, v}`` is an edge of the communication graph."""
+        return (u, v) in self._edge_info
+
     # ------------------------------------------------------------------ #
     # communication
     # ------------------------------------------------------------------ #
@@ -318,21 +325,21 @@ class FastNetwork(Engine):
         inboxes: Dict[VertexId, List[FastMessage]] = {}
         buckets = self._buckets
         vertex_of = self._vertex_of
-        kind_counter = metrics.messages_by_kind
-        message_total = 0
-        word_total = 0
         for receiver_index in self._touched:
             bucket = buckets[receiver_index]
             inboxes[vertex_of[receiver_index]] = bucket[:]
-            message_total += len(bucket)
-            word_total += sum(map(_WORDS_OF, bucket))
-            kind_counter.update(map(_KIND_OF, bucket))
             # Clear in place: the _edge_info bucket aliases must stay
             # attached to these exact list objects.
             bucket.clear()
         self._touched = []
 
-        metrics.record_bulk(message_total, word_total)
+        # Chained in touched order, the inboxes hand the histogram its
+        # kinds in the order one update per receiver would, so the
+        # Counter's key order does not change.
+        delivered = list(chain.from_iterable(inboxes.values()))
+        metrics.record_bulk(
+            len(delivered), sum(map(_WORDS_OF, delivered)), kinds=map(_KIND_OF, delivered)
+        )
         return inboxes
 
     def idle_rounds(self, count: int) -> None:

@@ -56,6 +56,7 @@ class _BFSProtocol(NodeProtocol):
 
     def on_start(self, vertex: VertexId, node: NodeState, api: ProtocolApi) -> None:
         if vertex != self.root:
+            api.wait(vertex)
             return
         self._parent[vertex] = None
         self._distance[vertex] = 0

@@ -52,6 +52,7 @@ class _ForestBroadcastProtocol(NodeProtocol):
 
     def on_start(self, vertex: VertexId, node: NodeState, api: ProtocolApi) -> None:
         if not self._forest.is_root(vertex):
+            api.wait(vertex)
             return
         self._value[vertex] = self._root_values[vertex]
         self._forward(vertex, api)

@@ -82,6 +82,7 @@ class _ForestConvergecastProtocol(NodeProtocol):
         if vertex in self._sent:
             return
         if len(self._received_from[vertex]) < self._expected[vertex]:
+            api.wait(vertex)
             return
         self._sent.add(vertex)
         parent = self._forest.parent[vertex]

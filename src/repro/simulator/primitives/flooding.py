@@ -33,6 +33,7 @@ class _FloodProtocol(NodeProtocol):
 
     def on_start(self, vertex: VertexId, node: NodeState, api: ProtocolApi) -> None:
         if vertex != self._source:
+            api.wait(vertex)
             return
         self._learned[vertex] = self._value
         api.send_to_neighbors(vertex, "flood", payload=(self._value,), words=1)

@@ -91,6 +91,7 @@ class _IntervalAssignProtocol(NodeProtocol):
 
     def on_start(self, vertex: VertexId, node: NodeState, api: ProtocolApi) -> None:
         if not self._forest.is_root(vertex):
+            api.wait(vertex)
             return
         self._interval[vertex] = (1, self._size[vertex])
         self._assign_children(vertex, api)

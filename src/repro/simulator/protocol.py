@@ -9,6 +9,12 @@ delivered to the vertex at the beginning of the round.  The driver
 once per round, until every participant has declared itself finished and
 no messages remain in flight.
 
+A participant is *finished* after :meth:`ProtocolApi.finish`, *waiting*
+after :meth:`ProtocolApi.wait` (until its next message arrives), and
+*awake* otherwise.  A round calls ``on_round`` at the awake participants
+and at every participant that received mail; a finished or waiting
+vertex with an empty inbox is skipped.
+
 Protocols keep their per-vertex variables in the vertex's scratch space
 (:meth:`~repro.simulator.node.NodeState.scratch`), so composed protocols
 do not interfere with one another.
@@ -29,14 +35,16 @@ from .node import NodeState
 class ProtocolApi:
     """Restricted view of the network handed to protocol callbacks.
 
-    Protocols use it to send messages and to mark vertices as finished;
-    they never touch the kernel's queues or counters directly.
+    Protocols use it to send messages and to mark vertices as finished
+    or waiting; they never touch the kernel's queues or counters directly.
     """
 
     def __init__(self, network: Engine, protocol_name: str) -> None:
         self._network = network
         self._protocol_name = protocol_name
         self._finished: Set[VertexId] = set()
+        #: unfinished vertices that are not waiting for mail
+        self._awake: Set[VertexId] = set()
 
     @property
     def bandwidth(self) -> int:
@@ -84,10 +92,30 @@ class ProtocolApi:
     def finish(self, vertex: VertexId) -> None:
         """Declare that ``vertex`` has completed its part of the protocol."""
         self._finished.add(vertex)
+        self._awake.discard(vertex)
 
     def unfinish(self, vertex: VertexId) -> None:
         """Re-activate a vertex (used when a new message re-engages it)."""
         self._finished.discard(vertex)
+        self._awake.add(vertex)
+
+    def wait(self, vertex: VertexId) -> None:
+        """Declare that ``vertex`` has nothing to do until its next message.
+
+        The driver skips the vertex in every round in which it receives
+        nothing; the next delivery to it makes it awake again, and it
+        waits once more only if it calls this again.  Call it only when
+        an ``on_round`` with an empty inbox would do nothing at
+        ``vertex``: skipping such a call then changes no send and no
+        metric.
+
+        Waiting is not :meth:`finish`: the vertex stays unfinished and
+        still holds off termination.  Under a lossy or crash-stop network
+        condition the message it waits for may be dropped; a finished
+        vertex would let the protocol end early and fail in ``result``,
+        where a waiting one keeps the run going to its round limit.
+        """
+        self._awake.discard(vertex)
 
     def is_finished(self, vertex: VertexId) -> bool:
         """True when ``vertex`` has declared completion."""
@@ -152,14 +180,13 @@ def run_protocol(
     so the rounds charged to the enclosing execution are exactly the
     rounds this protocol used.
 
-    This loop is the hottest frame of every simulation (it runs once per
-    vertex per round across every protocol of every phase), so the body
-    trades a little transparency for speed: node states are resolved
-    once per protocol rather than once per visit, and the per-round scan
-    skips finished vertices with plain set/dict lookups.  Vertices are
-    still visited in sorted-participant order every round, which is what
-    keeps message emission -- and therefore every reported metric --
-    deterministic.
+    This loop is the hottest frame of every simulation, so a round calls
+    ``on_round`` only at the awake participants and at those that
+    received mail: its work follows the messages and the vertices with
+    pending work, not participants x rounds.  The visited vertices are
+    taken in sorted-participant order, which is what keeps message
+    emission -- and therefore every reported metric -- deterministic.
+    The clock still advances one round at a time, quiet rounds included.
     """
     api = ProtocolApi(network, protocol.name)
     if max_rounds is not None:
@@ -171,10 +198,11 @@ def run_protocol(
         # rounds); explicit caller limits are never stretched.
         stretch = int(getattr(network, "round_limit_stretch", 1) or 1)
         limit = protocol.max_rounds_hint(network) * max(stretch, 1)
-    participants = protocol.participants
-    total = len(participants)
-    states = [(vertex, network.node(vertex)) for vertex in participants]
+    nodes = {vertex: network.node(vertex) for vertex in protocol.participants}
+    total = len(nodes)
     finished = api._finished
+    awake = api._awake
+    awake.update(nodes)
     on_round = protocol.on_round
     # Bound methods resolved once per protocol, not once per round: the
     # attribute walks (instance dict / slots, then class) are pure
@@ -182,7 +210,7 @@ def run_protocol(
     deliver_round = network.deliver_round
     pending_count = network.pending_count
 
-    for vertex, node in states:
+    for vertex, node in nodes.items():
         protocol.on_start(vertex, node, api)
 
     rounds_used = 0
@@ -202,20 +230,18 @@ def run_protocol(
         inboxes = deliver_round()
         rounds_used += 1
         get_inbox = inboxes.get
-        for vertex, node in states:
+        # Mail wakes a waiting recipient; a finished one is visited in
+        # this round only.  Mail to non-participants is never read.
+        recipients = nodes.keys() & inboxes.keys()
+        awake |= recipients - finished
+        for vertex in sorted(awake | recipients):
             inbox = get_inbox(vertex)
-            if inbox is None:
-                if vertex in finished:
-                    continue
-                # Fresh empty list per quiet unfinished vertex: a shared
-                # sentinel would let a mutating protocol poison every
-                # later round, and quiet-but-unfinished vertices are the
-                # rare case now that finished ones are skipped above.
-                inbox = []
-            on_round(vertex, node, api, inbox)
+            # A fresh empty list per quiet vertex: a shared sentinel
+            # would let a mutating protocol poison every later round.
+            on_round(vertex, nodes[vertex], api, [] if inbox is None else inbox)
 
     outcome = protocol.result(network)
-    for vertex, node in states:
+    for node in nodes.values():
         node.clear_scratch(protocol.name)
     return outcome
 

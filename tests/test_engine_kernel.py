@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.conditions.proxy import ConditionedEngine
+from repro.conditions.spec import CONDITION_PRESETS
 from repro.exceptions import BandwidthExceededError, ConfigurationError, SimulationError
 from repro.graphs import path_graph, random_connected_graph
 from repro.simulator.engine import available_engines, create_engine, DEFAULT_ENGINE, Engine
@@ -82,6 +84,18 @@ class TestKernelContract:
         network = make(engine, path_graph(4, seed=0))
         with pytest.raises(SimulationError):
             network.edge_weight(0, 2)
+
+    def test_has_edge_matches_reference(self, engine):
+        graph = random_connected_graph(10, seed=8)
+        network = make(engine, graph)
+        wrapped = ConditionedEngine(network, CONDITION_PRESETS["lossy"])
+        reference = SyncNetwork(graph)
+        vertices = sorted(graph.nodes()) + [10_000]
+        for u in vertices:
+            for v in vertices:
+                expected = reference.has_edge(u, v)
+                assert network.has_edge(u, v) is expected
+                assert wrapped.has_edge(u, v) is expected
 
     def test_rejects_invalid_bandwidth(self, engine):
         with pytest.raises(SimulationError):

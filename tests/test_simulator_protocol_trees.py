@@ -2,13 +2,30 @@
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 
-from repro.exceptions import ConvergenceError, ProtocolError
-from repro.graphs import path_graph
+from repro.baselines.pipeline_mst import pipeline_mst_upcast
+from repro.conditions.proxy import ConditionedEngine
+from repro.conditions.spec import CONDITION_PRESETS
+from repro.exceptions import ConvergenceError, ProtocolError, SimulationError
+from repro.graphs import grid_graph, path_graph, random_connected_graph
+from repro.simulator.engine import create_engine
 from repro.simulator.network import SyncNetwork
+from repro.simulator.primitives.bfs import build_bfs_tree
+from repro.simulator.primitives.broadcast import forest_broadcast
+from repro.simulator.primitives.convergecast import forest_convergecast
+from repro.simulator.primitives.flooding import flood_value
+from repro.simulator.primitives.intervals import assign_intervals
+from repro.simulator.primitives.pipeline import pipelined_downcast, pipelined_upcast
 from repro.simulator.primitives.trees import RootedForest
-from repro.simulator.protocol import NodeProtocol, run_protocol, run_protocols_sequentially
+from repro.simulator.protocol import (
+    NodeProtocol,
+    ProtocolApi,
+    run_protocol,
+    run_protocols_sequentially,
+)
 
 
 class _RelayProtocol(NodeProtocol):
@@ -39,6 +56,31 @@ class _RelayProtocol(NodeProtocol):
         return dict(self.received_at)
 
 
+class _ScratchRelayProtocol(_RelayProtocol):
+    """The relay, with every vertex keeping its hop count in its scratch space."""
+
+    name = "scratch-relay"
+
+    def __init__(self, network):
+        super().__init__(network)
+        self.scratch_at_result = {}
+
+    def on_start(self, vertex, node, api):
+        node.scratch(self.name)["hops"] = None
+        super().on_start(vertex, node, api)
+
+    def on_round(self, vertex, node, api, inbox):
+        super().on_round(vertex, node, api, inbox)
+        node.scratch(self.name)["hops"] = self.received_at.get(vertex)
+
+    def result(self, network):
+        self.scratch_at_result = {
+            vertex: dict(network.node(vertex).memory.get(self.name, {}))
+            for vertex in network.vertices()
+        }
+        return super().result(network)
+
+
 class _NeverFinishesProtocol(NodeProtocol):
     name = "stuck"
 
@@ -50,6 +92,68 @@ class _NeverFinishesProtocol(NodeProtocol):
 
     def result(self, network):
         return None
+
+
+class _WaitingRelayProtocol(NodeProtocol):
+    """Vertex 0 sends a token along a path; every other vertex waits for it."""
+
+    name = "waiting-relay"
+
+    def __init__(self, network):
+        super().__init__(network.vertices())
+        self.calls = []
+
+    def on_start(self, vertex, node, api):
+        if vertex == 0:
+            api.send(0, 1, "token")
+            api.finish(0)
+        else:
+            api.wait(vertex)
+
+    def on_round(self, vertex, node, api, inbox):
+        self.calls.append((vertex, len(inbox)))
+        if vertex + 1 in node.edge_weights:
+            api.send(vertex, vertex + 1, "token")
+        api.finish(vertex)
+
+    def result(self, network):
+        return list(self.calls)
+
+
+class _AlwaysWaitingProtocol(NodeProtocol):
+    """Every vertex waits for mail that never comes."""
+
+    name = "always-waiting"
+
+    def on_start(self, vertex, node, api):
+        api.wait(vertex)
+
+    def on_round(self, vertex, node, api, inbox):
+        raise AssertionError(f"waiting vertex {vertex} was called without mail")
+
+    def result(self, network):
+        return None
+
+
+class _UnfinishAfterWaitProtocol(NodeProtocol):
+    """Every vertex waits, then takes the wait back with unfinish."""
+
+    name = "unfinish-after-wait"
+
+    def __init__(self, participants):
+        super().__init__(participants)
+        self.calls = []
+
+    def on_start(self, vertex, node, api):
+        api.wait(vertex)
+        api.unfinish(vertex)
+
+    def on_round(self, vertex, node, api, inbox):
+        self.calls.append((vertex, len(inbox)))
+        api.finish(vertex)
+
+    def result(self, network):
+        return list(self.calls)
 
 
 class TestProtocolDriver:
@@ -64,7 +168,15 @@ class TestProtocolDriver:
 
     def test_scratch_space_is_cleared_after_the_run(self):
         network = SyncNetwork(path_graph(4, seed=0))
-        run_protocol(network, _RelayProtocol(network))
+        protocol = _ScratchRelayProtocol(network)
+        run_protocol(network, protocol)
+        # Every vertex wrote its scratch during the run; none of it outlives the run.
+        assert protocol.scratch_at_result == {
+            0: {"hops": None},
+            1: {"hops": 1},
+            2: {"hops": 2},
+            3: {"hops": 3},
+        }
         assert all(not network.node(v).memory for v in network.vertices())
 
     def test_non_terminating_protocol_raises_convergence_error(self):
@@ -81,6 +193,98 @@ class TestProtocolDriver:
         run_protocols_sequentially(network, [_RelayProtocol(network), _RelayProtocol(network)])
         assert network.round == 8
         assert network.metrics.messages == 8
+
+    def test_waiting_vertex_is_never_called_with_an_empty_inbox(self):
+        network = SyncNetwork(path_graph(6, seed=0))
+        calls = run_protocol(network, _WaitingRelayProtocol(network))
+        assert calls == [(vertex, 1) for vertex in range(1, 6)]
+        assert network.round == 5
+        assert network.metrics.messages == 5
+
+    def test_waiting_protocol_without_mail_runs_to_the_round_limit(self):
+        network = SyncNetwork(path_graph(3, seed=0))
+        with pytest.raises(ConvergenceError) as caught:
+            run_protocol(network, _AlwaysWaitingProtocol(network.vertices()), max_rounds=10)
+        # No fast-forward: the clock ran every one of the quiet rounds.
+        assert network.round == 10
+        assert caught.value.finished_participants == 0
+
+    def test_unfinish_wakes_a_waiting_vertex(self):
+        network = SyncNetwork(path_graph(3, seed=0))
+        calls = run_protocol(network, _UnfinishAfterWaitProtocol(network.vertices()))
+        assert calls == [(0, 0), (1, 0), (2, 0)]
+        assert network.round == 1
+
+
+#: Families for the waiting differential: high diameter, a grid, low diameter.
+WAITING_FAMILIES = {
+    "path": lambda: path_graph(12, seed=2),
+    "grid": lambda: grid_graph(3, 4, seed=3),
+    "random": lambda: random_connected_graph(20, seed=4),
+}
+
+
+def _protocol_runs(graph):
+    """One call per protocol that waits, plus downcast, each on the engine it is given."""
+    setup = SyncNetwork(graph)
+    tree = build_bfs_tree(setup, root=0).forest
+    routing = assign_intervals(setup, tree)
+    vertices = tree.vertices
+    # Up to three keys per vertex, so the upcast's bandwidth budget binds.
+    items = {v: {key: ((v * 7 + key) % 13, v) for key in range(v % 3 + 1)} for v in vertices}
+    fragment = {v: v % 4 for v in vertices}
+    candidates = {}
+    for u, v in sorted(tuple(sorted(edge)) for edge in graph.edges()):
+        if fragment[u] != fragment[v]:
+            candidate = (graph[u][v]["weight"], u, v, fragment[u], fragment[v])
+            candidates.setdefault(u, []).append(candidate)
+    return {
+        "bfs": lambda net: build_bfs_tree(net, root=0),
+        "bcast": lambda net: forest_broadcast(net, tree, {0: "root"}),
+        "cvgc": lambda net: forest_convergecast(
+            net, tree, dict.fromkeys(vertices, 1), operator.add
+        ),
+        "ival": lambda net: assign_intervals(net, tree),
+        "flood": lambda net: flood_value(net, 0, "news"),
+        "upcast": lambda net: pipelined_upcast(net, tree, items),
+        "downcast": lambda net: pipelined_downcast(
+            net, tree, [(v, v) for v in vertices[::2]], routing=routing
+        ),
+        "gkp-pipeline": lambda net: pipeline_mst_upcast(
+            net, tree, candidates, set(fragment.values())
+        ),
+    }
+
+
+def _observe(run, graph, engine, condition):
+    """One protocol run on a fresh engine: its outcome and everything it charged."""
+    network = create_engine(graph, engine=engine)
+    if condition is not None:
+        network = ConditionedEngine(network, CONDITION_PRESETS[condition], run_seed=0)
+    try:
+        outcome = run(network)
+    except SimulationError as error:
+        outcome = type(error).__name__
+    metrics = network.metrics
+    return outcome, metrics.rounds, metrics.messages, list(metrics.messages_by_kind.items())
+
+
+@pytest.mark.parametrize("condition", [None, "lossy", "crash-stop"])
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("family", sorted(WAITING_FAMILIES))
+def test_waiting_changes_no_result_or_cost(family, engine, condition, monkeypatch):
+    # wait() as a no-op gives the schedule without waiting, which calls
+    # every unfinished vertex every round.  Results, rounds, messages and
+    # the per-kind histogram (in key order) must not tell the two apart,
+    # and neither may the exception a faulty network ends a run with.
+    graph = WAITING_FAMILIES[family]()
+    runs = _protocol_runs(graph)
+    shipped = {name: _observe(run, graph, engine, condition) for name, run in runs.items()}
+    monkeypatch.setattr(ProtocolApi, "wait", lambda self, vertex: None)
+    unskipped = {name: _observe(run, graph, engine, condition) for name, run in runs.items()}
+    assert shipped == unskipped
+    if condition is None:
+        assert not [name for name, observed in shipped.items() if isinstance(observed[0], str)]
 
 
 class TestRootedForest:
