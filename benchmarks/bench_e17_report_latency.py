@@ -1,24 +1,23 @@
-"""E17 (engineering): report latency, materialized columnar vs JSONL rescan.
+"""E17 (engineering): report latency, columnar ``run_rows`` vs JSONL.
 
 ``repro-mst report`` over a JSONL store must parse every physical
 record -- spec, result (with telemetry) and provenance payloads
 included -- before the analysis sees a single row.  The columnar
 backend stores the report-facing row projection in its own ``run_rows``
-table and keeps the bound-audit counters and power-law sufficient
-statistics materialized incrementally at append time, so a report
-answers from the row projection alone and the full payloads stay cold
-on disk.
+table, so the same ``analyze_store`` scan reads only the rows and the
+full payloads stay cold on disk.
 
 This benchmark synthesizes a >=10^5-row store (one real simulated
 payload per graph size, replicated across distinct seeds so every
-record carries a distinct content-hashed key), renders the report both
-ways, and asserts:
+record carries a distinct content-hashed key), renders the report from
+both backends through ``analyze_store`` + ``render_markdown``, and
+asserts:
 
-* the materialized columnar report clears a >=5x latency floor over the
-  full JSONL rescan (``REPRO_E17_MIN_SPEEDUP`` overrides; CI relaxes it
-  for shared runners -- never lower it locally to make a PR pass);
-* the analyses are *identical* -- materialized vs ``full_rescan=True``
-  vs the JSONL backend -- down to the rendered markdown bytes.
+* the columnar report clears a >=5x latency floor over the JSONL
+  report (``REPRO_E17_MIN_SPEEDUP`` overrides; CI relaxes it for shared
+  runners -- never lower it locally to make a change pass);
+* the analyses are *identical* across the two backends, down to the
+  rendered markdown bytes.
 
 ``REPRO_E17_WRITE_JSON=<path>`` additionally writes the measured table
 (the checked-in ``BENCH_E17.json`` is produced this way).
@@ -36,10 +35,11 @@ from repro.analysis.report import analyze_store, render_markdown
 from repro.campaign import ColumnarStore, graph_spec_for, run_spec, RunStore
 from repro.campaign.spec import RunSpec
 
-#: Hard floor for the materialized-report-vs-JSONL-rescan latency ratio.
+#: Hard floor for the columnar-vs-JSONL report latency ratio.
 MIN_SPEEDUP = float(os.environ.get("REPRO_E17_MIN_SPEEDUP", "5.0"))
 ROWS = int(os.environ.get("REPRO_E17_ROWS", "100000"))
 SIZES = (16, 32, 64)
+EXPERIMENT = "E17: report latency, columnar run_rows vs JSONL"
 
 
 def _payloads():
@@ -70,15 +70,15 @@ def _populate(store, payloads, count):
     store.close()
 
 
-def _timed_report(path, backend_cls, **analyze_kwargs):
+def _timed_report(path, backend_cls):
     start = time.perf_counter()
     with backend_cls(path, read_only=True) as store:
-        analysis = analyze_store(store, **analyze_kwargs)
+        analysis = analyze_store(store)
         document = render_markdown(analysis)
     return time.perf_counter() - start, analysis, document
 
 
-def test_e17_materialized_report_latency(benchmark, record, tmp_path):
+def test_e17_columnar_report_latency(benchmark, record, tmp_path):
     payloads = _payloads()
     jsonl_path = tmp_path / "runs.jsonl"
     columnar_path = tmp_path / "runs.sqlite"
@@ -86,15 +86,9 @@ def test_e17_materialized_report_latency(benchmark, record, tmp_path):
     _populate(ColumnarStore(columnar_path, durability="none"), payloads, ROWS)
 
     def run():
-        jsonl_seconds, jsonl_analysis, jsonl_doc = _timed_report(jsonl_path, RunStore)
-        fast_seconds, fast_analysis, fast_doc = _timed_report(columnar_path, ColumnarStore)
-        rescan_seconds, rescan_analysis, rescan_doc = _timed_report(
-            columnar_path, ColumnarStore, full_rescan=True
-        )
         return {
-            "jsonl": (jsonl_seconds, jsonl_analysis, jsonl_doc),
-            "materialized": (fast_seconds, fast_analysis, fast_doc),
-            "full_rescan": (rescan_seconds, rescan_analysis, rescan_doc),
+            "jsonl": _timed_report(jsonl_path, RunStore),
+            "columnar": _timed_report(columnar_path, ColumnarStore),
         }
 
     reports = run_once(benchmark, run)
@@ -108,26 +102,23 @@ def test_e17_materialized_report_latency(benchmark, record, tmp_path):
             "vs jsonl": f"{jsonl_seconds / seconds:.2f}x",
         }
         for name, (seconds, _, _) in (
-            ("jsonl full rescan", reports["jsonl"]),
-            ("columnar full rescan", reports["full_rescan"]),
-            ("columnar materialized", reports["materialized"]),
+            ("jsonl", reports["jsonl"]),
+            ("columnar run_rows", reports["columnar"]),
         )
     ]
-    speedup = jsonl_seconds / reports["materialized"][0]
+    speedup = jsonl_seconds / reports["columnar"][0]
     benchmark.extra_info["rows_in_store"] = ROWS
-    benchmark.extra_info["materialized_speedup"] = round(speedup, 3)
-    record("E17: report latency, materialized columnar vs JSONL rescan", rows)
+    benchmark.extra_info["columnar_speedup"] = round(speedup, 3)
+    record(EXPERIMENT, rows)
 
     json_path = os.environ.get("REPRO_E17_WRITE_JSON")
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
             json.dump(
                 {
-                    "experiment": (
-                        "E17: report latency, materialized columnar vs JSONL rescan"
-                    ),
+                    "experiment": EXPERIMENT,
                     "min_speedup_floor": MIN_SPEEDUP,
-                    "materialized_speedup": round(speedup, 3),
+                    "columnar_speedup": round(speedup, 3),
                     "rows": rows,
                 },
                 handle,
@@ -135,10 +126,10 @@ def test_e17_materialized_report_latency(benchmark, record, tmp_path):
             )
             handle.write("\n")
 
-    # Correctness before speed: all three paths agree to the byte.
-    assert reports["materialized"][1] == reports["full_rescan"][1] == reports["jsonl"][1]
-    assert reports["materialized"][2] == reports["full_rescan"][2] == reports["jsonl"][2]
-    assert "bound-violation count: **0**" in reports["materialized"][2]
+    # Correctness before speed: both backends agree to the byte.
+    assert reports["columnar"][1] == reports["jsonl"][1]
+    assert reports["columnar"][2] == reports["jsonl"][2]
+    assert "bound-violation count: **0**" in reports["columnar"][2]
     assert (
         speedup >= MIN_SPEEDUP
-    ), f"materialized report speedup {speedup:.2f}x below the {MIN_SPEEDUP}x floor"
+    ), f"columnar report speedup {speedup:.2f}x below the {MIN_SPEEDUP}x floor"

@@ -24,7 +24,6 @@ from .experiments import (
     sweep_graphs,
 )
 from .fitting import fit_power_law, ratio_series
-from .incremental import MaterializedAnalytics, PowerLawStats
 from .report import (
     analyze_rows,
     analyze_store,
@@ -47,8 +46,6 @@ __all__ = [
     "log_star",
     "fit_power_law",
     "ratio_series",
-    "MaterializedAnalytics",
-    "PowerLawStats",
     "format_table",
     "BoundViolation",
     "CampaignAnalysis",

@@ -346,31 +346,14 @@ def analyze_rows(rows: Iterable[Row]) -> CampaignAnalysis:
     return analysis
 
 
-def analyze_store(store: "RunStoreLike", full_rescan: bool = False) -> CampaignAnalysis:
+def analyze_store(store: "RunStoreLike") -> CampaignAnalysis:
     """:func:`analyze_rows` over everything a run store holds.
 
-    The default path consumes ``store.iter_rows()`` -- for the columnar
-    backend that is the materialized ``run_rows`` table, no result
-    payloads touched -- and, when the store also maintains incremental
-    analytics (``materialized_summary()``), cross-checks the
-    materialized audit counters against the scan so drifted incremental
-    state fails loudly instead of mis-reporting.  ``full_rescan=True``
-    is the escape hatch: re-derive every row from the raw record
-    payloads (``iter_rows_full_rescan``) and skip the materialized
-    state entirely; tests assert both paths are byte-identical.
+    Every backend takes this one path over ``store.iter_rows()``; for
+    the columnar backend that streams the ``run_rows`` projection, no
+    result payloads touched.
     """
-    if full_rescan:
-        rescan = getattr(store, "iter_rows_full_rescan", None)
-        if rescan is not None:
-            return analyze_rows(rescan())
-        return analyze_rows(store.iter_rows())
-    analysis = analyze_rows(store.iter_rows())
-    summarize = getattr(store, "materialized_summary", None)
-    if summarize is not None:
-        from .incremental import verify_summary
-
-        verify_summary(summarize(), analysis)
-    return analysis
+    return analyze_rows(store.iter_rows())
 
 
 class RunStoreLike:
@@ -519,17 +502,15 @@ def write_report(
     source: Union[RunStoreLike, Iterable[Row]],
     output: Optional[str] = None,
     title: str = "EXPERIMENTS",
-    full_rescan: bool = False,
 ) -> str:
     """Analyze ``source`` and render the markdown report.
 
     ``source`` is a run store (anything with ``iter_rows``) or an
     iterable of rows.  When ``output`` is given the document is also
-    written there.  ``full_rescan`` forwards to :func:`analyze_store`
-    (ignored for plain row iterables).  Returns the rendered markdown.
+    written there.  Returns the rendered markdown.
     """
     if hasattr(source, "iter_rows"):
-        analysis = analyze_store(source, full_rescan=full_rescan)  # type: ignore[arg-type]
+        analysis = analyze_store(source)  # type: ignore[arg-type]
     else:
         analysis = analyze_rows(source)  # type: ignore[arg-type]
     document = render_markdown(analysis, title=title)

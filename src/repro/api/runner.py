@@ -141,7 +141,6 @@ class Runner:
         self,
         output: Optional[str] = None,
         title: str = "EXPERIMENTS",
-        full_rescan: bool = False,
     ) -> str:
         """Render the campaign analysis report over this runner's store.
 
@@ -154,7 +153,7 @@ class Runner:
         """
         from ..analysis.report import write_report
 
-        return write_report(self.store, output=output, title=title, full_rescan=full_rescan)
+        return write_report(self.store, output=output, title=title)
 
     def stream(self, scenarios: Iterable[Scenario]) -> Iterator[ScenarioOutcome]:
         """Lazily execute scenarios one by one, yielding each outcome.

@@ -14,20 +14,11 @@ parse-everything-on-open load for a real database file:
   every record's exact JSON text is stored verbatim in the ``records``
   table.
 
-* **Columnar rows.**  Each run record also materializes its flat output
+* **Columnar rows.**  Each run record also projects its flat output
   row into a ``run_rows`` table (key metric columns plus the row's JSON
   text), so ``iter_rows`` -- the whole input of ``repro-mst report`` --
   streams rows without deserializing a single result payload.  That is
   the report-latency win benchmark E17 measures.
-
-* **Incremental analytics.**  A
-  :class:`~repro.analysis.incremental.MaterializedAnalytics` is folded
-  forward on every append and persisted in the ``meta`` table, so the
-  audit counters and power-law sufficient statistics of a million-row
-  store are available without touching the rows at all.  Superseding
-  appends (``resume=False`` re-runs) poison the incremental state --
-  aggregates are not subtractable -- so it is marked dirty and rebuilt
-  from the ``run_rows`` table on next use.
 
 Durability mapping: ``"record"`` commits (and fsyncs, via
 ``synchronous=FULL``) every append in its own transaction; ``"batch"``
@@ -45,7 +36,6 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 from urllib.parse import quote
 
-from ..analysis.incremental import MaterializedAnalytics
 from ..core.results import MSTRunResult
 from ..exceptions import ConfigurationError
 from .spec import RunSpec
@@ -145,8 +135,6 @@ class ColumnarStore:
         self._run_keys: Dict[str, None] = {}
         self._graphs: Dict[str, GraphDescription] = {}
         self._physical_records = 0
-        self._analytics: Optional[MaterializedAnalytics] = None
-        self._analytics_dirty = False
         try:
             self._init_schema()
             self._load()
@@ -155,27 +143,30 @@ class ColumnarStore:
             raise ConfigurationError(
                 f"{self.path}: not a columnar run store ({error})"
             ) from error
+        except BaseException:
+            self._conn.close()
+            raise
 
     # -- schema / load ---------------------------------------------------
 
     def _init_schema(self) -> None:
+        # Validate before writing anything, so a rejected file is untouched.
+        version = self._meta_get("schema_version")
+        if version is None and self.read_only:
+            raise ConfigurationError(f"{self.path}: not a columnar run store")
+        if version not in (None, str(_SCHEMA_VERSION)):
+            raise ConfigurationError(
+                f"{self.path}: unsupported columnar store schema v{version}"
+            )
         if self.read_only:
-            version = self._meta_get("schema_version")
-            if version is None:
-                raise ConfigurationError(f"{self.path}: not a columnar run store")
             return
         self._conn.executescript(_SCHEMA)
-        version = self._meta_get("schema_version")
         if version is None:
             self._conn.execute(
                 "INSERT OR REPLACE INTO meta (k, v) VALUES ('schema_version', ?)",
                 (str(_SCHEMA_VERSION),),
             )
             self._conn.commit()
-        elif int(version) != _SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"{self.path}: unsupported columnar store schema v{version}"
-            )
         if self.durability == "none":
             self._conn.execute("PRAGMA synchronous = OFF")
         else:
@@ -204,7 +195,6 @@ class ColumnarStore:
         ):
             record = json.loads(payload)
             self._graphs[str(record["key"])] = dict(record["description"])
-        self._load_analytics()
 
     # -- context manager / lifecycle -------------------------------------
 
@@ -246,7 +236,6 @@ class ColumnarStore:
                     ),
                 )
             self._physical_records += 1
-        self._persist_analytics(cursor)
         self._conn.commit()
         self._buffer.clear()
         self._pending_runs.clear()
@@ -294,20 +283,9 @@ class ColumnarStore:
 
     def _adopt_run_record(self, record: Dict[str, object], payload: str) -> None:
         key = str(record["key"])
-        row = dict(record["row"])
-        self._note_run(key, row)
+        self._run_keys[key] = None  # a superseded key keeps its first-seen slot
         self._pending_runs[key] = record
-        self._append("run", key, payload, row)
-
-    def _note_run(self, key: str, row: Dict[str, object]) -> None:
-        if key in self._run_keys:
-            # Superseding append: incremental aggregates are not
-            # subtractable, so the materialized state is rebuilt lazily.
-            self._mark_analytics_dirty()
-        else:
-            self._run_keys[key] = None
-            if self._analytics is not None:
-                self._analytics.add_row(row)
+        self._append("run", key, payload, dict(record["row"]))
 
     def record_graph(self, key: str, description: GraphDescription) -> None:
         self._graphs[key] = dict(description)
@@ -344,7 +322,7 @@ class ColumnarStore:
     def get_row(self, key: str) -> Dict[str, object]:
         """The flat output row recorded for ``key`` (KeyError if absent).
 
-        Served from the materialized ``run_rows`` column -- no result
+        Served from the ``run_rows`` projection -- no result
         payload is deserialized.  Always a fresh copy.
         """
         pending = self._pending_runs.get(key)
@@ -372,45 +350,31 @@ class ColumnarStore:
     def iter_rows(self) -> Iterator[Dict[str, object]]:
         """All recorded rows, in insertion order, from the columnar table.
 
-        This is the materialized fast path ``repro-mst report`` runs on:
-        rows stream straight out of ``run_rows.row_json`` without
-        touching the (much larger) spec/result/provenance payloads.
+        This is the fast path ``repro-mst report`` runs on: rows stream
+        straight out of ``run_rows.row_json`` without touching the (much
+        larger) spec/result/provenance payloads.
         """
         self.flush()
-        return self._iter_rows()
-
-    def _iter_rows(self) -> Iterator[Dict[str, object]]:
-        for (row_json,) in self._conn.execute(
-            "SELECT r.row_json FROM run_rows AS r"
-            f" JOIN ({_LIVE_RUNS}) AS live ON r.record_id = live.last_id"
-            " ORDER BY live.first_id"
-        ):
-            yield json.loads(row_json)
-
-    def iter_rows_full_rescan(self) -> Iterator[Dict[str, object]]:
-        """All recorded rows by re-parsing every live record payload.
-
-        The escape hatch behind ``repro-mst report --full-rescan``:
-        bypasses both the columnar ``run_rows`` table and the
-        materialized analytics, deriving every row from the same bytes
-        a JSONL store would read.  Tests assert it is byte-identical to
-        :meth:`iter_rows`.
-        """
-        self.flush()
-        return (record["row"] for record in self._iter_run_records())
+        return (
+            json.loads(row_json)
+            for (row_json,) in self._conn.execute(
+                "SELECT r.row_json FROM run_rows AS r"
+                f" JOIN ({_LIVE_RUNS}) AS live ON r.record_id = live.last_id"
+                " ORDER BY live.first_id"
+            )
+        )
 
     def iter_run_records(self) -> Iterator[Dict[str, object]]:
         """Every live run record, in insertion order (parsed payloads)."""
         self.flush()
-        return self._iter_run_records()
-
-    def _iter_run_records(self) -> Iterator[Dict[str, object]]:
-        for (payload,) in self._conn.execute(
-            "SELECT rec.payload FROM records AS rec"
-            f" JOIN ({_LIVE_RUNS}) AS live ON rec.id = live.last_id"
-            " ORDER BY live.first_id"
-        ):
-            yield json.loads(payload)
+        return (
+            json.loads(payload)
+            for (payload,) in self._conn.execute(
+                "SELECT rec.payload FROM records AS rec"
+                f" JOIN ({_LIVE_RUNS}) AS live ON rec.id = live.last_id"
+                " ORDER BY live.first_id"
+            )
+        )
 
     # -- graph description cache ----------------------------------------
 
@@ -428,71 +392,6 @@ class ColumnarStore:
         for key, description in self._graphs.items():
             yield key, dict(description)
 
-    # -- materialized analytics ------------------------------------------
-
-    def _load_analytics(self) -> None:
-        if self._physical_records == 0:
-            # Fresh store: start folding incrementally from record one.
-            self._analytics = MaterializedAnalytics()
-            self._analytics_dirty = False
-            return
-        payload = self._meta_get("analytics")
-        state = self._meta_get("analytics_state")
-        if payload is None or state != self._analytics_fingerprint():
-            # Absent, or the file advanced without analytics upkeep
-            # (e.g. external tooling): rebuild lazily.
-            self._analytics = None
-            self._analytics_dirty = True
-            return
-        try:
-            self._analytics = MaterializedAnalytics.from_json_dict(json.loads(payload))
-            self._analytics_dirty = False
-        except Exception:
-            self._analytics = None
-            self._analytics_dirty = True
-
-    def _analytics_fingerprint(self) -> str:
-        return json.dumps(
-            {"records": self._physical_records, "runs": len(self._run_keys)},
-            sort_keys=True,
-        )
-
-    def _mark_analytics_dirty(self) -> None:
-        self._analytics = None
-        self._analytics_dirty = True
-
-    def _persist_analytics(self, cursor: sqlite3.Cursor) -> None:
-        if self._analytics is not None and not self._analytics_dirty:
-            cursor.execute(
-                "INSERT OR REPLACE INTO meta (k, v) VALUES ('analytics', ?)",
-                (json.dumps(self._analytics.to_json_dict()),),
-            )
-            cursor.execute(
-                "INSERT OR REPLACE INTO meta (k, v) VALUES ('analytics_state', ?)",
-                (self._analytics_fingerprint(),),
-            )
-        else:
-            cursor.execute(
-                "DELETE FROM meta WHERE k IN ('analytics', 'analytics_state')"
-            )
-
-    def analytics(self) -> MaterializedAnalytics:
-        """The incremental analytics, rebuilding from ``run_rows`` if stale."""
-        if self._analytics is None or self._analytics_dirty:
-            self.flush()
-            self._analytics = MaterializedAnalytics.from_rows(self._iter_rows())
-            self._analytics_dirty = False
-            if not self.read_only:
-                self._conn.execute("BEGIN")
-                cursor = self._conn.cursor()
-                self._persist_analytics(cursor)
-                self._conn.commit()
-        return self._analytics
-
-    def materialized_summary(self) -> Dict[str, object]:
-        """Counters and fits from the materialized state (no row scan)."""
-        return self.analytics().summary()
-
     # -- layout ----------------------------------------------------------
 
     @property
@@ -508,12 +407,17 @@ class ColumnarStore:
         """Drop superseded records and reclaim the space (VACUUM).
 
         Same contract as the JSONL backend: keeps the last record per
-        key, idempotent, returns physical record counts.
+        key at the key's first-seen position, idempotent, returns
+        physical record counts.
         """
         self._require_writable()
         self.flush()
         before = self._physical_records
         self._conn.execute("BEGIN")
+        self._conn.execute(
+            "CREATE TEMP TABLE moves AS SELECT MIN(id) AS first_id, MAX(id) AS last_id"
+            " FROM records GROUP BY kind, key HAVING COUNT(*) > 1"
+        )
         self._conn.execute(
             "DELETE FROM records WHERE id NOT IN"
             " (SELECT MAX(id) FROM records GROUP BY kind, key)"
@@ -521,15 +425,23 @@ class ColumnarStore:
         self._conn.execute(
             "DELETE FROM run_rows WHERE record_id NOT IN (SELECT id FROM records)"
         )
+        # Each surviving record takes over its key's (now free) first id,
+        # which is where the live-run queries order it.
+        self._conn.execute(
+            "UPDATE records SET id ="
+            " (SELECT first_id FROM moves WHERE last_id = records.id)"
+            " WHERE id IN (SELECT last_id FROM moves)"
+        )
+        self._conn.execute(
+            "UPDATE run_rows SET record_id ="
+            " (SELECT first_id FROM moves WHERE last_id = run_rows.record_id)"
+            " WHERE record_id IN (SELECT last_id FROM moves)"
+        )
+        self._conn.execute("DROP TABLE moves")
         self._conn.commit()
         self._conn.execute("VACUUM")
         after = int(self._conn.execute("SELECT COUNT(*) FROM records").fetchone()[0])
         self._physical_records = after
-        # Live rows are unchanged, so valid analytics stay valid -- but
-        # the fingerprint moved with the physical record count.
-        self._conn.execute("BEGIN")
-        self._persist_analytics(self._conn.cursor())
-        self._conn.commit()
         return {"before": before, "after": after, "dropped": before - after}
 
     def merge_from(self, source) -> Dict[str, int]:

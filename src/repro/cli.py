@@ -285,13 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         "file); opened read-only",
     )
     report_parser.add_argument(
-        "--full-rescan",
-        action="store_true",
-        help="re-derive every row from the raw record payloads instead of "
-        "the materialized state (columnar stores; byte-identical output, "
-        "slower -- the escape hatch the E17 benchmark measures against)",
-    )
-    report_parser.add_argument(
         "--output",
         default=None,
         metavar="PATH",
@@ -464,9 +457,7 @@ def _run_report(args: argparse.Namespace) -> int:
     if not store_path.exists():
         raise ConfigurationError(f"no run store at {store_path}")
     with open_store(store_path, read_only=True) as store:
-        document = write_report(
-            store, output=args.output, title=args.title, full_rescan=args.full_rescan
-        )
+        document = write_report(store, output=args.output, title=args.title)
     if args.output:
         print(f"wrote campaign report -> {args.output}")
     else:

@@ -1,4 +1,4 @@
-"""Columnar (sqlite) run-store backend and incremental materialization.
+"""Columnar (sqlite) run-store backend.
 
 The equivalence matrix here is the gate ROADMAP item 5 demands: the
 JSONL file, sharded-directory and columnar backends must produce
@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sqlite3
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.fitting import fit_power_law
-from repro.analysis.incremental import MaterializedAnalytics, PowerLawStats, verify_summary
 from repro.analysis.report import analyze_rows, analyze_store, render_markdown
 from repro.campaign import (
     Campaign,
@@ -30,7 +29,7 @@ from repro.campaign import (
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import detect_backend
 from repro.cli import main
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import ConfigurationError
 
 GOLDEN_ROWS = Path(__file__).parent / "golden_rows.jsonl"
 
@@ -70,6 +69,11 @@ def _rows_sha256(store_path: Path) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _report(store_path: Path) -> str:
+    with open_store(store_path, read_only=True) as store:
+        return render_markdown(analyze_store(store))
+
+
 class TestBackendSelection:
     def test_fresh_suffixes_select_columnar(self, tmp_path):
         for name in ("a.sqlite", "b.sqlite3", "c.db", "d.SQLITE"):
@@ -105,6 +109,49 @@ class TestBackendSelection:
         path.write_text('{"kind": "graph", "key": "g", "description": {}}\n')
         with pytest.raises(ConfigurationError, match="not a columnar run store"):
             ColumnarStore(path)
+
+
+class TestRejectedOpens:
+    """A rejected file is left byte-for-byte as found, connection closed."""
+
+    @pytest.mark.parametrize(
+        "schema_version,read_only,message",
+        [
+            ("9", True, "unsupported columnar store schema v9"),
+            ("9", False, "unsupported columnar store schema v9"),
+            (None, True, "not a columnar run store"),
+        ],
+        ids=("v9-read-only", "v9-writable", "unversioned-read-only"),
+    )
+    def test_rejected_open_is_harmless(
+        self, tmp_path, monkeypatch, schema_version, read_only, message
+    ):
+        path = tmp_path / "store.sqlite"
+        connection = sqlite3.connect(str(path))
+        with connection:
+            connection.execute("CREATE TABLE meta (k TEXT PRIMARY KEY, v TEXT NOT NULL)")
+            if schema_version is not None:
+                connection.execute(
+                    "INSERT INTO meta (k, v) VALUES ('schema_version', ?)",
+                    (schema_version,),
+                )
+        connection.close()
+        before = path.read_bytes()
+        opened = []
+        connect = sqlite3.connect
+
+        def recording_connect(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr("repro.campaign.columnar.sqlite3.connect", recording_connect)
+        with pytest.raises(ConfigurationError, match=message):
+            ColumnarStore(path, read_only=read_only)
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["store.sqlite"]
+        assert len(opened) == 1
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            opened[0].execute("SELECT 1")
 
 
 class TestColumnarContract:
@@ -187,6 +234,20 @@ class TestColumnarContract:
             with ColumnarStore(tmp_path / "runs.sqlite") as columnar:
                 assert list(columnar.iter_rows()) == list(jsonl.iter_rows())
                 assert [row["v"] for row in columnar.iter_rows()] == [3, 2]
+
+    def test_compact_keeps_first_seen_order(self, tmp_path):
+        rows = {}
+        for name in ("runs.jsonl", "runs.sqlite"):
+            with open_store(tmp_path / name) as store:
+                store.record_run(_spec(0), {"graph": "a", "v": 1}, {}, {})
+                store.record_run(_spec(1), {"graph": "b", "v": 2}, {}, {})
+                store.record_run(_spec(0), {"graph": "a", "v": 3}, {}, {})
+                store.record_run(_spec(2), {"graph": "c", "v": 4}, {}, {})
+                assert store.compact()["dropped"] == 1
+            with open_store(tmp_path / name, read_only=True) as store:
+                rows[name] = (store.run_keys(), list(store.iter_rows()))
+        assert rows["runs.sqlite"] == rows["runs.jsonl"]
+        assert [row["v"] for row in rows["runs.sqlite"][1]] == [3, 2, 4]
 
     def test_returned_rows_are_detached_copies(self, tmp_path):
         store = ColumnarStore(tmp_path / "runs.sqlite")
@@ -356,112 +417,57 @@ class TestConvert:
             )
 
 
-class TestIncrementalAnalytics:
-    def test_sufficient_statistics_match_lstsq_fit(self):
-        xs = [16.0, 32.0, 64.0, 128.0, 256.0]
-        ys = [42.0, 118.0, 355.0, 980.0, 2605.0]
-        stats = PowerLawStats()
-        for x, y in zip(xs, ys):
-            stats.add(x, y)
-        closed, direct = stats.fit(), fit_power_law(xs, ys)
-        assert closed.exponent == pytest.approx(direct.exponent, rel=1e-9)
-        assert closed.scale == pytest.approx(direct.scale, rel=1e-9)
-        assert closed.residual == pytest.approx(direct.residual, abs=1e-12)
-
-    def test_no_fit_without_spread(self):
-        stats = PowerLawStats()
-        stats.add(16.0, 42.0)
-        stats.add(16.0, 48.0)
-        assert stats.fit() is None
-
-    def test_materialized_matches_full_analysis_on_golden_rows(self):
-        rows = _golden_rows()
-        analytics = MaterializedAnalytics.from_rows(rows)
-        analysis = analyze_rows(rows)
-        verify_summary(analytics.summary(), analysis)  # exact counters
-        incremental_fits = analytics.fits()
-        assert len(incremental_fits) == len(analysis.fits)
-        for ours, theirs in zip(incremental_fits, analysis.fits):
-            assert (ours.algorithm, ours.metric, ours.x_name, ours.points) == (
-                theirs.algorithm,
-                theirs.metric,
-                theirs.x_name,
-                theirs.points,
-            )
-            assert ours.note == theirs.note and ours.reference == theirs.reference
-            if theirs.fit is None:
-                assert ours.fit is None
-            else:
-                assert ours.fit.exponent == pytest.approx(theirs.fit.exponent, rel=1e-9)
-                assert ours.fit.scale == pytest.approx(theirs.fit.scale, rel=1e-9)
-                assert ours.fit.residual == pytest.approx(theirs.fit.residual, abs=1e-9)
-
-    def test_json_round_trip_preserves_summary(self):
-        analytics = MaterializedAnalytics.from_rows(_golden_rows())
-        clone = MaterializedAnalytics.from_json_dict(
-            json.loads(json.dumps(analytics.to_json_dict()))
-        )
-        assert clone.summary() == analytics.summary()
-
-    def test_verify_summary_raises_on_drift(self):
-        rows = _golden_rows()
-        analysis = analyze_rows(rows)
-        summary = MaterializedAnalytics.from_rows(rows).summary()
-        summary["bound_checked"] += 1
-        with pytest.raises(ReproError, match="drifted"):
-            verify_summary(summary, analysis)
-
-
-class TestMaterializedReport:
-    def test_materialized_and_full_rescan_are_byte_identical(self, tmp_path):
-        path = tmp_path / "runs.sqlite"
-        with ColumnarStore(path) as store:
+class TestColumnarReport:
+    def test_run_rows_projection_matches_payloads(self, tmp_path):
+        with ColumnarStore(tmp_path / "runs.sqlite") as store:
             execute_campaign(_campaign(), store=store)
-        with ColumnarStore(path, read_only=True) as store:
-            fast = render_markdown(analyze_store(store))
-            slow = render_markdown(analyze_store(store, full_rescan=True))
-        assert fast == slow
+            rows = list(store.iter_rows())
+            assert rows and rows == [record["row"] for record in store.iter_run_records()]
 
-    def test_summary_matches_scan_and_survives_reopen(self, tmp_path, monkeypatch):
-        path = tmp_path / "runs.sqlite"
-        with ColumnarStore(path) as store:
-            execute_campaign(_campaign(), store=store)
-            expected = store.materialized_summary()
-        # Reopened store answers from the persisted meta state: rebuild
-        # is forbidden below, so any miss would explode.
-        monkeypatch.setattr(
-            MaterializedAnalytics,
-            "from_rows",
-            classmethod(lambda *a, **k: (_ for _ in ()).throw(AssertionError("rebuilt"))),
-        )
-        with ColumnarStore(path, read_only=True) as store:
-            summary = store.materialized_summary()
-            assert summary == expected
-            assert summary["bound_violations"] == 0
-            verify_summary(summary, analyze_rows(store.iter_rows()))
-
-    def test_superseding_append_rebuilds_analytics(self, tmp_path):
-        path = tmp_path / "runs.sqlite"
+    def test_superseding_rerun_reports_match_jsonl(self, tmp_path):
         campaign = _campaign(sizes=(8, 12), algorithms=("elkin",))
-        with ColumnarStore(path) as store:
-            execute_campaign(campaign, store=store)
-            execute_campaign(campaign, store=store, resume=False)  # supersedes
-            assert store._physical_records > len(store)
-            verify_summary(
-                store.materialized_summary(), analyze_rows(store.iter_rows())
-            )
+        for name in ("runs.sqlite", "runs.jsonl"):
+            with open_store(tmp_path / name) as store:
+                execute_campaign(campaign, store=store)
+                execute_campaign(campaign, store=store, resume=False)  # supersedes
+                assert store._physical_records > len(store)
+        assert _report(tmp_path / "runs.sqlite") == _report(tmp_path / "runs.jsonl")
 
-    def test_analyze_store_detects_drifted_analytics(self, tmp_path, monkeypatch):
-        path = tmp_path / "runs.sqlite"
-        with ColumnarStore(path) as store:
-            execute_campaign(_campaign(sizes=(8,), algorithms=("elkin",)), store=store)
-        store = ColumnarStore(path, read_only=True)
-        broken = store.materialized_summary()
-        broken["rows"] += 7
-        monkeypatch.setattr(store, "materialized_summary", lambda: broken)
-        with pytest.raises(ReproError, match="drifted"):
-            analyze_store(store)
-        store.close()
+    def test_legacy_report_meta_rows_are_ignored(self, tmp_path):
+        """Older columnar stores kept report aggregates in two ``meta``
+        rows; they are ignored, so such a store reads and writes as is."""
+        columnar, jsonl = tmp_path / "runs.sqlite", tmp_path / "runs.jsonl"
+        for path in (columnar, jsonl):
+            with open_store(path) as store:
+                execute_campaign(_campaign(), store=store)
+        with ColumnarStore(columnar, read_only=True) as store:
+            records, runs = store._physical_records, len(store)
+        # The older format's keys; the values are never read.
+        analytics = dict(
+            version=1, row_count=runs, conditioned=0, groups=[], algorithms=[],
+            messages_seen={}, series=[], bound_checked=0, bound_skipped=0, violations=[],
+        )
+        connection = sqlite3.connect(str(columnar))
+        with connection:
+            connection.executemany(
+                "INSERT OR REPLACE INTO meta (k, v) VALUES (?, ?)",
+                [
+                    ("analytics", json.dumps(analytics)),
+                    (
+                        "analytics_state",
+                        json.dumps({"records": records, "runs": runs}, sort_keys=True),
+                    ),
+                ],
+            )
+        connection.close()
+        assert _report(columnar) == _report(jsonl)
+
+        rerun = _campaign(sizes=(8, 20), algorithms=("elkin",))
+        for path in (columnar, jsonl):
+            with open_store(path) as store:
+                execute_campaign(rerun, store=store, resume=False)
+                assert store.compact()["dropped"] > 0
+        assert _report(columnar) == _report(jsonl)
 
 
 class TestColumnarScheduler:
@@ -474,7 +480,7 @@ class TestColumnarScheduler:
         assert parallel_report.rows == serial_report.rows
         with open_store(tmp_path / "par.sqlite", read_only=True) as store:
             assert len(store) == len(campaign.specs)
-            assert store.materialized_summary()["bound_violations"] == 0
+            assert analyze_store(store).bound_violations == 0
 
 
 class TestColumnarCLI:
@@ -501,8 +507,6 @@ class TestColumnarCLI:
         assert main(["report", "--store", str(store_path)]) == 0
         fast = capsys.readouterr().out
         assert "bound-violation count: **0**" in fast
-        assert main(["report", "--store", str(store_path), "--full-rescan"]) == 0
-        assert capsys.readouterr().out == fast
 
         converted = tmp_path / "runs.jsonl"
         assert main(
