@@ -260,7 +260,7 @@ class ColumnarStore:
     def _append(
         self, kind: str, key: str, payload: str, row: Optional[Dict[str, object]]
     ) -> None:
-        self._require_writable()
+        """Buffer one record; callers check writability first."""
         self._buffer.append((kind, key, payload, row))
         self.stats["appends"] += 1
         if self.durability == "record" or len(self._buffer) >= self.batch_size:
@@ -282,12 +282,14 @@ class ColumnarStore:
         self._adopt_run_record(record, json.dumps(record))
 
     def _adopt_run_record(self, record: Dict[str, object], payload: str) -> None:
+        self._require_writable()
         key = str(record["key"])
         self._run_keys[key] = None  # a superseded key keeps its first-seen slot
         self._pending_runs[key] = record
         self._append("run", key, payload, dict(record["row"]))
 
     def record_graph(self, key: str, description: GraphDescription) -> None:
+        self._require_writable()
         self._graphs[key] = dict(description)
         record = {"kind": "graph", "key": key, "description": dict(description)}
         self._append("graph", key, json.dumps(record), None)

@@ -102,6 +102,14 @@ class RunStore:
     (:meth:`compact` rewrites the store without the superseded
     records).
 
+    Per live run the store holds only the flat ``row`` (all a report
+    reads), the ``provenance`` (what resume checks) and the record's
+    JSON text: loading parses every line but drops the parsed ``spec``
+    and ``result`` trees, which :meth:`get_spec`, :meth:`get_result`
+    and :meth:`iter_run_records` re-parse from the text.  Held trees
+    made every garbage collection re-walk the whole store (DESIGN.md,
+    Section 11).  :meth:`compact` writes the held text as is.
+
     Args:
         path: ``None`` for a purely in-memory store, a file path for
             the classic single-file JSONL layout, or a directory path
@@ -159,7 +167,14 @@ class RunStore:
             "fsyncs": 0,
             "recovered_lines": 0,
         }
-        self._runs: Dict[str, Dict[str, object]] = {}
+        #: Per live run, by run key in first-seen order: the record's
+        #: JSON text, its row and its provenance.  Strings and dicts of
+        #: scalars are not tracked by the garbage collector, so unlike
+        #: parsed records (or a tuple per run) they add nothing to what
+        #: a collection walks.
+        self._texts: Dict[str, str] = {}
+        self._rows: Dict[str, Dict[str, object]] = {}
+        self._provenance: Dict[str, Dict[str, object]] = {}
         self._graphs: Dict[str, GraphDescription] = {}
         self._buffer: List[str] = []
         self._handle = None
@@ -330,7 +345,9 @@ class RunStore:
                 if not stripped:
                     continue
                 try:
-                    record = json.loads(stripped)
+                    # utf-8-sig, as json.loads(bytes) would: a leading BOM is not damage.
+                    text = stripped.decode("utf-8-sig")
+                    record = json.loads(text)
                     if not terminated:
                         # The tear landed exactly between the record's
                         # last byte and its newline: the record is
@@ -358,7 +375,7 @@ class RunStore:
                     ) from error
                 kind = record.get("kind")
                 if kind == "run":
-                    self._runs[str(record["key"])] = record
+                    self._hold_run(record, text)
                 elif kind == "graph":
                     self._graphs[str(record["key"])] = dict(record["description"])
                 else:
@@ -383,50 +400,54 @@ class RunStore:
                 f"store at {self.path} is opened read_only; writes are not allowed"
             )
 
-    def _append(self, record: Dict[str, object]) -> None:
-        self._require_writable()
+    def _append(self, text: str) -> None:
+        """Buffer one record line; callers check writability first."""
         if self.path is None:
             return
-        # No sort_keys: records are built in deterministic order, and
-        # preserving row insertion order keeps table columns stable
-        # when rows are reloaded on resume.
-        self._buffer.append(json.dumps(record) + "\n")
+        self._buffer.append(text + "\n")
         self.stats["appends"] += 1
         if self.durability == "record" or len(self._buffer) >= self.batch_size:
             self.flush()
 
+    def _hold_run(self, record: Dict[str, object], text: str) -> None:
+        """Keep one run record's text, row and provenance (last wins)."""
+        key = str(record["key"])
+        self._texts[key] = text
+        self._rows[key] = record["row"]
+        self._provenance[key] = record["provenance"]
+
     # -- run records -----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._runs)
+        return len(self._texts)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._runs
+        return key in self._texts
 
     def has_run(self, key: str) -> bool:
-        return key in self._runs
+        return key in self._texts
 
     def run_keys(self) -> List[str]:
-        return list(self._runs)
+        return list(self._texts)
 
     def get_row(self, key: str) -> Dict[str, object]:
         """The flat output row recorded for ``key`` (KeyError if absent).
 
         Deep-copied: mutating the returned row (including nested lists
-        or detail dicts) must never reach the store's own record, or a
-        later :meth:`compact` would persist the corruption.
+        or detail dicts) must never reach the row the store holds, which
+        every later read and report serves.
         """
-        return copy.deepcopy(self._runs[key]["row"])
+        return copy.deepcopy(self._rows[key])
 
     def get_result(self, key: str) -> MSTRunResult:
         """The full deserialized result recorded for ``key``."""
-        return MSTRunResult.from_json_dict(self._runs[key]["result"])
+        return MSTRunResult.from_json_dict(json.loads(self._texts[key])["result"])
 
     def get_spec(self, key: str) -> RunSpec:
-        return RunSpec.from_json_dict(self._runs[key]["spec"])
+        return RunSpec.from_json_dict(json.loads(self._texts[key])["spec"])
 
     def get_provenance(self, key: str) -> Dict[str, object]:
-        return copy.deepcopy(self._runs[key]["provenance"])
+        return copy.deepcopy(self._provenance[key])
 
     def record_run(
         self,
@@ -441,22 +462,28 @@ class RunStore:
 
     def _insert_run_record(self, record: Dict[str, object]) -> None:
         """Backend hook: adopt one already-built run record (last wins)."""
-        self._runs[str(record["key"])] = record
-        self._append(record)
+        self._require_writable()
+        # No sort_keys: records are built in deterministic order, and
+        # preserving row insertion order keeps table columns stable
+        # when rows are reloaded on resume.
+        text = json.dumps(record)
+        self._hold_run(record, text)
+        self._append(text)
 
     def iter_rows(self) -> Iterator[Dict[str, object]]:
         """All recorded rows, in insertion (file) order (deep copies)."""
-        for record in self._runs.values():
-            yield copy.deepcopy(record["row"])
+        for row in self._rows.values():
+            yield copy.deepcopy(row)
 
     def iter_run_records(self) -> Iterator[Dict[str, object]]:
         """Every live run record, in insertion order.
 
         Backend-agnostic iteration surface used by :func:`merge_stores`.
-        The yielded dicts are the store's own records -- treat them as
-        read-only (use :meth:`get_row` / :meth:`iter_rows` for copies).
+        Each yielded dict is a fresh parse of the record's stored text,
+        not the store's own state: mutating it changes nothing stored.
         """
-        yield from self._runs.values()
+        for text in self._texts.values():
+            yield json.loads(text)
 
     # -- graph description cache ----------------------------------------
 
@@ -473,19 +500,20 @@ class RunStore:
             yield key, dict(description)
 
     def record_graph(self, key: str, description: GraphDescription) -> None:
+        self._require_writable()
         self._graphs[key] = dict(description)
-        self._append({"kind": "graph", "key": key, "description": dict(description)})
+        self._append(json.dumps({"kind": "graph", "key": key, "description": dict(description)}))
 
     def graph_keys(self) -> List[str]:
         return list(self._graphs)
 
     # -- maintenance -----------------------------------------------------
 
-    def _live_records(self) -> Iterator[Dict[str, object]]:
-        """Every live (non-superseded) record: graphs first, then runs."""
+    def _live_lines(self) -> Iterator[str]:
+        """Every live (non-superseded) record's JSON text: graphs first, then runs."""
         for key, description in self._graphs.items():
-            yield {"kind": "graph", "key": key, "description": dict(description)}
-        yield from self._runs.values()
+            yield json.dumps({"kind": "graph", "key": key, "description": description})
+        yield from self._texts.values()
 
     def compact(self) -> Dict[str, int]:
         """Rewrite the store keeping only the last record per key.
@@ -503,7 +531,7 @@ class RunStore:
             return {"before": 0, "after": 0, "dropped": 0}
         self._require_writable()
         self.close()
-        live = list(self._live_records())
+        live = list(self._live_lines())
         before = self._physical_records
         if self._sharded:
             self.path.mkdir(parents=True, exist_ok=True)
@@ -528,8 +556,8 @@ class RunStore:
         self._physical_records = len(live)
         return {"before": before, "after": len(live), "dropped": before - len(live)}
 
-    def _rewrite_atomically(self, target: Path, records: List[Dict[str, object]]) -> None:
-        """Write ``records`` to a temporary and rename it over ``target``.
+    def _rewrite_atomically(self, target: Path, lines: List[str]) -> None:
+        """Write ``lines`` to a temporary and rename it over ``target``.
 
         Always fsyncs, whatever the durability level: this path deletes
         the only other copy of committed (possibly fsynced) records, so
@@ -538,8 +566,8 @@ class RunStore:
         """
         tmp = target.with_name(target.name + ".tmp")
         with tmp.open("w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
+            for line in lines:
+                handle.write(line + "\n")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, target)
@@ -568,8 +596,7 @@ class RunStore:
         Used by :func:`convert_store` for byte-identical migration.
         """
         if self.path is None:
-            for record in self._live_records():
-                yield json.dumps(record)
+            yield from self._live_lines()
             return
         self.flush()
         for path in self.shard_paths():
@@ -605,17 +632,12 @@ class RunStore:
             raise ConfigurationError(f"invalid store record line ({error})") from error
         kind = record.get("kind")
         if kind == "run":
-            self._runs[str(record["key"])] = record
+            self._hold_run(record, text)
         elif kind == "graph":
             self._graphs[str(record["key"])] = dict(record["description"])
         else:
             raise ConfigurationError(f"unknown record kind {kind!r}")
-        if self.path is None:
-            return
-        self._buffer.append(text + "\n")
-        self.stats["appends"] += 1
-        if self.durability == "record" or len(self._buffer) >= self.batch_size:
-            self.flush()
+        self._append(text)
 
 
 # -- backend seam ---------------------------------------------------------

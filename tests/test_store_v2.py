@@ -12,9 +12,25 @@ import json
 
 import pytest
 
-from repro.campaign import Campaign, execute_campaign, graph_spec_for, RunStore
-from repro.campaign.store import DURABILITY_LEVELS, MANIFEST_NAME
+from repro.campaign import (
+    Campaign,
+    convert_store,
+    execute_campaign,
+    graph_spec_for,
+    open_store,
+    RunStore,
+)
+from repro.campaign.spec import RunSpec
+from repro.campaign.store import DURABILITY_LEVELS, MANIFEST_NAME, merge_stores
 from repro.exceptions import ConfigurationError
+
+
+def _spec(index: int) -> RunSpec:
+    return RunSpec(graph=graph_spec_for("random_connected", 16, seed=index), algorithm="elkin")
+
+
+def _memory_state(store) -> tuple:
+    return len(store), store.run_keys(), store.graph_keys(), list(store.iter_rows())
 
 
 def _campaign(cells: int = 4) -> Campaign:
@@ -219,6 +235,23 @@ class TestCrashRecovery:
     def test_mid_file_corruption_raises_even_without_final_newline(self, tmp_path):
         path = tmp_path / "store.jsonl"
         path.write_text('garbage\n{"kind": "graph", "key": "g", "description"')
+        with pytest.raises(ConfigurationError, match="corrupt"):
+            RunStore(path)
+
+    @pytest.mark.parametrize("name", ["store.jsonl", "store-dir"])
+    def test_terminated_damage_inside_result_raises(self, tmp_path, name):
+        """Open keeps only row and provenance, but must still parse the
+        whole line: damage after a well-formed ``row`` is corruption."""
+        path = tmp_path / name
+        with RunStore(path) as store:
+            execute_campaign(_campaign(2), store=store)
+            record = next(store.iter_run_records())
+            target = store.shard_paths()[-1]
+        line = json.dumps(record)
+        assert line.index('"row"') < line.index('"result"')
+        damaged = line.replace('"result": {', '"result": {,', 1)
+        with target.open("a", encoding="utf-8") as handle:
+            handle.write(damaged + "\n")
         with pytest.raises(ConfigurationError, match="corrupt"):
             RunStore(path)
 
@@ -458,6 +491,10 @@ class TestStoreContractBugfixes:
         store.get_row("k1")["nested"]["xs"].append(99)
         next(iter(store.iter_rows()))["nested"]["xs"].append(99)
         store.get_provenance("k1")["env"]["host"] = "b"
+        # compact() writes each record's held text, so the held row and
+        # provenance are checked in-session too.
+        assert list(store.iter_rows()) == [{"graph": "g", "nested": {"xs": [1]}}]
+        assert store.get_provenance("k1") == {"env": {"host": "a"}}
         store.compact()
         store.close()
         with RunStore(path) as reloaded:
@@ -499,8 +536,114 @@ class TestStoreContractBugfixes:
             with pytest.raises(ConfigurationError, match="read_only"):
                 reader.merge_from(tmp_path / "other.jsonl")
 
+    @pytest.mark.parametrize("name", ["store.jsonl", "store.sqlite"])
+    def test_rejected_read_only_writes_leave_memory_unchanged(self, tmp_path, name):
+        """Bugfix: both backends updated their in-memory maps before the
+        read-only check, so a rejected write still showed up in
+        ``has_run`` / ``len`` / ``has_graph``."""
+        path = tmp_path / name
+        with open_store(path) as store:
+            store.record_graph("g0", {"n": 1, "m": 0})
+            store.record_run(_spec(0), {"graph": "g0"}, {}, {})
+        new_graph, new_run = RunStore(None), RunStore(None)
+        new_graph.record_graph("g1", {"n": 2, "m": 1})
+        new_run.record_run(_spec(1), {"graph": "g1"}, {}, {})
+        writes = {
+            "record_run": lambda store: store.record_run(_spec(1), {"graph": "g1"}, {}, {}),
+            "record_graph": lambda store: store.record_graph("g1", {"n": 2, "m": 1}),
+            "merge a graph": lambda store: merge_stores(store, new_graph),
+            "merge a run": lambda store: merge_stores(store, new_run),
+        }
+        before_bytes = path.read_bytes()
+        with open_store(path, read_only=True) as reader:
+            before = _memory_state(reader)
+            for name, write in writes.items():
+                with pytest.raises(ConfigurationError, match="read_only"):
+                    write(reader)
+                assert _memory_state(reader) == before, name
+        assert path.read_bytes() == before_bytes
+
     def test_read_only_requires_an_existing_store(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no run store"):
             RunStore(tmp_path / "missing.jsonl", read_only=True)
         with pytest.raises(ConfigurationError, match="read_only"):
             RunStore(None, read_only=True)
+
+
+class TestLeanRunRecords:
+    """An open JSONL store holds each run's row, provenance and record
+    text; spec and result are parsed from that text on access, and the
+    text is what compact writes (DESIGN.md, Section 11)."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Every line the stores append, as ``json.dumps`` of the record
+        built, plus each run key's last record (first-seen order)."""
+        appended, runs = [], {}
+        record_run, record_graph = RunStore.record_run, RunStore.record_graph
+
+        def recording_run(store, spec, row, result_json, provenance):
+            record = record_run(store, spec, row, result_json, provenance)
+            appended.append(json.dumps(record))
+            runs[record["key"]] = record
+            return record
+
+        def recording_graph(store, key, description):
+            record_graph(store, key, description)
+            appended.append(json.dumps({"kind": "graph", "key": key, "description": description}))
+
+        monkeypatch.setattr(RunStore, "record_run", recording_run)
+        monkeypatch.setattr(RunStore, "record_graph", recording_graph)
+        return appended, runs
+
+    def test_appended_compacted_and_converted_bytes_are_the_records(self, tmp_path, recorded):
+        appended, runs = recorded
+        path = tmp_path / "store.jsonl"
+        campaign = _campaign()
+        with RunStore(path) as store:
+            execute_campaign(campaign, store=store)
+            execute_campaign(campaign, store=store, resume=False)
+            store.flush()
+            assert path.read_text() == "".join(line + "\n" for line in appended)
+            graphs = [
+                json.dumps({"kind": "graph", "key": key, "description": description})
+                for key, description in store.iter_graph_items()
+            ]
+            assert store.compact()["dropped"] == len(campaign)
+        live = graphs + [json.dumps(record) for record in runs.values()]
+        expected = "".join(line + "\n" for line in live)
+        assert path.read_text() == expected
+        convert_store(path, tmp_path / "store.sqlite")
+        convert_store(tmp_path / "store.sqlite", tmp_path / "back.jsonl")
+        assert (tmp_path / "back.jsonl").read_text() == expected
+
+    def test_iter_run_records_yields_fresh_dicts(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        with RunStore(path) as store:
+            execute_campaign(_campaign(), store=store)
+            execute_campaign(_campaign(), store=store, resume=False)
+            records = [json.dumps(record) for record in store.iter_run_records()]
+            rows = list(store.iter_rows())
+            for record in store.iter_run_records():
+                record["row"]["graph"] = "mutated"
+                record["spec"]["algorithm"] = "mutated"
+                record["result"].clear()
+                record["provenance"].clear()
+            assert [json.dumps(record) for record in store.iter_run_records()] == records
+            store.compact()
+        with RunStore(path, read_only=True) as reopened:
+            assert [json.dumps(record) for record in reopened.iter_run_records()] == records
+            assert list(reopened.iter_rows()) == rows
+
+    def test_reopened_store_serves_the_recorded_spec_and_result(self, tmp_path, recorded):
+        _, runs = recorded
+        path = tmp_path / "store-dir"
+        campaign = _campaign()
+        with RunStore(path) as store:
+            execute_campaign(campaign, store=store)
+        with RunStore(path, read_only=True) as reopened:
+            for spec in campaign.specs:
+                key = spec.run_key()
+                assert reopened.get_spec(key) == spec
+                assert reopened.get_result(key).to_json_dict() == runs[key]["result"]
+                assert reopened.get_provenance(key) == runs[key]["provenance"]
