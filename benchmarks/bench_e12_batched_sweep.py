@@ -3,12 +3,12 @@
 Like E11, this benchmark measures the harness rather than the paper: a
 zoo-scale sweep (the ``zoo`` preset: every registered graph family plus
 the dense differential-stress grid, several hundred cells) must run at
-least 2x faster through the batched executor -- one
-:class:`~repro.simulator.fast_network.BatchedEngine` arena, one graph
-build, one verification oracle and one instance description per
-distinct graph -- than through the per-cell serial path, while
-producing *byte-identical* rows.  The speedup is pure overhead
-amortization: the simulations themselves are identical executions.
+least 2x faster through the batched executor -- one graph build, one
+verification oracle and one instance description per distinct graph
+-- than through the per-cell serial path, while producing
+*byte-identical* rows.  The speedup is pure overhead amortization: the
+simulations themselves are identical executions, each on a kernel the
+cell builds for itself, exactly as a standalone run does.
 """
 
 from __future__ import annotations

@@ -73,7 +73,7 @@ def test_e16_condition_overhead(benchmark, record):
     lossy = bare.with_condition("lossy")
 
     def run():
-        _sweep(bare)  # warm imports, generators and the arena path
+        _sweep(bare)  # warm imports, generators and the batched path
 
         bare_seconds, bare_report = _best_of(_sweep, bare)
         noop_seconds, noop_report = _best_of(_sweep, noop)

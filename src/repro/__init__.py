@@ -72,7 +72,7 @@ from .graphs.generators import (
     register_family,
 )
 from .simulator.engine import available_engines, create_engine, Engine, register_engine
-from .simulator.fast_network import BatchedEngine, FastNetwork
+from .simulator.fast_network import FastNetwork
 from .simulator.network import SyncNetwork
 from .types import CostReport
 from .verify import MSTOracle
@@ -114,7 +114,6 @@ __all__ = [
     "available_engines",
     "create_engine",
     "register_engine",
-    "BatchedEngine",
     "FastNetwork",
     "SyncNetwork",
     "MSTOracle",

@@ -100,10 +100,9 @@ class Runner:
         and the outcomes are returned in input order either way.  With
         ``jobs > 1`` rows are identical to the in-process ones -- more
         processes only change wall-clock time.  ``batch`` selects
-        batched execution (graphs, oracles and engine state shared
-        across cells through one
-        :class:`~repro.simulator.fast_network.BatchedEngine` arena; rows
-        byte-identical to the per-cell path): ``None`` (the default)
+        batched execution (graphs, oracles and descriptions shared
+        across the cells of each distinct graph; rows byte-identical to
+        the per-cell path): ``None`` (the default)
         batches everywhere -- in-process at ``jobs == 1``, and through
         the graph-affine scheduler of
         :mod:`repro.campaign.scheduler` at ``jobs > 1``, where each

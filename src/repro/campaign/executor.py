@@ -11,10 +11,9 @@ wall-clock time:
   constructed inside the worker that runs the cell (specs are data, so
   nothing heavyweight crosses process boundaries);
 * batched (``jobs=1``, the default): the in-process
-  :class:`_BatchRunner` packs every distinct deterministic graph of the
-  sweep into one :class:`~repro.simulator.fast_network.BatchedEngine`
-  arena, builds each graph and each verification oracle once instead of
-  once per cell, and steps through the cells re-using arena lanes;
+  :class:`_BatchRunner` builds, describes and verifies against each
+  distinct deterministic graph of the sweep once instead of once per
+  cell; every cell still builds its own kernel, like a standalone run;
 * batched-parallel (``jobs>1``, the default): the
   :mod:`~repro.campaign.scheduler` leases graph-affine work units to
   persistent worker processes, each running the batch runner locally
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -39,16 +38,7 @@ from ..analysis.experiments import run_single
 from ..core.results import MSTRunResult
 from ..exceptions import ConfigurationError, NonTerminationError
 from ..graphs.properties import hop_diameter
-from ..simulator.array_network import ArrayNetwork
-from ..simulator.engine import engine_provider, registered_factory
-from ..simulator.fast_network import BatchedEngine, FastNetwork
 from ..types import CostReport
-
-#: Kernels the batch runner can vend arena lanes for, and the stock
-#: class each name must still resolve to for lanes to be safe (the
-#: "array" entry additionally requires numpy -- without it the name is
-#: simply not registered, so the identity check fails closed).
-_LANE_KERNELS = {"fast": FastNetwork, "array": ArrayNetwork}
 from .spec import Campaign, RunSpec
 from .store import GraphDescription, RunStore
 
@@ -182,8 +172,14 @@ def run_spec(
     graph = spec.build_graph()
     if description is None:
         description = _describe_graph(graph, compute_diameter)
+    result = _simulate(spec, graph, verify)
+    return _build_row(spec, description, result), result
+
+
+def _simulate(spec: RunSpec, graph: nx.Graph, verify: bool) -> MSTRunResult:
+    """Simulate one cell on ``graph``; a conditioned non-termination becomes a result."""
     try:
-        result = run_single(
+        return run_single(
             graph,
             algorithm=spec.algorithm,
             bandwidth=spec.bandwidth,
@@ -198,35 +194,31 @@ def run_spec(
     except NonTerminationError as error:
         if spec.condition is None:
             raise
-        result = _non_terminated_result(spec, graph, error)
-    return _build_row(spec, description, result), result
+        return _non_terminated_result(spec, graph, error)
 
 
 class _BatchRunner:
     """In-process batched cell runner (the ``batch=True`` execution path).
 
-    Serial per-cell execution rebuilds the graph, the engine and the
-    verification references for every cell.  The batch runner hoists all
-    of that to per-distinct-graph cost:
+    Serial per-cell execution rebuilds the graph, its description and
+    the verification references for every cell.  The batch runner
+    hoists all of that to per-distinct-graph cost:
 
     * every distinct *deterministic* graph of the pending cells is built
-      exactly once and packed into one
-      :class:`~repro.simulator.fast_network.BatchedEngine` arena;
-    * cells running on the stock ``"fast"`` or ``"array"`` kernels
-      receive an arena lane through the
-      :func:`~repro.simulator.engine.engine_provider` seam
-      (byte-identical semantics; the lane *is* a ``FastNetwork`` /
-      ``ArrayNetwork``);
+      exactly once, up front;
     * verification runs against one cached
-      :class:`~repro.verify.mst_checks.MSTOracle` per graph instead of
-      recomputing three reference MSTs per cell;
+      :class:`~repro.verify.mst_checks.MSTOracle` and one planted-MST
+      extraction per graph instead of recomputing the references per
+      cell;
     * instance descriptions are computed once per graph.
 
-    Non-deterministic cells (no pinned seed) keep the serial contract:
-    a fresh graph per cell, described and verified individually, so
-    their rows remain self-consistent samples.  Cells on other engines
-    still share graphs, oracles and descriptions -- only the lane
-    hand-out is kernel-specific.
+    Each cell still builds its own kernel through
+    :func:`~repro.simulator.engine.create_engine`, exactly as a
+    standalone run does: construction is O(n + m), under 1% of a zoo
+    sweep (DESIGN.md, Section 10).  Non-deterministic cells (no pinned
+    seed) keep the serial contract: a fresh graph per cell, described
+    and verified individually, so their rows remain self-consistent
+    samples.
     """
 
     def __init__(
@@ -241,64 +233,10 @@ class _BatchRunner:
         self._oracles: Dict[str, object] = {}
         self._planted: Dict[str, object] = {}
         self._descriptions: Dict[str, GraphDescription] = {}
-        # Only graphs some simulated fast-engine cell will run on are
-        # worth packing into the arena: sequential references never
-        # construct an engine, so packing their graphs would be pure
-        # construction overhead.
-        from ..algorithms import algorithm_info
-
-        arena_keys: Set[str] = set()
         for _, spec, _ in pending:
             graph_key = spec.graph_key()
             if spec.is_deterministic() and graph_key not in self._graphs:
                 self._graphs[graph_key] = spec.build_graph()
-            if spec.engine in _LANE_KERNELS and algorithm_info(spec.algorithm).is_distributed:
-                arena_keys.add(graph_key)
-        self._arena = BatchedEngine(
-            (
-                graph
-                for graph_key, graph in self._graphs.items()
-                if graph_key in arena_keys
-            ),
-            validate=False,
-        )
-        # Lanes replace create_engine("fast") / create_engine("array")
-        # calls; if a test or plugin re-registered a name with a
-        # different kernel (or numpy is absent, leaving "array"
-        # unregistered), stand down for that name and let its cells
-        # construct their engines normally.
-        self._lane_engines = {
-            name
-            for name, stock in _LANE_KERNELS.items()
-            if registered_factory(name) is stock
-        }
-
-    def _provider(self, graph: nx.Graph):
-        """An engine provider vending ``graph``'s arena lane exactly once.
-
-        One cell runs one simulation on one engine; if an algorithm ever
-        asked for a second engine mid-run, handing the (reset) lane out
-        again would wipe the first engine's state, so subsequent
-        requests fall through to normal construction instead.
-        """
-        vended: Set[int] = set()
-
-        def provider(candidate: nx.Graph, bandwidth: int, engine_name: str):
-            if (
-                engine_name not in self._lane_engines
-                or candidate is not graph
-                # repro: allow[DET204] identity guard on a live object, never emitted
-                or id(candidate) in vended
-                or not self._arena.has_graph(candidate)
-            ):
-                return None
-            # repro: allow[DET204] identity guard on a live object, never emitted
-            vended.add(id(candidate))
-            if engine_name == "array":
-                return self._arena.array_lane(candidate, bandwidth)
-            return self._arena.lane(candidate, bandwidth)
-
-        return provider
 
     def run(
         self,
@@ -318,16 +256,9 @@ class _BatchRunner:
             description = _describe_graph(graph, self._compute_diameter)
             if deterministic:
                 self._descriptions[graph_key] = description
-        try:
-            if spec.engine in self._lane_engines and deterministic:
-                with engine_provider(self._provider(graph)):
-                    result = self._simulate(graph, spec)
-            else:
-                result = self._simulate(graph, spec)
-        except NonTerminationError as error:
-            if spec.condition is None:
-                raise
-            result = _non_terminated_result(spec, graph, error)
+        # verify=False: verification runs against the cached per-graph
+        # oracle below, with exactly the checks run_single would apply.
+        result = _simulate(spec, graph, verify=False)
         if self._do_verify and not result.details.get("non_terminated"):
             oracle = self._oracles.get(graph_key) if deterministic else None
             if oracle is None:
@@ -355,22 +286,6 @@ class _BatchRunner:
         row = _build_row(spec, description, result)
         used = {key: row[key] for key in ("n", "m", "D") if key in row}
         return index, row, result.to_json_dict(), used
-
-    def _simulate(self, graph: nx.Graph, spec: RunSpec) -> MSTRunResult:
-        # verify=False: verification runs against the cached per-graph
-        # oracle above, with exactly the checks run_single would apply.
-        return run_single(
-            graph,
-            algorithm=spec.algorithm,
-            bandwidth=spec.bandwidth,
-            verify=False,
-            base_forest_k=spec.base_forest_k,
-            engine=spec.engine,
-            seed=spec.seed,
-            collect_telemetry=spec.collect_telemetry,
-            strict_bounds=spec.strict_bounds,
-            condition=spec.condition,
-        )
 
 
 # -- picklable worker entry points (top level for multiprocessing) -------
@@ -524,16 +439,15 @@ def execute_campaign(
             and the ``on_phase`` / ``on_result`` events in campaign
             order once the pool drains.  Resumed cells fire no events.
         batch: batched execution (see :class:`_BatchRunner`): distinct
-            graphs are built, described, packed into one
-            :class:`~repro.simulator.fast_network.BatchedEngine` arena
-            and verified against one cached oracle each -- several times
-            faster on many-small-cell sweeps, with rows byte-identical
-            to the per-cell path.  With ``jobs > 1`` batching composes
-            with multiprocessing: the :mod:`~repro.campaign.scheduler`
-            leases graph-affine work units to persistent workers, each
-            batching its units locally.  ``None`` (the default) batches
-            everywhere; ``False`` forces the per-cell paths (serial, or
-            the legacy process pool when ``jobs > 1``).
+            graphs are built, described and verified against one cached
+            oracle each -- several times faster on many-small-cell
+            sweeps, with rows byte-identical to the per-cell path.  With
+            ``jobs > 1`` batching composes with multiprocessing: the
+            :mod:`~repro.campaign.scheduler` leases graph-affine work
+            units to persistent workers, each batching its units
+            locally.  ``None`` (the default) batches everywhere;
+            ``False`` forces the per-cell paths (serial, or the legacy
+            process pool when ``jobs > 1``).
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")

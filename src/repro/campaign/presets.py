@@ -123,7 +123,7 @@ def _zoo() -> Campaign:
 
     Two concatenated sub-grids, all on the fast kernel with pinned
     seeds (every cell deterministic, so the batched executor can share
-    graphs, oracles and arena lanes):
+    graphs, oracles and descriptions):
 
     * *coverage*: the canonical small instance of **every** registered
       family, run by the paper's algorithm (seed 0) and by all four

@@ -13,7 +13,7 @@ and multiprocessing (the ``jobs > 1`` pool) -- into one scheduler:
   processes** -- one process lifecycle per campaign, not one pool per
   phase; a worker that finishes a unit immediately leases the next, so
   stragglers self-balance;
-* each worker runs the stock :class:`_BatchRunner` arena over its unit
+* each worker runs a local :class:`_BatchRunner` over its unit
   and appends the finished cells to its own **worker-local shard
   store** (``durability="batch"``, one commit per completed lease),
   so no two processes ever contend on one file;
@@ -51,9 +51,9 @@ from .store import GraphDescription, open_store, RunStore
 
 #: Target number of work units leased per worker over a campaign.
 #: More units per worker means finer-grained load balancing; fewer
-#: means better arena amortization inside each unit.  Four leaves
-#: enough slack for stragglers without fragmenting the graph groups
-#: of small sweeps.
+#: means less per-lease overhead (one queue round trip and one shard
+#: commit per unit).  Four leaves enough slack for stragglers without
+#: fragmenting the graph groups of small sweeps.
 UNITS_PER_WORKER = 4
 
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import shutil
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -607,14 +608,16 @@ class RunStore:
                     if not stripped:
                         continue
                     try:
-                        json.loads(stripped)
+                        # utf-8-sig, as loading does: a leading BOM is not record text.
+                        text = stripped.decode("utf-8-sig")
+                        json.loads(text)
                     except (json.JSONDecodeError, UnicodeDecodeError) as error:
                         if not terminated:
                             continue  # torn tail: dropped on load as well
                         raise ConfigurationError(
                             f"{path}: corrupt run-store line ({error})"
                         ) from error
-                    yield stripped.decode("utf-8")
+                    yield text
 
     def append_record_line(self, line: str) -> None:
         """Append one physical record given as its exact JSON text.
@@ -799,7 +802,8 @@ def convert_store(
     records included), so ``JSONL -> columnar -> JSONL`` round trips are
     byte-identical for single-file stores and byte-identical per record
     stream for sharded ones.  The destination must not exist; the source
-    is opened read-only.
+    is opened read-only.  A conversion that raises removes the
+    destination it created, so a retry starts clean.
     """
     source_path = Path(source)
     if not source_path.exists():
@@ -819,6 +823,12 @@ def convert_store(
                 records += 1
         finally:
             dest.close()
+    except BaseException:
+        if dest_path.is_dir():
+            shutil.rmtree(dest_path)
+        elif dest_path.exists():
+            dest_path.unlink()
+        raise
     finally:
         src.close()
     return {"records": records, "backend": dest.backend_name}

@@ -229,22 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip MST verification against the sequential oracle",
     )
-    batch_group = campaign_parser.add_mutually_exclusive_group()
-    batch_group.add_argument(
-        "--batch",
-        dest="batch",
-        action="store_true",
-        default=None,
-        help="force batched execution (graphs, oracles and engine state "
-        "shared across cells; rows byte-identical to the per-cell path); "
-        "the default already batches everywhere, in-process or per worker",
-    )
-    batch_group.add_argument(
+    campaign_parser.add_argument(
         "--no-batch",
         dest="batch",
         action="store_false",
+        default=None,
         help="force per-cell execution (serial, or the legacy process "
-        "pool with --jobs N)",
+        "pool with --jobs N); the default batches, in-process or per worker",
     )
     # No default retarget: presets keep the engines they were designed
     # with (the zoo runs on the fast kernel) unless --engine is given.

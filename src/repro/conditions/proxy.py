@@ -1,7 +1,7 @@
 """The condition-applying engine proxy and its installation scope.
 
 :class:`ConditionedEngine` wraps any :class:`~repro.simulator.engine.Engine`
-(reference, ``fast``, ``array``, or a batched arena lane) and applies a
+(reference, ``fast``, ``array``, or a provider-vended kernel) and applies a
 :class:`~repro.conditions.spec.NetworkCondition` to the traffic.  The
 design constraints, in order:
 
@@ -393,9 +393,9 @@ def condition_scope(
     Installed by :func:`repro.algorithms.run_algorithm` when the run's
     config carries a condition; rides the generic
     :func:`~repro.simulator.engine.engine_wrapper` seam, so provider-
-    vended engines (batched arena lanes) are wrapped exactly like
-    registry-built ones.  Yields a :class:`ConditionScope` that collects
-    the wrapped engines and aggregates their fault telemetry.
+    vended engines are wrapped exactly like registry-built ones.  Yields
+    a :class:`ConditionScope` that collects the wrapped engines and
+    aggregates their fault telemetry.
     """
     scope = ConditionScope(condition)
 

@@ -34,7 +34,7 @@ from .engine import (
     engine_provider,
     register_engine,
 )
-from .fast_network import BatchedEngine, FastMessage, FastNetwork
+from .fast_network import FastMessage, FastNetwork
 from .message import Message
 from .metrics import Metrics
 from .network import SyncNetwork
@@ -48,7 +48,6 @@ __all__ = [
     "create_engine",
     "engine_provider",
     "register_engine",
-    "BatchedEngine",
     "FastMessage",
     "FastNetwork",
     "Message",

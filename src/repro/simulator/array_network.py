@@ -106,12 +106,11 @@ _EAGER_DELIVERY_LIMIT = 32
 class _CSRLayout(NamedTuple):
     """Immutable per-graph-content adjacency structures.
 
-    Shared by every :class:`ArrayNetwork` (and arena lane) simulating a
-    graph with this content; nothing in here may ever be mutated.  The
-    per-vertex ``edge_weights`` dicts are handed to
+    Shared by every :class:`ArrayNetwork` simulating a graph with this
+    content; nothing in here may ever be mutated.  The per-vertex
+    ``edge_weights`` dicts are handed to
     :class:`~repro.simulator.node.NodeState` by reference -- protocols
-    treat node weight tables as read-only, which is the same invariant
-    the fast kernel's shared arena pieces already rely on.
+    treat node weight tables as read-only.
     """
 
     n: int
@@ -202,11 +201,9 @@ def _build_layout(graph: nx.Graph) -> _CSRLayout:
 def csr_layout(graph: nx.Graph) -> _CSRLayout:
     """The CSR adjacency layout for ``graph``, cached by content hash.
 
-    The cache is a small LRU shared between standalone
-    :class:`ArrayNetwork` construction and the
-    :class:`~repro.simulator.fast_network.BatchedEngine` arena lanes:
-    repeated cells on the same instance (the common sweep case) skip
-    the O(n + m) rebuild.
+    The cache is a small LRU shared by every :class:`ArrayNetwork`
+    construction: repeated cells on the same instance (the common sweep
+    case) skip the O(n + m) rebuild.
     """
     if np is None:
         raise ConfigurationError(f"cannot build a CSR layout: {_NUMPY_MISSING_REASON}")
@@ -472,23 +469,6 @@ class ArrayNetwork(Engine):
         if validate:
             validate_weighted_graph(graph, require_unique_weights=False)
         layout = csr_layout(graph)
-        self._attach(
-            graph,
-            layout,
-            bandwidth,
-            band=np.zeros(layout.slot_count, dtype=np.int64),
-            columns=None,
-        )
-
-    def _attach(
-        self,
-        graph: nx.Graph,
-        layout: _CSRLayout,
-        bandwidth: int,
-        band: Any,
-        columns: Optional[Tuple[Any, Any, Any]],
-    ) -> None:
-        """Shared initialisation for standalone engines and arena lanes."""
         self.graph = graph
         self.bandwidth = bandwidth
         self.metrics = Metrics()
@@ -509,7 +489,7 @@ class ArrayNetwork(Engine):
         self._nbr_dense = layout.nbr_dense
         self._nbr_weight = layout.weights
         self._edge_info = layout.edge_info
-        self._band = band
+        self._band = np.zeros(layout.slot_count, dtype=np.int64)
         self._band_span = bandwidth + 1
         self._generation = 0
         self._gen_base = 0
@@ -517,14 +497,10 @@ class ArrayNetwork(Engine):
         # outgoing slots; lets a broadcast from an untouched vertex skip
         # the per-slot bandwidth reduction entirely.
         self._out_gen = [-1] * layout.n
-        if columns is None:
-            cap = max(layout.slot_count, 16)
-            self._col_sender = np.empty(cap, dtype=np.int64)
-            self._col_receiver = np.empty(cap, dtype=np.int64)
-            self._col_words = np.empty(cap, dtype=np.int64)
-        else:
-            self._col_sender, self._col_receiver, self._col_words = columns
-            cap = len(self._col_sender)
+        cap = max(layout.slot_count, 16)
+        self._col_sender = np.empty(cap, dtype=np.int64)
+        self._col_receiver = np.empty(cap, dtype=np.int64)
+        self._col_words = np.empty(cap, dtype=np.int64)
         self._col_kind: List[Any] = [None] * cap
         self._col_payload: List[Any] = [None] * cap
         # Point-send staging: single-target sends append to these plain
@@ -892,95 +868,6 @@ class ArrayNetwork(Engine):
         self._round_value = self.metrics.rounds
         self._generation += count
         self._gen_base = self._generation * self._band_span
-
-
-# ---------------------------------------------------------------------- #
-# arena lanes (BatchedEngine integration)
-# ---------------------------------------------------------------------- #
-
-
-class _ArrayArenaLane(ArrayNetwork):
-    """An :class:`ArrayNetwork` over one scenario of a batched arena.
-
-    The bandwidth counters and the numeric message columns are *views*
-    into arena-wide arrays (one shared allocation per batch), sliced at
-    the scenario's disjoint slot range; a vend between cells restores
-    freshly-constructed state in O(n) via :meth:`_reset` instead of
-    rebuilding anything.  If a cell outgrows its slice (bandwidth > 1
-    broadcasts stacking messages), :meth:`ArrayNetwork._grow` quietly
-    replaces the views with private arrays -- correctness never depends
-    on staying inside the shared buffer.
-    """
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        graph: nx.Graph,
-        layout: _CSRLayout,
-        bandwidth: int,
-        band: Any,
-        columns: Tuple[Any, Any, Any],
-    ) -> None:
-        if bandwidth < 1:
-            raise SimulationError(f"bandwidth must be >= 1, got {bandwidth}")
-        self._attach(graph, layout, bandwidth, band, columns)
-
-    def _reset(self) -> None:
-        """Restore freshly-constructed state (start of a new cell).
-
-        Bandwidth counters go stale by generation bump (their slot range
-        is private to this lane), the fill counter rewinds, and the
-        per-vertex scratch memories are dropped.
-        """
-        self.metrics = Metrics()
-        self._round_value = 0
-        self._generation += 1
-        self._gen_base = self._generation * self._band_span
-        self._fill = 0
-        self._round_kind = None
-        self._pt_sender.clear()
-        self._pt_receiver.clear()
-        self._pt_words.clear()
-        self._pt_kind.clear()
-        self._pt_payload.clear()
-        for node in self._nodes.values():
-            node.memory.clear()
-
-
-def make_arena_lane(arena, piece, bandwidth: int) -> _ArrayArenaLane:
-    """Construct an array lane over ``piece``'s slice of ``arena``.
-
-    Called (lazily) by
-    :meth:`~repro.simulator.fast_network.BatchedEngine.array_lane`; the
-    per-bandwidth counter arrays and the three numeric message-column
-    arrays span the whole arena and are allocated here on first use.
-    Growing the arena afterwards reallocates them -- existing lanes keep
-    views of the old (still valid, disjoint) buffers, new lanes slice
-    the new ones.
-    """
-    if np is None:
-        raise ConfigurationError(
-            f"the 'array' engine needs numpy: {_NUMPY_MISSING_REASON}"
-        )
-    layout = csr_layout(piece.graph)
-    total = arena._indptr[-1]
-    stop = piece.slot_base + layout.slot_count
-    counters = arena._array_counters.get(bandwidth)
-    if counters is None or len(counters) < total:
-        counters = np.zeros(total, dtype=np.int64)
-        arena._array_counters[bandwidth] = counters
-    columns = arena._array_columns
-    if columns is None or len(columns[0]) < total:
-        columns = tuple(np.empty(total, dtype=np.int64) for _ in range(3))
-        arena._array_columns = columns
-    return _ArrayArenaLane(
-        piece.graph,
-        layout,
-        bandwidth,
-        counters[piece.slot_base : stop],
-        tuple(column[piece.slot_base : stop] for column in columns),
-    )
 
 
 # ---------------------------------------------------------------------- #

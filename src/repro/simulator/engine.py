@@ -275,9 +275,8 @@ def unavailable_engines() -> Dict[str, str]:
 def registered_factory(name: str) -> Optional[EngineFactory]:
     """The factory currently registered under ``name`` (``None`` when absent).
 
-    Lets callers that special-case a kernel (the batched executor only
-    hands out arena lanes for the stock ``"fast"`` engine) detect when a
-    test or plugin has re-registered the name with something else.
+    Lets callers that special-case a kernel detect when a test or
+    plugin has re-registered the name with something else.
     """
     _ensure_builtin_engines()
     return _REGISTRY.get(name)
@@ -295,15 +294,14 @@ _PROVIDERS: List[EngineProvider] = []
 def engine_provider(provider: EngineProvider) -> Iterator[None]:
     """Intercept :func:`create_engine` calls within the ``with`` block.
 
-    This is the seam the batched executor uses to hand algorithms
-    pre-packed :class:`~repro.simulator.fast_network.BatchedEngine`
-    lanes without changing the runner contract: algorithms keep calling
-    ``create_engine(graph, ...)``, and the innermost active provider may
-    answer with a prepared engine for that exact graph.  A provider
-    returning ``None`` falls through (to outer providers, then to the
-    registry), so interception is always safe.  Providers stack; the
-    mechanism is intentionally not thread-safe (the executors are
-    process-parallel, never thread-parallel).
+    This is how a caller hands algorithms a prepared kernel, or captures
+    the kernels a run builds, without changing the runner contract:
+    algorithms keep calling ``create_engine(graph, ...)``, and the
+    innermost active provider may answer with an engine for that exact
+    graph.  A provider returning ``None`` falls through (to outer
+    providers, then to the registry), so interception is always safe.
+    Providers stack; the mechanism is intentionally not thread-safe (the
+    executors are process-parallel, never thread-parallel).
     """
     _PROVIDERS.append(provider)
     try:
@@ -336,8 +334,8 @@ def engine_wrapper(wrapper: EngineWrapper) -> Iterator[None]:
 
     Where :func:`engine_provider` *replaces* construction (vending a
     prepared kernel), a wrapper *decorates* whatever construction
-    produced -- a registry-built kernel or a provider-vended arena lane
-    alike.  This is the seam :mod:`repro.conditions` installs its
+    produced -- a registry-built or a provider-vended kernel alike.
+    This is the seam :mod:`repro.conditions` installs its
     condition-applying proxy through: algorithms keep calling
     ``create_engine`` and receive the wrapped engine, so no kernel and
     no algorithm knows conditions exist.  Wrappers stack (installation

@@ -6,11 +6,11 @@ round semantics, same bandwidth enforcement, same cost accounting -- but
 restructures the hot path for throughput:
 
 * vertex identities are mapped to dense integer indices once, at
-  construction, and adjacency plus edge weights live in flat CSR-style
-  arrays (``_indptr`` / ``_nbr_vertex`` / ``_nbr_weight``); each
-  directed edge ``u -> v`` owns the flat slot at ``v``'s position in
-  ``u``'s adjacency run, and a single precomputed table resolves
-  ``(u, v)`` to (slot, receiver bucket, receiver index) in one lookup;
+  construction, and edge weights live in one flat CSR-style array
+  (``_nbr_weight``); each directed edge ``u -> v`` owns the flat slot
+  at ``v``'s position in ``u``'s adjacency run, and a single
+  precomputed table resolves ``(u, v)`` to (slot, receiver bucket,
+  receiver index) in one lookup;
 * in-flight messages are plain tuples (:class:`FastMessage`, a
   ``NamedTuple``) appended to per-receiver buckets -- no per-message
   dataclass allocation and no global pending list to re-partition at
@@ -30,16 +30,6 @@ The equivalence suite (``tests/test_engine_equivalence.py``) pins down
 that both kernels report identical MST edges, round counts, message
 counts and per-kind histograms on every algorithm in the library: the
 fast kernel buys wall-clock time only, never different numbers.
-
-:class:`BatchedEngine` extends the same machinery to *many scenarios at
-once*: a whole sweep's graphs are packed into one dense index space
-(arena-wide CSR adjacency, weights and bandwidth counters built in a
-single pass), and per-scenario *lanes* -- real :class:`FastNetwork`
-instances over arena slices -- are vended with an O(n) generation reset
-between cells instead of being reconstructed.  The batched campaign
-executor (``repro.campaign.executor``) steps a zoo-scale sweep through
-these lanes; ``tests/test_batched.py`` pins byte-identity with
-standalone execution.
 """
 
 from __future__ import annotations
@@ -89,24 +79,6 @@ class FastMessage(NamedTuple):
         )
 
 
-def _node_states(graph: nx.Graph, order: List[VertexId]) -> Dict[VertexId, NodeState]:
-    """Sorted-neighbor :class:`NodeState` table for ``order``.
-
-    Shared by :class:`FastNetwork` and :class:`BatchedEngine` so the
-    neighbor ordering and weight extraction -- the parts that must never
-    diverge between standalone and arena-lane construction -- exist in
-    exactly one place.
-    """
-    nodes: Dict[VertexId, NodeState] = {}
-    for vertex in order:
-        neighbors = tuple(sorted(graph.neighbors(vertex)))
-        weights = {u: graph[vertex][u]["weight"] for u in neighbors}
-        nodes[vertex] = NodeState(
-            vertex=vertex, neighbors=neighbors, edge_weights=weights
-        )
-    return nodes
-
-
 class FastNetwork(Engine):
     """Batched synchronous message-passing kernel over a weighted graph.
 
@@ -132,8 +104,6 @@ class FastNetwork(Engine):
         "_vertex_of",
         "_index",
         "_nodes",
-        "_indptr",
-        "_nbr_vertex",
         "_nbr_weight",
         "_edge_info",
         "_edge_packed",
@@ -159,46 +129,40 @@ class FastNetwork(Engine):
         order = sorted(graph.nodes())
         self._vertex_of: List[VertexId] = order
         self._index: Dict[VertexId, int] = {vertex: i for i, vertex in enumerate(order)}
-        self._nodes: Dict[VertexId, NodeState] = _node_states(graph, order)
         self._buckets: List[List[FastMessage]] = [[] for _ in order]
 
-        # CSR-style adjacency: vertex i's neighbours occupy the flat range
-        # [_indptr[i], _indptr[i+1]); that range position is the directed
-        # edge's slot in the bandwidth-accounting array.
-        indptr: List[int] = [0]
-        nbr_vertex: List[VertexId] = []
-        nbr_weight: List[float] = []
-        for vertex in order:
-            node = self._nodes[vertex]
-            nbr_vertex.extend(node.neighbors)
-            nbr_weight.extend(node.edge_weights[u] for u in node.neighbors)
-            indptr.append(indptr[-1] + len(node.neighbors))
-        self._indptr = indptr
-        self._nbr_vertex = nbr_vertex
-        self._nbr_weight = nbr_weight
-
-        # One lookup per send: (sender, receiver) -> (slot, receiver's
+        # CSR-style adjacency: each directed edge u -> v owns one flat
+        # slot, v's position in u's sorted adjacency run; the slot indexes
+        # both the weight array and the bandwidth-accounting array.  One
+        # lookup per send resolves (sender, receiver) -> (slot, receiver's
         # bucket object, receiver's dense index).  Buckets are never
         # replaced (delivery copies and clears them in place), so the
         # bucket aliases stay valid for the lifetime of the engine.
         index = self._index
         buckets = self._buckets
+        nodes: Dict[VertexId, NodeState] = {}
+        nbr_weight: List[float] = []
         edge_info: Dict[Tuple[VertexId, VertexId], Tuple[int, List[FastMessage], int]] = {}
-        for i, vertex in enumerate(order):
-            base = indptr[i]
-            for j, neighbor in enumerate(self._nodes[vertex].neighbors):
+        for vertex in order:
+            neighbors = tuple(sorted(graph.neighbors(vertex)))
+            weights = {u: graph[vertex][u]["weight"] for u in neighbors}
+            nodes[vertex] = NodeState(vertex=vertex, neighbors=neighbors, edge_weights=weights)
+            for neighbor in neighbors:
                 receiver_index = index[neighbor]
                 edge_info[(vertex, neighbor)] = (
-                    base + j,
+                    len(nbr_weight),
                     buckets[receiver_index],
                     receiver_index,
                 )
+                nbr_weight.append(weights[neighbor])
+        self._nodes = nodes
+        self._nbr_weight = nbr_weight
         self._edge_info = edge_info
 
         # Bandwidth accounting: one flat entry per directed edge packing
         # ``generation * span + words_used``; see the module docstring.
         self._band_span = bandwidth + 1
-        self._edge_packed: List[int] = [0] * indptr[-1]
+        self._edge_packed: List[int] = [0] * len(nbr_weight)
         self._generation = 0
         self._gen_base = 0
 
@@ -356,255 +320,3 @@ class FastNetwork(Engine):
 
 
 register_engine("fast", FastNetwork)
-
-
-# ---------------------------------------------------------------------- #
-# the batched multi-scenario arena
-# ---------------------------------------------------------------------- #
-
-
-class _ArenaPiece(NamedTuple):
-    """One scenario graph's share of the arena's dense index space.
-
-    ``slot_base`` is the graph's offset into the arena-wide flat edge
-    arrays: directed edge ``j`` of this graph lives at arena slot
-    ``slot_base + j``.  ``flat`` precomputes, once per graph, everything
-    a lane's per-``(sender, receiver)`` routing table needs except the
-    lane-local inbox buckets.
-    """
-
-    graph: nx.Graph
-    order: List[VertexId]
-    index: Dict[VertexId, int]
-    nodes: Dict[VertexId, NodeState]
-    flat: List[Tuple[VertexId, VertexId, int, int]]
-    slot_base: int
-    slot_count: int
-    edge_count: int
-
-
-class _ArenaLane(FastNetwork):
-    """A :class:`FastNetwork` view over one scenario of a :class:`BatchedEngine`.
-
-    Identical kernel semantics (it *is* a FastNetwork: every method but
-    construction is inherited); only the expensive construction work is
-    replaced by slicing the arena's shared, immutable structures.  A
-    lane is reused across the cells of a batched sweep that simulate the
-    same (graph, bandwidth): :meth:`_reset` restores the
-    freshly-constructed state in O(n) without rebuilding the adjacency,
-    the routing table or the node states.
-    """
-
-    __slots__ = ()
-
-    def __init__(
-        self, piece: _ArenaPiece, bandwidth: int, counters: List[int], arena: "BatchedEngine"
-    ) -> None:
-        if bandwidth < 1:
-            raise SimulationError(f"bandwidth must be >= 1, got {bandwidth}")
-        self.graph = piece.graph
-        self.bandwidth = bandwidth
-        self.metrics = Metrics()
-        self._n = len(piece.order)
-        self._m = piece.edge_count
-        self._vertex_of = piece.order
-        self._index = piece.index
-        self._nodes = piece.nodes
-        self._indptr = arena._indptr
-        # Neighbor *identities* are served by the NodeStates; only the
-        # slot-indexed weight array is consulted post-construction (the
-        # edge_weight contract), so the arena does not build a
-        # neighbor-identity array at all.
-        self._nbr_vertex = ()
-        self._nbr_weight = arena._nbr_weight
-        buckets: List[List[FastMessage]] = [[] for _ in piece.order]
-        self._buckets = buckets
-        self._edge_info = {
-            (sender, receiver): (slot, buckets[receiver_index], receiver_index)
-            for sender, receiver, slot, receiver_index in piece.flat
-        }
-        self._band_span = bandwidth + 1
-        self._edge_packed = counters
-        self._generation = 0
-        self._gen_base = 0
-        self._touched = []
-        self._round_value = 0
-
-    def _reset(self) -> None:
-        """Restore freshly-constructed state (start of a new cell).
-
-        Bandwidth counters are invalidated by bumping the generation
-        (every stored value goes stale, exactly as between rounds), the
-        per-vertex scratch memories are dropped, and any messages a
-        crashed previous run left in flight are discarded.
-        """
-        self.metrics = Metrics()
-        self._round_value = 0
-        self._generation += 1
-        self._gen_base = self._generation * self._band_span
-        if self._touched:
-            for receiver_index in self._touched:
-                self._buckets[receiver_index].clear()
-            self._touched = []
-        for node in self._nodes.values():
-            node.memory.clear()
-
-
-class BatchedEngine:
-    """Many small scenario graphs packed into one dense index space.
-
-    The arena maps every directed edge of a batch to one dense global
-    slot in a single construction pass: slot-indexed edge weights live
-    in one arena-wide flat array (serving the ``edge_weight`` contract
-    of every lane), and every directed edge owns one slot in a shared
-    flat bandwidth-counter array (one array per bandwidth value in use;
-    scenarios occupy disjoint slot ranges, and each lane invalidates its
-    range by generation stamping, so no per-cell zeroing is needed).
-    Neighbor identities are carried by the per-graph
-    :class:`~repro.simulator.node.NodeState` tables, shared across the
-    lanes of a graph.
-
-    :meth:`lane` vends a :class:`FastNetwork`-compatible engine for one
-    scenario: the batched executor steps through a sweep's cells
-    re-using these lanes, so per-cell cost shrinks to the simulation
-    itself -- graph adjacency, node states, routing tables and counter
-    storage are built once per batch instead of once per cell.  Lanes
-    are real ``FastNetwork`` instances, so a batched cell reports
-    byte-identical rounds, messages and MST edges to a standalone run
-    (``tests/test_batched.py`` pins this down).
-
-    Args:
-        graphs: the scenario graphs to pack (deduplicated by identity).
-        validate: validate each distinct graph once at packing time.
-    """
-
-    def __init__(self, graphs: Iterable[nx.Graph], validate: bool = True) -> None:
-        self._pieces: Dict[int, _ArenaPiece] = {}
-        self._indptr: List[int] = [0]
-        self._nbr_weight: List[float] = []
-        self._counters: Dict[int, List[int]] = {}
-        self._lanes: Dict[Tuple[int, int], _ArenaLane] = {}
-        # Array-kernel lane state (allocated lazily on the first
-        # array_lane() call; see repro.simulator.array_network):
-        # per-bandwidth arena-wide numpy counter arrays and one shared
-        # triple of numeric message-column arrays that lanes slice.
-        self._array_lanes: Dict[Tuple[int, int], FastNetwork] = {}
-        self._array_counters: Dict[int, Any] = {}
-        self._array_columns: Any = None
-        for graph in graphs:
-            self.add_graph(graph, validate=validate)
-
-    # -- packing ---------------------------------------------------------
-
-    def add_graph(self, graph: nx.Graph, validate: bool = True) -> None:
-        """Pack one scenario graph into the arena (idempotent by identity)."""
-        # repro: allow[DET204] arena keyed by live graph identity, never emitted
-        if id(graph) in self._pieces:
-            return
-        if validate:
-            validate_weighted_graph(graph, require_unique_weights=False)
-        indptr = self._indptr
-        nbr_weight = self._nbr_weight
-        slot_base = indptr[-1]
-        order = sorted(graph.nodes())
-        index = {vertex: i for i, vertex in enumerate(order)}
-        nodes = _node_states(graph, order)
-        flat: List[Tuple[VertexId, VertexId, int, int]] = []
-        for vertex in order:
-            node = nodes[vertex]
-            base = indptr[-1]
-            for j, neighbor in enumerate(node.neighbors):
-                flat.append((vertex, neighbor, base + j, index[neighbor]))
-            nbr_weight.extend(node.edge_weights[u] for u in node.neighbors)
-            indptr.append(base + len(node.neighbors))
-        # repro: allow[DET204] arena keyed by live graph identity, never emitted
-        self._pieces[id(graph)] = _ArenaPiece(
-            graph=graph,
-            order=order,
-            index=index,
-            nodes=nodes,
-            flat=flat,
-            slot_base=slot_base,
-            slot_count=indptr[-1] - slot_base,
-            edge_count=graph.number_of_edges(),
-        )
-        # Already-allocated counter arrays must cover the new slots.
-        for counters in self._counters.values():
-            counters.extend([0] * (indptr[-1] - len(counters)))
-
-    # -- queries ---------------------------------------------------------
-
-    @property
-    def graph_count(self) -> int:
-        """Number of distinct scenario graphs packed into the arena."""
-        return len(self._pieces)
-
-    @property
-    def total_vertices(self) -> int:
-        """Vertices across all packed scenarios (the dense index space)."""
-        return sum(len(piece.order) for piece in self._pieces.values())
-
-    @property
-    def total_slots(self) -> int:
-        """Directed-edge slots across all packed scenarios."""
-        return self._indptr[-1]
-
-    def has_graph(self, graph: nx.Graph) -> bool:
-        """True when ``graph`` (by identity) is packed into the arena."""
-        # repro: allow[DET204] arena keyed by live graph identity, never emitted
-        return id(graph) in self._pieces
-
-    # -- lanes -----------------------------------------------------------
-
-    def lane(self, graph: nx.Graph, bandwidth: int = 1) -> FastNetwork:
-        """A fresh-state :class:`FastNetwork` for one scenario of the batch.
-
-        The lane for a given (graph, bandwidth) is constructed once and
-        reset on every subsequent vend; callers must not interleave two
-        simulations on the same lane.
-        """
-        # repro: allow[DET204] arena keyed by live graph identity, never emitted
-        piece = self._pieces.get(id(graph))
-        if piece is None:
-            raise SimulationError(
-                "graph is not part of this batch; pack it with add_graph() first"
-            )
-        # repro: allow[DET204] arena keyed by live graph identity, never emitted
-        key = (id(graph), bandwidth)
-        lane = self._lanes.get(key)
-        if lane is None:
-            counters = self._counters.get(bandwidth)
-            if counters is None:
-                counters = [0] * self.total_slots
-                self._counters[bandwidth] = counters
-            lane = _ArenaLane(piece, bandwidth, counters, self)
-            self._lanes[key] = lane
-        lane._reset()
-        return lane
-
-    def array_lane(self, graph: nx.Graph, bandwidth: int = 1):
-        """A fresh-state array-kernel engine for one scenario of the batch.
-
-        The numpy counterpart of :meth:`lane`: the vended engine is a
-        real :class:`~repro.simulator.array_network.ArrayNetwork` whose
-        bandwidth counters and numeric message columns are slices of
-        arena-wide arrays (disjoint per scenario, shared per batch).
-        Requires numpy; raises
-        :class:`~repro.exceptions.ConfigurationError` without it.
-        """
-        # repro: allow[DET204] arena keyed by live graph identity, never emitted
-        piece = self._pieces.get(id(graph))
-        if piece is None:
-            raise SimulationError(
-                "graph is not part of this batch; pack it with add_graph() first"
-            )
-        # repro: allow[DET204] arena keyed by live graph identity, never emitted
-        key = (id(graph), bandwidth)
-        lane = self._array_lanes.get(key)
-        if lane is None:
-            from .array_network import make_arena_lane
-
-            lane = make_arena_lane(self, piece, bandwidth)
-            self._array_lanes[key] = lane
-        lane._reset()
-        return lane

@@ -4,9 +4,8 @@ The algorithm-level guarantees live in ``test_engine_equivalence.py``
 and ``test_golden_regression.py``; this file pins down the machinery
 underneath: registry gating when numpy is missing, the content-hashed
 CSR layout LRU, the message-column growth and generation stamping, the
-lazily materialized inboxes, the vectorized broadcast's partial-commit
-error semantics, and the arena-lane integration with
-:class:`repro.simulator.fast_network.BatchedEngine`.
+lazily materialized inboxes, and the vectorized broadcast's
+partial-commit error semantics.
 
 Everything except the registry-gating tests requires numpy; the gating
 tests run on a numpy-less interpreter too (that is their point).
@@ -20,11 +19,8 @@ import pytest
 
 from repro.campaign import Campaign, execute_campaign, RunStore
 from repro.campaign.spec import graph_spec_for
-from repro.config import RunConfig
-from repro.core.elkin_mst import compute_mst
 from repro.exceptions import BandwidthExceededError, ConfigurationError, SimulationError
 from repro.graphs import path_graph, random_connected_graph, star_graph
-from repro.graphs.generators import make_graph
 from repro.simulator import array_network as anmod
 from repro.simulator.array_network import (
     ArrayNetwork,
@@ -36,10 +32,8 @@ from repro.simulator.engine import (
     available_engines,
     create_engine,
     Engine,
-    engine_provider,
     register_engine,
 )
-from repro.simulator.fast_network import BatchedEngine
 
 try:
     import numpy  # noqa: F401
@@ -151,15 +145,6 @@ class TestLayoutCache:
         misses = info["misses"]
         csr_layout(oldest)
         assert layout_cache_info()["misses"] == misses + 1
-
-    def test_standalone_engine_and_arena_lane_share_the_cache(self):
-        clear_layout_cache()
-        graph = make_graph("random_connected", n=18, seed=4)
-        standalone = ArrayNetwork(graph)
-        arena = BatchedEngine([graph])
-        lane = arena.array_lane(graph)
-        assert standalone._layout is lane._layout
-        assert layout_cache_info()["misses"] == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -375,78 +360,6 @@ class TestBroadcast:
 
 
 # ---------------------------------------------------------------------- #
-# arena lanes
-# ---------------------------------------------------------------------- #
-
-
-@needs_numpy
-class TestArrayArenaLanes:
-    def test_lane_views_alias_the_arena_arrays(self):
-        graphs = [make_graph("random_connected", n=14, seed=s) for s in range(3)]
-        arena = BatchedEngine(graphs)
-        lanes = [arena.array_lane(graph) for graph in graphs]
-        counters = arena._array_counters[1]
-        columns = arena._array_columns
-        for lane in lanes:
-            assert lane._band.base is counters
-            assert lane._col_sender.base is columns[0]
-            assert lane._col_receiver.base is columns[1]
-            assert lane._col_words.base is columns[2]
-
-    def test_lane_reports_identical_results_to_standalone(self):
-        graph = make_graph("random_connected", n=20, seed=3)
-        arena = BatchedEngine([graph])
-        baseline = compute_mst(graph, RunConfig(engine="array"))
-        for _ in range(3):  # re-vends must be state-clean
-            vended = []
-
-            def provider(candidate, bandwidth, name):
-                if name == "array" and candidate is graph and not vended:
-                    vended.append(True)
-                    return arena.array_lane(candidate, bandwidth)
-                return None
-
-            with engine_provider(provider):
-                result = compute_mst(graph, RunConfig(engine="array"))
-            assert result.to_json_dict() == baseline.to_json_dict()
-
-    def test_lane_bandwidth_enforcement_across_vends(self):
-        graph = make_graph("path", n=4, seed=0)
-        arena = BatchedEngine([graph])
-        lane = arena.array_lane(graph, bandwidth=1)
-        lane.send(0, 1, "a")
-        with pytest.raises(BandwidthExceededError):
-            lane.send(0, 1, "b")
-        # A fresh vend resets the counters by generation stamping.
-        lane = arena.array_lane(graph, bandwidth=1)
-        lane.send(0, 1, "a")
-
-    def test_lane_reset_clears_messages_and_scratch(self):
-        graph = make_graph("path", n=4, seed=0)
-        arena = BatchedEngine([graph])
-        lane = arena.array_lane(graph)
-        lane.send(0, 1, "stale")
-        lane.node(0).scratch("proto")["key"] = "value"
-        lane = arena.array_lane(graph)
-        assert lane.pending_count() == 0
-        assert lane.node(0).memory == {}
-        assert lane.metrics.rounds == 0
-
-    def test_fast_and_array_lanes_coexist_on_one_arena(self):
-        graph = make_graph("random_connected", n=16, seed=1)
-        arena = BatchedEngine([graph])
-        fast_lane = arena.lane(graph)
-        array_lane = arena.array_lane(graph)
-        fast_lane.send(0, min(fast_lane.node(0).neighbors), "f")
-        assert array_lane.pending_count() == 0
-
-    def test_unpacked_graph_is_rejected(self):
-        arena = BatchedEngine([])
-        with pytest.raises(SimulationError, match="not part of this batch"):
-            arena.array_lane(make_graph("path", n=3, seed=0))
-
-
-# ---------------------------------------------------------------------- #
 # batched campaigns on the array engine
 # ---------------------------------------------------------------------- #
 
@@ -488,8 +401,7 @@ class TestBatchedArrayCampaign:
 
     def test_batched_stands_down_when_array_engine_is_replaced(self):
         # A re-registered "array" kernel must be honoured: the batch
-        # runner detects the substitution and constructs engines
-        # normally instead of vending stock arena lanes.
+        # runner builds every cell's kernel through the registry.
         created = []
 
         class CountingArray(ArrayNetwork):

@@ -1,12 +1,11 @@
-"""Batched execution: byte-identity with the per-cell path, and the arena.
+"""Batched execution: byte-identity with the per-cell path, and what it saves.
 
 The contract under test: ``execute_campaign(batch=True)`` (and the
 default in-process batching) produces rows, store records and resume
 behaviour *byte-identical* to the per-cell serial executor over the same
-grid -- batching buys wall-clock time only.  Plus unit coverage of
-:class:`repro.simulator.fast_network.BatchedEngine` lanes: identical
-kernel semantics to a standalone ``FastNetwork``, state isolation across
-re-vends, and bandwidth enforcement.
+grid -- batching buys wall-clock time only, by building, describing and
+verifying against each distinct graph once while every cell still
+builds its own kernel.
 """
 
 from __future__ import annotations
@@ -14,17 +13,15 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+from collections import Counter
 
 import pytest
 
 from repro.algorithms import run_algorithm
-from repro.campaign import Campaign, execute_campaign, RunStore
+from repro.campaign import Campaign, execute_campaign, executor, RunStore
 from repro.campaign.scheduler import partition_units
-from repro.campaign.spec import graph_spec_for
-from repro.config import RunConfig
-from repro.core.elkin_mst import compute_mst
+from repro.campaign.spec import graph_spec_for, RunSpec
 from repro.exceptions import (
-    BandwidthExceededError,
     ConfigurationError,
     SimulationError,
     VerificationError,
@@ -36,7 +33,7 @@ from repro.simulator.engine import (
     engine_provider,
     register_engine,
 )
-from repro.simulator.fast_network import BatchedEngine, FastNetwork
+from repro.simulator.fast_network import FastNetwork
 from repro.verify.mst_checks import MSTOracle
 
 
@@ -156,8 +153,7 @@ class TestBatchedEquivalence:
 
     def test_batched_stands_down_when_fast_engine_is_replaced(self):
         # A re-registered "fast" kernel must be honoured: the batch
-        # runner detects the substitution and constructs engines
-        # normally instead of vending stock-FastNetwork lanes.
+        # runner builds every cell's kernel through the registry.
         created = []
 
         class CountingFast(FastNetwork):
@@ -181,6 +177,58 @@ class TestBatchedEquivalence:
             assert report.executed == 1
         finally:
             register_engine("fast", FastNetwork)
+
+
+class TestWhatBatchingShares:
+    """What the batch runner saves over per-cell execution, by count.
+
+    ``_sixteen_cell_grid`` has 4 distinct graphs (2 specs x 2 seeds),
+    each serving 2 algorithms x 2 bandwidths.  Batched, every graph is
+    built, described and given an oracle once; every ``elkin`` cell
+    still builds a fresh kernel of its own.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            RunSpec, "build_graph", counting("build_graph", RunSpec.build_graph)
+        )
+        monkeypatch.setattr(MSTOracle, "__init__", counting("oracle", MSTOracle.__init__))
+        monkeypatch.setattr(
+            executor, "_describe_graph", counting("describe", executor._describe_graph)
+        )
+
+        class CountingFast(FastNetwork):
+            __slots__ = ()
+
+            def __init__(self, graph, bandwidth=1, validate=True):
+                counts["fast"] += 1
+                super().__init__(graph, bandwidth=bandwidth, validate=validate)
+
+        register_engine("fast", CountingFast)
+        try:
+            yield counts
+        finally:
+            register_engine("fast", FastNetwork)
+
+    def test_batched_builds_describes_and_verifies_once_per_graph(self, calls):
+        report = execute_campaign(_sixteen_cell_grid(), batch=True)
+        assert report.executed == 16
+        assert dict(calls) == {"build_graph": 4, "oracle": 4, "describe": 4, "fast": 8}
+
+    def test_per_cell_execution_builds_a_graph_per_cell(self, calls):
+        report = execute_campaign(_sixteen_cell_grid(), batch=False)
+        assert report.executed == 16
+        assert calls["build_graph"] >= 16
 
 
 class TestScheduledEquivalence:
@@ -407,96 +455,6 @@ class TestWorkUnits:
         assert [len(unit.cells) for unit in merged] == [8, 8]
 
 
-class TestBatchedEngineLanes:
-    def test_lane_reports_identical_results_to_standalone(self):
-        graph = make_graph("random_connected", n=20, seed=3)
-        arena = BatchedEngine([graph])
-        baseline = compute_mst(graph, RunConfig(engine="fast"))
-        for _ in range(3):  # re-vends must be state-clean
-            vended = []
-
-            def provider(candidate, bandwidth, name):
-                if name == "fast" and candidate is graph and not vended:
-                    vended.append(True)
-                    return arena.lane(candidate, bandwidth)
-                return None
-
-            with engine_provider(provider):
-                result = compute_mst(graph, RunConfig(engine="fast"))
-            assert result.to_json_dict() == baseline.to_json_dict()
-
-    def test_lanes_share_one_dense_index_space(self):
-        graphs = [
-            make_graph("random_connected", n=12, seed=s) for s in range(4)
-        ]
-        arena = BatchedEngine(graphs)
-        assert arena.graph_count == 4
-        assert arena.total_vertices == sum(g.number_of_nodes() for g in graphs)
-        assert arena.total_slots == sum(2 * g.number_of_edges() for g in graphs)
-        lanes = [arena.lane(g) for g in graphs]
-        # All lanes alias the same flat arena arrays.
-        assert len({id(lane._nbr_weight) for lane in lanes}) == 1
-
-    def test_lane_bandwidth_enforcement(self):
-        graph = make_graph("path", n=4, seed=0)
-        arena = BatchedEngine([graph])
-        lane = arena.lane(graph, bandwidth=1)
-        lane.send(0, 1, "a")
-        with pytest.raises(BandwidthExceededError):
-            lane.send(0, 1, "b")
-        # A fresh vend resets the counters by generation stamping.
-        lane = arena.lane(graph, bandwidth=1)
-        lane.send(0, 1, "a")
-
-    def test_lane_reset_clears_messages_and_scratch(self):
-        graph = make_graph("path", n=4, seed=0)
-        arena = BatchedEngine([graph])
-        lane = arena.lane(graph)
-        lane.send(0, 1, "stale")
-        lane.node(0).scratch("proto")["key"] = "value"
-        lane = arena.lane(graph)
-        assert lane.pending_count() == 0
-        assert lane.node(0).memory == {}
-        assert lane.metrics.rounds == 0
-
-    def test_distinct_bandwidth_lanes_coexist(self):
-        graph = make_graph("random_connected", n=16, seed=1)
-        arena = BatchedEngine([graph])
-        for bandwidth in (1, 2, 1, 4, 2):
-            expected = compute_mst(graph, RunConfig(engine="fast", bandwidth=bandwidth))
-            vended = []
-
-            def provider(candidate, bw, name):
-                if name == "fast" and not vended:
-                    vended.append(True)
-                    return arena.lane(candidate, bw)
-                return None
-
-            with engine_provider(provider):
-                result = compute_mst(
-                    graph, RunConfig(engine="fast", bandwidth=bandwidth)
-                )
-            assert result.to_json_dict() == expected.to_json_dict()
-
-    def test_unpacked_graph_is_rejected(self):
-        arena = BatchedEngine([])
-        with pytest.raises(SimulationError, match="not part of this batch"):
-            arena.lane(make_graph("path", n=3, seed=0))
-
-    def test_add_graph_is_idempotent_by_identity(self):
-        graph = make_graph("path", n=5, seed=0)
-        arena = BatchedEngine([graph])
-        slots = arena.total_slots
-        arena.add_graph(graph)
-        assert arena.total_slots == slots
-
-    def test_provider_fallthrough_reaches_registry(self):
-        graph = make_graph("path", n=4, seed=0)
-        with engine_provider(lambda g, b, name: None):
-            engine = create_engine(graph, engine="fast")
-        assert isinstance(engine, FastNetwork)
-
-
 class TestConditionedExecutionEquivalence:
     """The condition axis joins the byte-identity matrix.
 
@@ -586,6 +544,12 @@ class TestProviderEdgeCases:
         with engine_provider(lambda g, b, name: outer_engine):
             with engine_provider(lambda g, b, name: None):
                 assert create_engine(graph, engine="fast") is outer_engine
+
+    def test_provider_fallthrough_reaches_registry(self):
+        graph = make_graph("path", n=4, seed=0)
+        with engine_provider(lambda g, b, name: None):
+            engine = create_engine(graph, engine="fast")
+        assert isinstance(engine, FastNetwork)
 
     def test_provider_raising_mid_campaign_propagates_and_unwinds(self):
         campaign = Campaign.from_grid(

@@ -92,6 +92,12 @@ class TestSweepCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--durability", "paranoid"])
 
+    def test_sweep_batches_unless_no_batch(self):
+        assert build_parser().parse_args(["sweep"]).batch is None
+        assert build_parser().parse_args(["sweep", "--no-batch"]).batch is False
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--batch"])
+
     def test_sweep_durability_reaches_the_store(self, capsys, tmp_path):
         store = str(tmp_path / "runs.jsonl")
         argv = ["sweep", "--families", "random_connected", "--sizes", "16",

@@ -647,3 +647,56 @@ class TestLeanRunRecords:
                 assert reopened.get_spec(key) == spec
                 assert reopened.get_result(key).to_json_dict() == runs[key]["result"]
                 assert reopened.get_provenance(key) == runs[key]["provenance"]
+
+
+class TestConvertRobustness:
+    """``store convert`` accepts every store that opens, and a failed
+    convert leaves no destination behind to refuse a retry."""
+
+    def _stores(self, tmp_path):
+        plain = tmp_path / "plain.jsonl"
+        with RunStore(plain) as store:
+            execute_campaign(_campaign(), store=store)
+        bom = tmp_path / "bom.jsonl"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        return plain, bom
+
+    def test_bom_prefixed_store_converts_to_both_backends(self, tmp_path):
+        plain, bom = self._stores(tmp_path)
+        convert_store(plain, tmp_path / "plain-out.jsonl")
+        convert_store(bom, tmp_path / "bom-out.jsonl")
+        assert (tmp_path / "bom-out.jsonl").read_bytes() == (
+            tmp_path / "plain-out.jsonl"
+        ).read_bytes()
+        convert_store(bom, tmp_path / "bom-out.sqlite")
+        with open_store(tmp_path / "bom-out.sqlite", read_only=True) as converted:
+            with RunStore(plain, read_only=True) as original:
+                assert list(converted.iter_rows()) == list(original.iter_rows())
+
+    @pytest.mark.parametrize("name", ["out.jsonl", "out.sqlite", "out-dir"])
+    def test_failed_convert_removes_its_destination(self, tmp_path, monkeypatch, name):
+        from repro.campaign.columnar import ColumnarStore
+
+        plain, _ = self._stores(tmp_path)
+        dest = tmp_path / name
+        lines = []
+
+        def failing(original):
+            def append_record_line(store, line):
+                lines.append(line)
+                if len(lines) > 1:
+                    raise RuntimeError("destination went away")
+                original(store, line)
+
+            return append_record_line
+
+        for cls in (RunStore, ColumnarStore):
+            monkeypatch.setattr(
+                cls, "append_record_line", failing(cls.append_record_line)
+            )
+        with pytest.raises(RuntimeError, match="went away"):
+            convert_store(plain, dest)
+        assert not dest.exists()
+        monkeypatch.undo()
+        convert_store(plain, dest)  # the retry is not refused
+        assert dest.exists()
