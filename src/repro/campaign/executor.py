@@ -207,9 +207,8 @@ class _BatchRunner:
     * every distinct *deterministic* graph of the pending cells is built
       exactly once, up front;
     * verification runs against one cached
-      :class:`~repro.verify.mst_checks.MSTOracle` and one planted-MST
-      extraction per graph instead of recomputing the references per
-      cell;
+      :class:`~repro.verify.mst_checks.MSTOracle` per graph (planted
+      tree included) instead of recomputing the references per cell;
     * instance descriptions are computed once per graph.
 
     Each cell still builds its own kernel through
@@ -231,7 +230,6 @@ class _BatchRunner:
         self._compute_diameter = compute_diameter
         self._graphs: Dict[str, nx.Graph] = {}
         self._oracles: Dict[str, object] = {}
-        self._planted: Dict[str, object] = {}
         self._descriptions: Dict[str, GraphDescription] = {}
         for _, spec, _ in pending:
             graph_key = spec.graph_key()
@@ -256,8 +254,8 @@ class _BatchRunner:
             description = _describe_graph(graph, self._compute_diameter)
             if deterministic:
                 self._descriptions[graph_key] = description
-        # verify=False: verification runs against the cached per-graph
-        # oracle below, with exactly the checks run_single would apply.
+        # verify=False: the cell is verified below against the cached
+        # per-graph MSTOracle, the verifier run_single builds per call.
         result = _simulate(spec, graph, verify=False)
         if self._do_verify and not result.details.get("non_terminated"):
             oracle = self._oracles.get(graph_key) if deterministic else None
@@ -268,21 +266,6 @@ class _BatchRunner:
                 if deterministic:
                     self._oracles[graph_key] = oracle
             oracle.verify(result)
-            from ..verify.planted_checks import (
-                assert_matches_planted_mst,
-                planted_mst_edges,
-            )
-
-            # Planted ground truth, extracted (and validated) once per
-            # distinct graph like the oracle above.
-            if deterministic and graph_key in self._planted:
-                planted = self._planted[graph_key]
-            else:
-                planted = planted_mst_edges(graph)
-                if deterministic:
-                    self._planted[graph_key] = planted
-            if planted is not None:
-                assert_matches_planted_mst(graph, result, expected=planted)
         row = _build_row(spec, description, result)
         used = {key: row[key] for key in ("n", "m", "D") if key in row}
         return index, row, result.to_json_dict(), used

@@ -77,7 +77,6 @@ def partition_units(
     pending: Sequence[Tuple[int, RunSpec, str]],
     descriptions: Dict[str, GraphDescription],
     jobs: int,
-    unit_cells: Optional[int] = None,
 ) -> List[WorkUnit]:
     """Split the pending cells into graph-affine work units.
 
@@ -93,10 +92,7 @@ def partition_units(
     groups: Dict[str, List[Tuple[int, RunSpec, str]]] = {}
     for index, spec, key in pending:
         groups.setdefault(spec.graph_key(), []).append((index, spec, key))
-    if unit_cells is None:
-        target = max(1, round(len(pending) / (max(1, jobs) * UNITS_PER_WORKER)))
-    else:
-        target = max(1, unit_cells)
+    target = max(1, round(len(pending) / (max(1, jobs) * UNITS_PER_WORKER)))
     units: List[WorkUnit] = []
     bucket: List[Tuple[int, RunSpec, str]] = []
 

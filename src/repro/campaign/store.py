@@ -24,8 +24,8 @@ one-fsync-per-record file:
 
 * **Sharded layout.**  A store path naming a *directory* holds a
   ``MANIFEST.json`` plus ``shard-NNNNN.jsonl`` files that roll over
-  every ``shard_records`` records, so huge campaign stores never hinge
-  on one monolithic file.  A path naming a file (e.g. the classic
+  every :data:`SHARD_RECORDS` records, so huge campaign stores never
+  hinge on one monolithic file.  A path naming a file (e.g. the classic
   ``runs.jsonl``) keeps the original single-file layout; old stores
   are transparently readable and writable either way.
 
@@ -66,6 +66,10 @@ DURABILITY_LEVELS = ("record", "batch", "none")
 
 #: Name of the v2 manifest file inside a sharded store directory.
 MANIFEST_NAME = "MANIFEST.json"
+
+#: Records per shard file before a sharded store rolls over to a new
+#: shard.  Recorded in every manifest as ``"shard_records"``.
+SHARD_RECORDS = 4096
 
 _SHARD_PREFIX = "shard-"
 _SHARD_SUFFIX = ".jsonl"
@@ -122,8 +126,6 @@ class RunStore:
             every append immediately; ``"none"`` never calls fsync.
         batch_size: records per automatic group commit under
             ``"batch"`` durability.
-        shard_records: records per shard file before the directory
-            layout rolls over to a new shard.
         read_only: open for reading only.  Crash repairs (torn-tail
             truncation, re-termination newlines) stay in-memory and
             every write path (:meth:`record_run`, :meth:`flush`,
@@ -140,7 +142,6 @@ class RunStore:
         path: Optional[Union[str, Path]] = None,
         durability: str = "batch",
         batch_size: int = 64,
-        shard_records: int = 4096,
         read_only: bool = False,
     ) -> None:
         if durability not in DURABILITY_LEVELS:
@@ -150,12 +151,9 @@ class RunStore:
             )
         if batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-        if shard_records < 1:
-            raise ConfigurationError(f"shard_records must be >= 1, got {shard_records}")
         self.path = Path(path) if path is not None else None
         self.durability = durability
         self.batch_size = batch_size
-        self.shard_records = shard_records
         self.read_only = read_only
         if read_only:
             if self.path is None:
@@ -211,7 +209,7 @@ class RunStore:
         while start < len(self._buffer):
             self._rotate_if_needed()
             if self._sharded:
-                room = max(1, self.shard_records - self._active_records)
+                room = max(1, SHARD_RECORDS - self._active_records)
                 chunk = self._buffer[start : start + room]
             else:
                 chunk = self._buffer[start:]
@@ -257,7 +255,7 @@ class RunStore:
         payload = {
             "version": 2,
             "shards": list(self._shards),
-            "shard_records": self.shard_records,
+            "shard_records": SHARD_RECORDS,
         }
         tmp = self._manifest_path().with_suffix(".json.tmp")
         tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -291,7 +289,7 @@ class RunStore:
         """Ensure the active shard has room; roll to a new one if not."""
         if not self._sharded:
             return
-        if self._shards and self._active_records < self.shard_records:
+        if self._shards and self._active_records < SHARD_RECORDS:
             return
         if self._handle is not None:
             self._handle.close()
@@ -537,7 +535,7 @@ class RunStore:
         if self._sharded:
             self.path.mkdir(parents=True, exist_ok=True)
             # The compacted output is one shard regardless of
-            # shard_records (appends re-grow the shard set from there):
+            # SHARD_RECORDS (appends re-grow the shard set from there):
             # a single os.replace switches the whole live record set
             # atomically *before* any old shard is removed.  Every
             # crash window is then safe -- stale shards left behind
@@ -702,7 +700,6 @@ def open_store(
     backend: str = "auto",
     durability: str = "batch",
     batch_size: int = 64,
-    shard_records: int = 4096,
     read_only: bool = False,
 ):
     """Open a run store of any backend behind one construction seam.
@@ -728,13 +725,7 @@ def open_store(
         return ColumnarStore(
             path, durability=durability, batch_size=batch_size, read_only=read_only
         )
-    return RunStore(
-        path,
-        durability=durability,
-        batch_size=batch_size,
-        shard_records=shard_records,
-        read_only=read_only,
-    )
+    return RunStore(path, durability=durability, batch_size=batch_size, read_only=read_only)
 
 
 def _same_store_path(a: Optional[Path], b: Optional[Path]) -> bool:
@@ -794,7 +785,6 @@ def convert_store(
     destination: Union[str, Path],
     backend: str = "auto",
     durability: str = "batch",
-    shard_records: int = 4096,
 ) -> Dict[str, object]:
     """Copy a store record-for-record into a fresh store at ``destination``.
 
@@ -813,9 +803,7 @@ def convert_store(
         raise ConfigurationError(f"refusing to convert onto existing path {dest_path}")
     src = open_store(source_path, read_only=True)
     try:
-        dest = open_store(
-            dest_path, backend=backend, durability=durability, shard_records=shard_records
-        )
+        dest = open_store(dest_path, backend=backend, durability=durability)
         try:
             records = 0
             for line in src.iter_record_lines():

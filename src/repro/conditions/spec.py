@@ -30,7 +30,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..exceptions import ConfigurationError
 
@@ -505,6 +505,10 @@ def parse_condition(text: str) -> NetworkCondition:
         loss(rate=0.1,retransmit=4)+delay(max=2)+seed=7
         crash(v=0,at=5)+crash(v=3,at=8,down=4)+stretch=2
         adversary(heavy=4,delay=3)+adversary(drop=convergecast,rate=0.5)
+
+    Crash events (``crash(v=...)``) accumulate.  Anything else set twice
+    -- a model, the generated ``crash(rate=...)``, one ``adversary`` key
+    or a scalar knob -- raises rather than silently keeping the last.
     """
     if not isinstance(text, str) or not text.strip():
         raise ConfigurationError(f"condition must be a non-empty string, got {text!r}")
@@ -517,9 +521,17 @@ def parse_condition(text: str) -> NetworkCondition:
     crash_kwargs: Dict[str, object] = {}
     adversary_kwargs: Dict[str, object] = {}
     scalars: Dict[str, int] = {}
+    seen: Set[str] = set()
+
+    def once(what: str) -> None:
+        if what in seen:
+            raise ConfigurationError(f"condition {text!r} sets {what} twice")
+        seen.add(what)
+
     for clause in filter(None, (piece.strip() for piece in text.split("+"))):
         scalar = _SCALAR.match(clause)
         if scalar:
+            once(scalar.group("key") + "=")
             scalars[scalar.group("key")] = int(scalar.group("value"))
             continue
         match = _CLAUSE.match(clause)
@@ -531,11 +543,13 @@ def parse_condition(text: str) -> NetworkCondition:
             )
         model, args = match.group("model"), _parse_args(match.group("model"), match.group("args"))
         if model == "loss":
+            once("loss(...)")
             loss = LossModel(
                 rate=_number("loss", args, "rate", float, 0.0),
                 retransmit=_number("loss", args, "retransmit", int, 0),
             )
         elif model == "delay":
+            once("delay(...)")
             delay = DelayModel(
                 max_delay=_number("delay", args, "max", int, 1),
                 rate=_number("delay", args, "rate", float, 1.0),
@@ -549,10 +563,13 @@ def parse_condition(text: str) -> NetworkCondition:
                     (vertex, start, None if down is None else start + down)
                 )
             else:
+                once("crash(rate=...)")
                 crash_kwargs["rate"] = _number("crash", args, "rate", float, 0.0)
                 crash_kwargs["within"] = _number("crash", args, "within", int, 32)
                 crash_kwargs["downtime"] = _number("crash", args, "down", int, None)
         elif model == "adversary":
+            for key in sorted(args.keys() & {"heavy", "drop"}):
+                once(f"adversary({key}=...)")
             if "heavy" in args:
                 adversary_kwargs["heaviest_edges"] = _number("adversary", args, "heavy", int, 0)
                 adversary_kwargs["heavy_delay"] = _number("adversary", args, "delay", int, 1)

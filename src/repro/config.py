@@ -9,7 +9,7 @@ them so that examples, tests and benchmarks construct runs uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .conditions.spec import NetworkCondition, normalize_condition
@@ -61,7 +61,6 @@ class RunConfig:
     strict_bounds: bool = False
     seed: Optional[int] = None
     condition: Optional[Union[NetworkCondition, str, dict]] = None
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.bandwidth < 1:

@@ -163,8 +163,7 @@ def check_module_global_mutation(context: FileContext) -> Iterator[Finding]:
 
     State shared through module globals is invisible to the engine's
     message accounting and leaks information between vertices; protocol
-    state belongs in the per-vertex scratch space or on the protocol
-    instance keyed by vertex.
+    state belongs on the protocol instance, keyed by vertex.
     """
     reported: Set[int] = set()
     for node in ast.walk(context.tree):
@@ -176,6 +175,5 @@ def check_module_global_mutation(context: FileContext) -> Iterator[Finding]:
                 "module-global-mutation",
                 f"'global {', '.join(node.names)}' in protocol code: "
                 "module-level state is shared across every simulated vertex; "
-                "keep protocol state in NodeState.scratch or on the protocol "
-                "instance",
+                "keep protocol state on the protocol instance, keyed by vertex",
             )

@@ -2,17 +2,17 @@
 
 The kernel keeps one :class:`NodeState` per vertex.  It stores the static
 local knowledge a vertex has in the clean network model at the start of a
-computation -- its identity and its incident edges with their weights --
-plus a free-form ``memory`` dictionary protocols use for their local
-variables.  Protocols should only read and write state of the vertex
+computation: its identity and its incident edges with their weights.
+Protocols keep their own per-vertex variables on the protocol instance,
+keyed by vertex, and should only read and write state of the vertex
 currently being processed; this is how the simulation preserves the
 locality of the model even though it runs in one process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict
+from dataclasses import dataclass
+from typing import Dict
 
 from ..types import VertexId
 
@@ -27,22 +27,11 @@ class NodeState:
         edge_weights: weight of the edge to each neighbour.  In the clean
             network model a vertex knows the weights of its incident
             edges but not the identities beyond its direct neighbours.
-        memory: scratch space for protocol-local variables, keyed by
-            protocol name to avoid collisions between composed protocols.
     """
 
     vertex: VertexId
     neighbors: tuple[VertexId, ...]
     edge_weights: Dict[VertexId, float]
-    memory: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-
-    def scratch(self, protocol_name: str) -> Dict[str, Any]:
-        """Return (creating if needed) the scratch dict for ``protocol_name``."""
-        return self.memory.setdefault(protocol_name, {})
-
-    def clear_scratch(self, protocol_name: str) -> None:
-        """Drop the scratch dict for ``protocol_name`` (frees memory between phases)."""
-        self.memory.pop(protocol_name, None)
 
     def degree(self) -> int:
         """Number of incident edges."""

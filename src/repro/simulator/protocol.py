@@ -15,9 +15,9 @@ after :meth:`ProtocolApi.wait` (until its next message arrives), and
 and at every participant that received mail; a finished or waiting
 vertex with an empty inbox is skipped.
 
-Protocols keep their per-vertex variables in the vertex's scratch space
-(:meth:`~repro.simulator.node.NodeState.scratch`), so composed protocols
-do not interfere with one another.
+Protocols keep their per-vertex variables on the protocol instance,
+keyed by vertex, so composed protocols do not interfere with one
+another.
 """
 
 from __future__ import annotations
@@ -117,10 +117,6 @@ class ProtocolApi:
         """
         self._awake.discard(vertex)
 
-    def is_finished(self, vertex: VertexId) -> bool:
-        """True when ``vertex`` has declared completion."""
-        return vertex in self._finished
-
     def finished_count(self) -> int:
         """Number of vertices that have declared completion."""
         return len(self._finished)
@@ -129,10 +125,11 @@ class ProtocolApi:
 class NodeProtocol(abc.ABC):
     """Base class for synchronous per-node protocols.
 
-    Subclasses define ``name`` (used to namespace scratch space and
-    message kinds), the set of participating vertices, the two callbacks,
-    and a :meth:`result` extractor that assembles the protocol's output
-    after the driver stops.
+    Subclasses define ``name`` (used to namespace message kinds), the
+    set of participating vertices, the two callbacks, and a
+    :meth:`result` extractor that assembles the protocol's output after
+    the driver stops.  Per-vertex state lives on the instance, keyed by
+    vertex.
     """
 
     #: short identifier; must be unique among concurrently-run protocols
@@ -240,10 +237,7 @@ def run_protocol(
             # would let a mutating protocol poison every later round.
             on_round(vertex, nodes[vertex], api, [] if inbox is None else inbox)
 
-    outcome = protocol.result(network)
-    for node in nodes.values():
-        node.clear_scratch(protocol.name)
-    return outcome
+    return protocol.result(network)
 
 
 def run_protocols_sequentially(

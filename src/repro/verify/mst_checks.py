@@ -1,9 +1,12 @@
-"""MST correctness checks against independent oracles.
+"""MST correctness against independent oracles.
 
 The paper assumes unique edge weights, under which the MST is unique, so
-correctness is exact set equality: the edges selected by a distributed
-run must equal the edges selected by networkx's Kruskal, by our own
-Kruskal and by our own Prim.  The helpers raise
+correctness is exact set equality.  :class:`MSTOracle` is the package's
+one verifier: it computes the MST of a graph with networkx's Kruskal,
+our own Kruskal and our own Prim, requires them -- and the planted tree,
+on a graph that records one -- to agree, and then checks any number of
+runs against that tree.  Equality with the unique MST already implies
+the spanning-tree property.  Failures raise
 :class:`~repro.exceptions.VerificationError` with a precise description
 of the first discrepancy, which keeps property-based test failures easy
 to read.
@@ -11,7 +14,7 @@ to read.
 
 from __future__ import annotations
 
-from typing import Iterable, Set
+from typing import Set
 
 import networkx as nx
 
@@ -20,6 +23,7 @@ from ..baselines.prim import prim_mst
 from ..core.results import MSTRunResult
 from ..exceptions import VerificationError
 from ..types import Edge, normalize_edges
+from .planted_checks import planted_mst_edges
 
 
 def reference_mst(graph: nx.Graph) -> Set[Edge]:
@@ -38,73 +42,21 @@ def reference_mst(graph: nx.Graph) -> Set[Edge]:
     return own_edges
 
 
-def assert_spanning_tree(graph: nx.Graph, edges: Iterable[Edge]) -> None:
-    """Raise unless ``edges`` forms a spanning tree of ``graph``."""
-    edge_set = normalize_edges(edges)
-    n = graph.number_of_nodes()
-    if len(edge_set) != n - 1:
-        raise VerificationError(
-            f"a spanning tree of {n} vertices needs {n - 1} edges, got {len(edge_set)}"
-        )
-    for u, v in sorted(edge_set):
-        if not graph.has_edge(u, v):
-            raise VerificationError(f"selected edge ({u}, {v}) is not an edge of the graph")
-    tree = nx.Graph()
-    tree.add_nodes_from(graph.nodes())
-    tree.add_edges_from(edge_set)
-    if not nx.is_connected(tree):
-        raise VerificationError("selected edges do not connect all vertices")
-
-
-def assert_same_mst(graph: nx.Graph, edges: Iterable[Edge]) -> None:
-    """Raise unless ``edges`` is exactly the unique MST of ``graph``."""
-    edge_set = normalize_edges(edges)
-    expected = reference_mst(graph)
-    if edge_set == expected:
-        return
-    missing = sorted(expected - edge_set)
-    extra = sorted(edge_set - expected)
-    raise VerificationError(
-        f"MST mismatch: {len(missing)} expected edges missing (e.g. {missing[:3]}), "
-        f"{len(extra)} unexpected edges selected (e.g. {extra[:3]})"
-    )
-
-
 def verify_mst_result(graph: nx.Graph, result: MSTRunResult) -> None:
-    """Full validation of a distributed run against all oracles.
-
-    Checks: the edge set is a spanning tree, equals the unique MST
-    (networkx + Kruskal + Prim), and the reported total weight matches
-    the edge set.
-    """
-    assert_spanning_tree(graph, result.edges)
-    assert_same_mst(graph, result.edges)
-    prim_edges = prim_mst(graph)
-    if normalize_edges(result.edges) != prim_edges:
-        raise VerificationError("distributed result disagrees with Prim's algorithm")
-    recomputed = sum(graph[u][v]["weight"] for u, v in result.edges)
-    if abs(recomputed - result.total_weight) > 1e-6 * max(1.0, abs(recomputed)):
-        raise VerificationError(
-            f"reported weight {result.total_weight} does not match the edge set ({recomputed})"
-        )
-    if result.cost.rounds < 0 or result.cost.messages < 0:
-        raise VerificationError("negative cost counters")
+    """Validate one run against every oracle: ``MSTOracle(graph).verify(result)``."""
+    MSTOracle(graph).verify(result)
 
 
 class MSTOracle:
-    """Precomputed verification oracle for one graph instance.
+    """Verification oracle for one graph instance.
 
-    :func:`verify_mst_result` recomputes three reference MSTs on every
-    call, which is the right trade-off for a one-off run but dominates
-    the cost of a sweep that runs many algorithms on the same instance.
-    The oracle front-loads that work: construction runs all three
-    references once (networkx vs Kruskal vs Prim, cross-checked against
-    each other), and :meth:`verify` then validates any number of results
-    against the cached expectation at set-comparison cost.  The checks
-    are exactly as strong as :func:`verify_mst_result` -- equality with
-    the verified unique MST implies the spanning-tree property.
-
-    The batched campaign executor keeps one oracle per distinct graph.
+    Construction computes the unique MST once and cross-checks its
+    sources: networkx against Kruskal against Prim and, when the graph
+    records a planted tree (:mod:`repro.verify.planted_checks`),
+    against that tree -- an oracle a bug shared by the sequential
+    references cannot forge.  :meth:`verify` then validates any number
+    of results at set-comparison cost, which is why the batched campaign
+    executor keeps one oracle per distinct graph.
     """
 
     def __init__(self, graph: nx.Graph) -> None:
@@ -115,6 +67,12 @@ class MSTOracle:
                 "internal oracle disagreement: Prim and Kruskal produced different "
                 f"MSTs ({len(prim_edges ^ self.expected)} differing edges); "
                 "are the edge weights unique?"
+            )
+        planted = planted_mst_edges(graph)
+        if planted is not None and planted != self.expected:
+            raise VerificationError(
+                "internal oracle disagreement: the planted MST and Kruskal differ "
+                f"({len(planted ^ self.expected)} differing edges)"
             )
         self.expected_weight = sum(graph[u][v]["weight"] for u, v in self.expected)
 

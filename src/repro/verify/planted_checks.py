@@ -9,9 +9,10 @@ oracle that is independent of the sequential references: a bug shared by
 Kruskal, Prim and networkx (for example in the tie-breaking order)
 cannot also forge the planted tree.
 
-``run_single`` surfaces the planted tree in ``result.details`` for
-provenance and, when verification is enabled, checks the run against it
-through :func:`assert_matches_planted_mst`.
+:class:`~repro.verify.mst_checks.MSTOracle` requires the planted tree to
+equal the sequential references' MST, so every verified run on a
+planted graph is checked against it; ``run_single`` also surfaces the
+tree in ``result.details`` for provenance (:func:`planted_mst_details`).
 """
 
 from __future__ import annotations
@@ -62,21 +63,12 @@ def planted_mst_details(graph: nx.Graph) -> Optional[List[List[int]]]:
     return [list(edge) for edge in sorted(edges)]
 
 
-def assert_matches_planted_mst(
-    graph: nx.Graph,
-    result: MSTRunResult,
-    expected: Optional[Set[Edge]] = None,
-) -> None:
+def assert_matches_planted_mst(graph: nx.Graph, result: MSTRunResult) -> None:
     """Raise unless ``result`` selected exactly the planted MST.
 
-    A no-op for graphs that do not carry a planted tree, so the check
-    can sit unconditionally on the verification path.  Callers that
-    already extracted (and thereby validated) the planted tree pass it
-    as ``expected`` to skip the re-extraction -- the batched executor
-    caches it per graph.
+    A no-op for graphs that do not carry a planted tree.
     """
-    if expected is None:
-        expected = planted_mst_edges(graph)
+    expected = planted_mst_edges(graph)
     if expected is None:
         return
     edge_set = normalize_edges(result.edges)

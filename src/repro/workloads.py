@@ -18,9 +18,10 @@ the ``zoo`` preset.  The module is imported lazily by
 lookup.
 
 Planted families additionally record the spanning tree they plant in
-``graph.graph["planted_mst"]``; the verification layer
-(:mod:`repro.verify.planted_checks`) checks every run on such a graph
-against the planted tree, independently of the sequential oracles.
+``graph.graph["planted_mst"]``; the verifier
+(:class:`~repro.verify.mst_checks.MSTOracle`) requires it to equal the
+sequential oracles' MST, so every verified run on such a graph is
+checked against the planted tree.
 
 The uniqueness convention: the paper assumes pairwise-distinct edge
 weights (unique MST), and every simulated algorithm validates that
@@ -204,7 +205,7 @@ def planted_fragments_graph(
     edge, so the MST is exactly the planted tree (Kruskal accepts the
     planted edges first and they already span).  The planted tree is
     recorded in ``graph.graph["planted_mst"]`` and checked by
-    :mod:`repro.verify.planted_checks` on every verified run.
+    :class:`~repro.verify.mst_checks.MSTOracle` on every verified run.
 
     This mirrors the base-forest structure of Controlled-GHS: the
     cluster diameter plays the role of the fragment parameter ``k``.

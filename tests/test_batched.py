@@ -442,17 +442,30 @@ class TestWorkUnits:
         assert [unit.unit_key for unit in first] == [unit.unit_key for unit in second]
 
     def test_unit_cells_cap_is_respected_per_group(self):
-        campaign = _sixteen_cell_grid()
-        pending = [
-            (index, spec, spec.run_key()) for index, spec in enumerate(campaign.specs)
-        ]
-        units = partition_units(pending, {}, jobs=2, unit_cells=4)
+        def sizes(campaign, jobs):
+            pending = [
+                (index, spec, spec.run_key()) for index, spec in enumerate(campaign.specs)
+            ]
+            return [len(unit.cells) for unit in partition_units(pending, {}, jobs=jobs)]
+
         # The seed axis is part of the graph identity, so the grid has
-        # four graph groups of 4 cells; at 4 cells per unit each group
-        # fills exactly one unit.
-        assert [len(unit.cells) for unit in units] == [4, 4, 4, 4]
-        merged = partition_units(pending, {}, jobs=2, unit_cells=8)
-        assert [len(unit.cells) for unit in merged] == [8, 8]
+        # four graph groups of 4 cells.  The target is cells / (jobs x 4):
+        # 4 cells at jobs=1 and 2 at jobs=2, and a group is never split,
+        # so each group fills exactly one unit either way.
+        assert sizes(_sixteen_cell_grid(), jobs=1) == [4, 4, 4, 4]
+        assert sizes(_sixteen_cell_grid(), jobs=2) == [4, 4, 4, 4]
+        # Four seeds: eight groups of 4 cells, packed in pairs at the
+        # jobs=1 target of 32 / 4 = 8 cells.
+        four_seeds = Campaign.from_grid(
+            "batched-units",
+            [graph_spec_for("random_connected", 20), graph_spec_for("planted_fragments", 16)],
+            algorithms=("elkin", "boruvka_seq"),
+            bandwidths=(1, 2),
+            engines=("fast",),
+            seeds=(0, 1, 2, 3),
+        )
+        assert len(four_seeds) == 32
+        assert sizes(four_seeds, jobs=1) == [8, 8, 8, 8]
 
 
 class TestConditionedExecutionEquivalence:

@@ -343,11 +343,12 @@ class TestEquivalenceMatrix:
             "sharded": tmp / "runs-dir",
             "columnar": tmp / "runs.sqlite",
         }
-        for backend, path in paths.items():
-            kwargs = {"shard_records": 4} if backend == "sharded" else {}
-            store = open_store(path, **kwargs)
-            execute_campaign(campaign, store=store)
-            store.close()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.campaign.store.SHARD_RECORDS", 4)
+            for path in paths.values():
+                store = open_store(path)
+                execute_campaign(campaign, store=store)
+                store.close()
         return paths
 
     def test_rows_identical_across_backends(self, matrix):

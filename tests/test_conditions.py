@@ -97,6 +97,24 @@ class TestConditionSpec:
         with pytest.raises(ConfigurationError):
             parse_condition(text)
 
+    @pytest.mark.parametrize(
+        "text, repeated",
+        [
+            ("loss(rate=0.1)+loss(rate=0.2)", "loss"),
+            ("delay(max=2)+delay(max=3)", "delay"),
+            ("crash(rate=0.1)+crash(rate=0.2,within=8)", "crash"),
+            ("adversary(heavy=4,delay=3)+adversary(heavy=2,delay=1)", "adversary\\(heavy"),
+            ("adversary(drop=upcast)+adversary(drop=bcast,rate=0.5)", "adversary\\(drop"),
+            ("loss(rate=0.1)+seed=1+seed=2", "seed="),
+            ("loss(rate=0.1)+stretch=2+stretch=3", "stretch="),
+            ("loss(rate=0.1)+cap=50+cap=60", "cap="),
+        ],
+    )
+    def test_repeated_clause_raises_instead_of_overriding(self, text, repeated):
+        """A repeat raises instead of silently overriding the first."""
+        with pytest.raises(ConfigurationError, match=f"sets {repeated}.* twice"):
+            parse_condition(text)
+
     def test_describe_round_trips_through_the_parser(self):
         for name in available_conditions():
             condition = CONDITION_PRESETS[name]

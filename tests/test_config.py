@@ -31,8 +31,3 @@ class TestRunConfig:
 
     def test_default_config_singleton_is_valid(self):
         assert DEFAULT_CONFIG.bandwidth == 1
-
-    def test_extra_dict_is_per_instance(self):
-        first, second = RunConfig(), RunConfig()
-        first.extra["key"] = "value"
-        assert "key" not in second.extra

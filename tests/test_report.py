@@ -324,14 +324,15 @@ class TestReportCLI:
 
 
 class TestReportOverShardedStore:
-    def test_report_over_sharded_v2_directory_store(self, tmp_path):
+    def test_report_over_sharded_v2_directory_store(self, tmp_path, monkeypatch):
         """The report pipeline must read the sharded directory layout
         exactly as it reads a single file."""
         from repro.analysis.report import analyze_store
         from repro.campaign import RunStore
 
+        monkeypatch.setattr("repro.campaign.store.SHARD_RECORDS", 8)
         rows = _golden_rows()
-        store = RunStore(tmp_path / "shards", shard_records=8)
+        store = RunStore(tmp_path / "shards")
         for index, row in enumerate(rows):
             store.append_record_line(
                 json.dumps(

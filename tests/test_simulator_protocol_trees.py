@@ -56,31 +56,6 @@ class _RelayProtocol(NodeProtocol):
         return dict(self.received_at)
 
 
-class _ScratchRelayProtocol(_RelayProtocol):
-    """The relay, with every vertex keeping its hop count in its scratch space."""
-
-    name = "scratch-relay"
-
-    def __init__(self, network):
-        super().__init__(network)
-        self.scratch_at_result = {}
-
-    def on_start(self, vertex, node, api):
-        node.scratch(self.name)["hops"] = None
-        super().on_start(vertex, node, api)
-
-    def on_round(self, vertex, node, api, inbox):
-        super().on_round(vertex, node, api, inbox)
-        node.scratch(self.name)["hops"] = self.received_at.get(vertex)
-
-    def result(self, network):
-        self.scratch_at_result = {
-            vertex: dict(network.node(vertex).memory.get(self.name, {}))
-            for vertex in network.vertices()
-        }
-        return super().result(network)
-
-
 class _NeverFinishesProtocol(NodeProtocol):
     name = "stuck"
 
@@ -165,19 +140,6 @@ class TestProtocolDriver:
         # One round per hop along the path.
         assert network.round == 5
         assert network.metrics.messages == 5
-
-    def test_scratch_space_is_cleared_after_the_run(self):
-        network = SyncNetwork(path_graph(4, seed=0))
-        protocol = _ScratchRelayProtocol(network)
-        run_protocol(network, protocol)
-        # Every vertex wrote its scratch during the run; none of it outlives the run.
-        assert protocol.scratch_at_result == {
-            0: {"hops": None},
-            1: {"hops": 1},
-            2: {"hops": 2},
-            3: {"hops": 3},
-        }
-        assert all(not network.node(v).memory for v in network.vertices())
 
     def test_non_terminating_protocol_raises_convergence_error(self):
         network = SyncNetwork(path_graph(3, seed=0))

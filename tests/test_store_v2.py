@@ -267,9 +267,10 @@ class TestShardedLayout:
         assert RunStore(tmp_path / "dir").is_sharded
         assert not RunStore(tmp_path / "flat").is_sharded
 
-    def test_shards_roll_over_and_reload(self, tmp_path):
+    def test_shards_roll_over_and_reload(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.campaign.store.SHARD_RECORDS", 2)
         campaign = _campaign()
-        store = RunStore(tmp_path / "store", shard_records=2, batch_size=3)
+        store = RunStore(tmp_path / "store", batch_size=3)
         report = execute_campaign(campaign, store=store)
         store.close()
         shards = sorted(p.name for p in (tmp_path / "store").glob("shard-*.jsonl"))
@@ -284,9 +285,10 @@ class TestShardedLayout:
         assert len(reloaded) == len(campaign)
         assert [reloaded.get_row(key) for key in campaign.run_keys()] == report.rows
 
-    def test_shard_not_in_manifest_is_globbed_back(self, tmp_path):
+    def test_shard_not_in_manifest_is_globbed_back(self, tmp_path, monkeypatch):
         """Self-healing: a crash between shard creation and manifest update."""
-        store = RunStore(tmp_path / "store", shard_records=2, batch_size=2)
+        monkeypatch.setattr("repro.campaign.store.SHARD_RECORDS", 2)
+        store = RunStore(tmp_path / "store", batch_size=2)
         execute_campaign(_campaign(), store=store)
         store.close()
         manifest_path = tmp_path / "store" / MANIFEST_NAME
@@ -332,8 +334,9 @@ class TestCompact:
         assert second["dropped"] == 0
         assert second["before"] == second["after"] == first["after"]
 
-    def test_compact_sharded_store_consolidates_to_one_shard(self, tmp_path):
-        store = RunStore(tmp_path / "store", shard_records=2, batch_size=2)
+    def test_compact_sharded_store_consolidates_to_one_shard(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.campaign.store.SHARD_RECORDS", 2)
+        store = RunStore(tmp_path / "store", batch_size=2)
         execute_campaign(_campaign(), store=store)
         execute_campaign(_campaign(), store=store, resume=False)
         shards_before = len(list((tmp_path / "store").glob("shard-*.jsonl")))
@@ -347,20 +350,21 @@ class TestCompact:
         assert len(RunStore(tmp_path / "store")) == len(_campaign())
         assert not list((tmp_path / "store").glob("*.tmp"))
 
-    def test_crash_between_compact_rename_and_unlink_loses_nothing(self, tmp_path):
+    def test_crash_between_compact_rename_and_unlink_loses_nothing(self, tmp_path, monkeypatch):
         """The documented crash window: new shard in place, stale shards left.
 
         Stale shards only re-assert the newest value of keys they hold
         (within-shard order is append order), so a load over the
         half-finished layout must equal the fully compacted one.
         """
-        store = RunStore(tmp_path / "store", shard_records=2, batch_size=2)
+        monkeypatch.setattr("repro.campaign.store.SHARD_RECORDS", 2)
+        store = RunStore(tmp_path / "store", batch_size=2)
         execute_campaign(_campaign(), store=store)
         execute_campaign(_campaign(), store=store, resume=False)
         store.close()
         stale = sorted((tmp_path / "store").glob("shard-*.jsonl"))
         saved = {p.name: p.read_bytes() for p in stale}
-        compacted = RunStore(tmp_path / "store", shard_records=2)
+        compacted = RunStore(tmp_path / "store")
         compacted.compact()
         expected = {key: compacted.get_row(key) for key in compacted.run_keys()}
         # Re-materialize the crash state: compacted shard-00000 plus the
@@ -373,8 +377,9 @@ class TestCompact:
         for key, row in expected.items():
             assert crashed.get_row(key) == row
 
-    def test_store_keeps_appending_after_compact(self, tmp_path):
-        store = RunStore(tmp_path / "store", shard_records=2, batch_size=2)
+    def test_store_keeps_appending_after_compact(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.campaign.store.SHARD_RECORDS", 2)
+        store = RunStore(tmp_path / "store", batch_size=2)
         half = Campaign("half", _campaign().specs[:2])
         execute_campaign(half, store=store)
         store.compact()

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 
+import networkx as nx
 import pytest
 
 from repro.analysis.bounds import (
@@ -26,22 +28,20 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.fitting import fit_power_law, ratio_series
 from repro.analysis.tables import format_table
+from repro.baselines.kruskal import kruskal_mst
+from repro.campaign import Campaign, execute_campaign, graph_spec_for
 from repro.core.elkin_mst import compute_mst
 from repro.core.fragments import MSTForest
 from repro.exceptions import ConfigurationError, ReproError, VerificationError
-from repro.graphs import GraphSpec, random_connected_graph
+from repro.graphs import GraphSpec, make_graph, random_connected_graph
 from repro.verify.complexity_checks import (
     assert_elkin_bounds,
     elkin_message_bound,
     elkin_time_bound,
 )
 from repro.verify.forest_checks import assert_alpha_beta_forest, assert_forest_coarsens
-from repro.verify.mst_checks import (
-    assert_same_mst,
-    assert_spanning_tree,
-    reference_mst,
-    verify_mst_result,
-)
+from repro.verify.mst_checks import MSTOracle, reference_mst, verify_mst_result
+from repro.verify.planted_checks import planted_mst_edges
 
 
 class TestMSTChecks:
@@ -49,30 +49,34 @@ class TestMSTChecks:
         edges = reference_mst(small_random_graph)
         assert len(edges) == small_random_graph.number_of_nodes() - 1
 
-    def test_assert_spanning_tree_detects_wrong_edge_count(self, small_random_graph):
-        edges = list(reference_mst(small_random_graph))[:-1]
-        with pytest.raises(VerificationError, match="needs"):
-            assert_spanning_tree(small_random_graph, edges)
+    def test_verify_mst_result_detects_wrong_edge_count(self, small_random_graph):
+        result = compute_mst(small_random_graph)
+        short = dataclasses.replace(result, edges=set(sorted(result.edges)[:-1]))
+        with pytest.raises(VerificationError, match="MST mismatch"):
+            verify_mst_result(small_random_graph, short)
 
-    def test_assert_spanning_tree_detects_foreign_edges(self, small_path_graph):
-        edges = set(reference_mst(small_path_graph))
+    def test_verify_mst_result_detects_foreign_edge(self, small_path_graph):
+        result = compute_mst(small_path_graph)
+        edges = set(result.edges)
         edges.discard((0, 1))
         edges.add((0, 29))  # not a graph edge on a path
-        with pytest.raises(VerificationError, match="not an edge"):
-            assert_spanning_tree(small_path_graph, edges)
+        foreign = dataclasses.replace(result, edges=edges)
+        with pytest.raises(VerificationError, match="MST mismatch"):
+            verify_mst_result(small_path_graph, foreign)
 
-    def test_assert_same_mst_detects_swapped_edge(self, small_random_graph):
-        correct = reference_mst(small_random_graph)
+    def test_verify_mst_result_detects_swapped_edge(self, small_random_graph):
+        result = compute_mst(small_random_graph)
         non_tree = [
             edge
             for edge in (tuple(sorted(e)) for e in small_random_graph.edges())
-            if edge not in correct
+            if edge not in result.edges
         ]
-        wrong = set(correct)
-        wrong.discard(next(iter(correct)))
+        wrong = set(result.edges)
+        wrong.discard(min(wrong))
         wrong.add(non_tree[0])
+        swapped = dataclasses.replace(result, edges=wrong)
         with pytest.raises(VerificationError, match="MST mismatch"):
-            assert_same_mst(small_random_graph, wrong)
+            verify_mst_result(small_random_graph, swapped)
 
     def test_verify_mst_result_detects_wrong_weight(self, small_random_graph):
         result = compute_mst(small_random_graph)
@@ -82,6 +86,60 @@ class TestMSTChecks:
 
     def test_verify_mst_result_accepts_correct_run(self, small_random_graph):
         verify_mst_result(small_random_graph, compute_mst(small_random_graph))
+
+
+def _swapped_planted_graph():
+    """A planted graph whose recorded tree is another spanning tree.
+
+    One non-tree edge replaces a planted edge on the cycle it closes, so
+    the recorded tree stays well-formed (n - 1 graph edges, spanning)
+    but is no longer the MST.
+    """
+    graph = make_graph("planted_fragments", n=32, seed=3)
+    planted = planted_mst_edges(graph)
+    u, v = next(
+        edge for edge in sorted(tuple(sorted(e)) for e in graph.edges()) if edge not in planted
+    )
+    cycle = nx.shortest_path(nx.Graph(sorted(planted)), u, v)
+    planted.discard(tuple(sorted(cycle[:2])))
+    planted.add((u, v))
+    graph.graph["planted_mst"] = [list(edge) for edge in sorted(planted)]
+    return graph
+
+
+class TestOneVerifier:
+    """Every path verifies through MSTOracle, planted tree included."""
+
+    def test_swapped_planted_tree_fails_every_verifier(self):
+        graph = _swapped_planted_graph()
+        result = run_single(graph, "elkin", verify=False)
+        for check in (
+            lambda: MSTOracle(graph),
+            lambda: verify_mst_result(graph, result),
+            lambda: run_single(graph, "elkin"),
+        ):
+            with pytest.raises(VerificationError, match="internal oracle disagreement"):
+                check()
+
+    @pytest.mark.parametrize(
+        "mode",
+        [{"batch": True}, {"batch": False}, {"jobs": 2}],
+        ids=["batched", "per-cell", "jobs-2"],
+    )
+    def test_corrupted_reference_fails_the_sweep(self, monkeypatch, mode):
+        if "jobs" in mode and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("scheduler workers inherit the patched reference through fork")
+        monkeypatch.setattr(
+            "repro.verify.mst_checks.kruskal_mst", lambda graph: set(sorted(kruskal_mst(graph))[1:])
+        )
+        campaign = Campaign.from_grid(
+            "corrupt-reference",
+            [graph_spec_for("random_connected", 16)],
+            algorithms=("elkin", "kruskal"),
+            seeds=(0, 1),
+        )
+        with pytest.raises(VerificationError, match="internal oracle disagreement"):
+            execute_campaign(campaign, **mode)
 
 
 class TestForestChecks:
