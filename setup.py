@@ -7,11 +7,23 @@ which unlocks the ``array`` simulation kernel; ``pip install -e
 ``benchmarks/`` need nothing else).
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# One version string: ``repro.__version__``, which every run record
+# stamps as ``package_version``.  Read as text, not imported, so
+# building needs none of the runtime dependencies.
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$',
+    Path(__file__).with_name("src").joinpath("repro", "__init__.py").read_text(encoding="utf-8"),
+    re.MULTILINE,
+).group(1)
 
 setup(
     name="repro-elkin-mst",
-    version="1.6.0",
+    version=VERSION,
     description=(
         "Reproduction of Elkin's deterministic distributed MST algorithm "
         "(PODC 2017) on a synchronous CONGEST(b log n) simulator"

@@ -34,7 +34,7 @@ table from the legacy entrypoints to scenarios) and EXPERIMENTS.md for
 the paper-versus-measured record.
 """
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 from .algorithms import (
     algorithm_info,

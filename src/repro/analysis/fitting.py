@@ -38,9 +38,10 @@ class PowerLawFit:
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
     """Fit ``y = scale * x^exponent`` by linear regression in log-log space.
 
-    Requires at least two strictly positive points.  The ``residual`` is
-    the mean squared error of the fit in log space (useful for judging
-    whether a power law is a reasonable description at all).
+    Requires at least two strictly positive points with two distinct x
+    values.  The ``residual`` is the mean squared error of the fit in log
+    space (useful for judging whether a power law is a reasonable
+    description at all).
     """
     if len(xs) != len(ys):
         raise ReproError(f"mismatched series lengths: {len(xs)} vs {len(ys)}")
@@ -48,6 +49,10 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
         raise ReproError("need at least two points to fit a power law")
     if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
         raise ReproError("power-law fitting requires strictly positive values")
+    # Checked before either path: numpy's lstsq would return a
+    # minimum-norm exponent for a vertical series instead of failing.
+    if len(set(xs)) < 2:
+        raise ReproError("power-law fitting requires at least two distinct x values")
     if np is not None:
         log_x = np.log(np.asarray(xs, dtype=float))
         log_y = np.log(np.asarray(ys, dtype=float))
@@ -68,8 +73,6 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
     mean_x = sum(log_x) / count
     mean_y = sum(log_y) / count
     variance = sum((lx - mean_x) ** 2 for lx in log_x)
-    if variance == 0:
-        raise ReproError("power-law fitting requires at least two distinct x values")
     slope = sum(
         (lx - mean_x) * (ly - mean_y) for lx, ly in zip(log_x, log_y)
     ) / variance

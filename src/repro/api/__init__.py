@@ -24,9 +24,11 @@ Quickstart::
     )
     print(outcome.result.rounds, outcome.result.messages)
 
-Everything older (``run_single``, ``sweep_graphs``,
-``compare_algorithms``, the ``repro-mst`` subcommands) is a thin shim
-over this facade; see the README's Migration section for the mapping.
+Everything older (``sweep_graphs``, ``compare_algorithms``, the
+``repro-mst`` subcommands) is a thin shim over this facade; see the
+README's Migration section for the mapping.  ``run_single`` is the
+reverse: the campaign executor calls it for every cell, as the
+single-execution contract.
 """
 
 from ..algorithms import (

@@ -6,9 +6,10 @@ through the campaign executor, so a one-off call gets exactly the
 services a 10k-cell sweep gets: verification against the sequential
 oracles, provenance stamping, run-store persistence with resume, the
 graph-description cache and lifecycle hooks.  There is deliberately no
-second code path -- the legacy entrypoints (``run_single``,
-``sweep_graphs``, ``compare_algorithms``, the CLI) are shims over this
-facade.
+second code path -- the legacy entrypoints (``sweep_graphs``,
+``compare_algorithms``, the CLI) are shims over this facade, and
+``run_single`` is the single-cell contract the executor calls for every
+cell.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ import contextlib
 import hashlib
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..exceptions import NonTerminationError, SimulationError
+from ..exceptions import NonTerminationError
 from ..simulator.engine import Engine, engine_wrapper
 from ..simulator.message import Message
 from ..types import CostReport, normalize_edge, VertexId
@@ -105,8 +105,6 @@ class ConditionedEngine(Engine):
         # as the documented contract and for subclasses.)
         self.send = inner.send
         self.send_to_neighbors = inner.send_to_neighbors
-        self.remaining_capacity = inner.remaining_capacity
-        self.edge_weight = inner.edge_weight
         self.has_edge = inner.has_edge
         self.node = inner.node
         self.vertices = inner.vertices
@@ -119,7 +117,6 @@ class ConditionedEngine(Engine):
             # Python frame per round.
             self.deliver_round = inner.deliver_round
             self.pending_count = inner.pending_count
-            self.idle_rounds = inner.idle_rounds
 
     # -- deterministic hashing -------------------------------------------
 
@@ -247,9 +244,6 @@ class ConditionedEngine(Engine):
     def node(self, vertex: VertexId):
         return self._inner.node(vertex)
 
-    def edge_weight(self, u: VertexId, v: VertexId) -> float:
-        return self._inner.edge_weight(u, v)
-
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
         return self._inner.has_edge(u, v)
 
@@ -273,16 +267,13 @@ class ConditionedEngine(Engine):
     ) -> int:
         return self._inner.send_to_neighbors(sender, kind, payload, words, exclude)
 
-    def remaining_capacity(self, sender: VertexId, receiver: VertexId) -> int:
-        return self._inner.remaining_capacity(sender, receiver)
-
     def pending_count(self) -> int:
         # Held messages are in flight: protocol drivers must keep
         # driving rounds while the condition holds traffic back.
         return self._inner.pending_count() + len(self._held)
 
-    def _check_round_cap(self, advance: int = 1) -> None:
-        if self.metrics.rounds + advance > self._round_cap:
+    def deliver_round(self) -> Dict[VertexId, List[Any]]:
+        if self.metrics.rounds >= self._round_cap:
             raise NonTerminationError(
                 f"run exceeded the network-condition round cap {self._round_cap} "
                 f"(condition {self.condition.label()!r}); the schedule prevents "
@@ -292,9 +283,6 @@ class ConditionedEngine(Engine):
                 messages=self.metrics.messages,
                 words=self.metrics.words,
             )
-
-    def deliver_round(self) -> Dict[VertexId, List[Any]]:
-        self._check_round_cap()
         raw = self._inner.deliver_round()
         if self.condition.is_noop():
             return raw
@@ -330,16 +318,6 @@ class ConditionedEngine(Engine):
             inboxes.setdefault(message.receiver, []).append(message)
         self.telemetry["delivered"] += len(delivered)
         return inboxes
-
-    def idle_rounds(self, count: int) -> None:
-        if self._held:
-            raise SimulationError(
-                f"cannot idle: {len(self._held)} deferred messages are pending "
-                "under the active network condition"
-            )
-        if count > 0:
-            self._check_round_cap(advance=count)
-        self._inner.idle_rounds(count)
 
 
 class ConditionScope:

@@ -22,6 +22,7 @@ from typing import Callable, Dict, Optional
 import networkx as nx
 
 from ..exceptions import GraphError
+from .properties import validate_weighted_graph
 from .weights import assign_random_unique_weights, assign_unique_weights
 
 
@@ -281,8 +282,10 @@ def edge_list_graph(
     are taken from the edges verbatim (no relabeling -- 1-indexed graphs
     stay 1-indexed); ``nodes`` optionally lists explicit node ids for
     vertices the edges do not cover.  The weights are taken verbatim (no
-    reassignment); ``seed`` and ``random_weights`` are accepted for
-    interface uniformity and ignored.
+    reassignment) and validated like any algorithm input, so an empty,
+    disconnected or non-finite-weight list fails here, before any run;
+    ``seed`` and ``random_weights`` are accepted for interface uniformity
+    and ignored.
     """
     del seed, random_weights  # weights come with the edge list
     graph = nx.Graph()
@@ -291,10 +294,7 @@ def edge_list_graph(
         graph.add_edge(int(u), int(v), weight=float(weight))
     if nodes is not None:
         graph.add_nodes_from(int(node) for node in nodes)  # type: ignore[attr-defined]
-    if graph.number_of_nodes() == 0:
-        raise GraphError("edge_list produced an empty graph")
-    if not nx.is_connected(graph):
-        raise GraphError("edge_list produced a disconnected graph")
+    validate_weighted_graph(graph, require_unique_weights=False)
     return graph
 
 

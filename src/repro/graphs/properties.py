@@ -8,7 +8,9 @@ and verification share identical values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import networkx as nx
 
@@ -29,9 +31,9 @@ def validate_weighted_graph(graph: nx.Graph, require_unique_weights: bool = True
     """Raise a descriptive error unless ``graph`` is a valid algorithm input.
 
     A valid input is a non-empty, connected, undirected graph whose edges
-    all carry a positive ``weight``; when ``require_unique_weights`` the
-    weights must also be pairwise distinct (the paper's uniqueness
-    assumption).
+    all carry a ``weight`` that is a finite real number > 0; when
+    ``require_unique_weights`` the weights must also be pairwise distinct
+    (the paper's uniqueness assumption).
     """
     if graph.number_of_nodes() == 0:
         raise GraphError("graph has no vertices")
@@ -44,8 +46,13 @@ def validate_weighted_graph(graph: nx.Graph, require_unique_weights: bool = True
     for u, v, data in graph.edges(data=True):
         if "weight" not in data:
             raise WeightError(f"edge ({u}, {v}) has no 'weight' attribute")
-        if not data["weight"] > 0:
-            raise WeightError(f"edge ({u}, {v}) has non-positive weight {data['weight']}")
+        weight = data["weight"]
+        # NaN fails both comparisons; a huge int compares exactly.
+        if not (isinstance(weight, Real) and 0 < weight < math.inf):
+            raise WeightError(
+                f"edge ({u}, {v}) has weight {weight!r}; "
+                "every weight must be a finite real number > 0"
+            )
     if require_unique_weights and not weights_are_unique(graph):
         raise WeightError(
             "edge weights are not pairwise distinct; call ensure_unique_weights() first"

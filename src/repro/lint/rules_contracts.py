@@ -29,12 +29,9 @@ ENGINE_ABSTRACT_METHODS = frozenset(
     {
         "vertices",
         "node",
-        "edge_weight",
         "send",
-        "remaining_capacity",
         "pending_count",
         "deliver_round",
-        "idle_rounds",
     }
 )
 

@@ -25,9 +25,7 @@ ROUND_CALLBACKS = frozenset({"on_start", "on_round"})
 
 #: Engine methods that drive the global clock or queue raw messages;
 #: protocol code must leave them to the driver / ProtocolApi.
-ENGINE_CONTROL_METHODS = frozenset(
-    {"send", "send_to_neighbors", "deliver_round", "idle_rounds"}
-)
+ENGINE_CONTROL_METHODS = frozenset({"send", "send_to_neighbors", "deliver_round"})
 
 
 def _protocol_methods(

@@ -6,10 +6,10 @@ as the reference kernel and :class:`~repro.simulator.fast_network.FastNetwork`
 accounting, byte-identical reported numbers -- but restructures the data
 plane around flat arrays instead of per-message Python objects:
 
-* CSR adjacency (``indptr`` / dense neighbour indices / edge weights)
-  is built once per *graph content* and cached in a small LRU keyed by
-  a content hash (:func:`csr_layout`), so repeated cells on the same
-  instance -- the common sweep case -- skip the rebuild entirely;
+* CSR adjacency (``indptr`` / dense neighbour indices) is built once
+  per *graph content* and cached in a small LRU keyed by a content hash
+  (:func:`csr_layout`), so repeated cells on the same instance -- the
+  common sweep case -- skip the rebuild entirely;
 * in-flight messages live in preallocated structure-of-arrays columns
   (numpy ``sender`` / ``receiver`` / ``words`` columns plus Python-list
   ``kind`` / ``payload`` columns, advanced by one shared fill counter)
@@ -120,10 +120,7 @@ class _CSRLayout(NamedTuple):
     neighbors: Dict[VertexId, Tuple[VertexId, ...]]
     edge_weights: Dict[VertexId, Dict[VertexId, float]]
     indptr: List[int]
-    indptr_np: Any  # np.ndarray[int64], n + 1
     nbr_dense: Any  # np.ndarray[int64], one dense receiver index per slot
-    weights_np: Any  # np.ndarray[float64], one weight per slot
-    weights: List[float]
     edge_info: Dict[Tuple[VertexId, VertexId], Tuple[int, int, int]]
     slot_count: int
 
@@ -166,7 +163,6 @@ def _build_layout(graph: nx.Graph) -> _CSRLayout:
     edge_weights: Dict[VertexId, Dict[VertexId, float]] = {}
     indptr: List[int] = [0]
     nbr_dense: List[int] = []
-    weights: List[float] = []
     edge_info: Dict[Tuple[VertexId, VertexId], Tuple[int, int, int]] = {}
     for i, vertex in enumerate(order):
         nbrs = tuple(sorted(graph.neighbors(vertex)))
@@ -179,7 +175,6 @@ def _build_layout(graph: nx.Graph) -> _CSRLayout:
             receiver_index = index[neighbor]
             edge_info[(vertex, neighbor)] = (base + j, i, receiver_index)
             nbr_dense.append(receiver_index)
-            weights.append(table[neighbor])
         indptr.append(base + len(nbrs))
     return _CSRLayout(
         n=len(order),
@@ -189,10 +184,7 @@ def _build_layout(graph: nx.Graph) -> _CSRLayout:
         neighbors=neighbors,
         edge_weights=edge_weights,
         indptr=indptr,
-        indptr_np=np.asarray(indptr, dtype=np.int64),
         nbr_dense=np.asarray(nbr_dense, dtype=np.int64),
-        weights_np=np.asarray(weights, dtype=np.float64),
-        weights=weights,
         edge_info=edge_info,
         slot_count=indptr[-1],
     )
@@ -436,7 +428,6 @@ class ArrayNetwork(Engine):
         "_nodes",
         "_indptr",
         "_nbr_dense",
-        "_nbr_weight",
         "_edge_info",
         "_band",
         "_band_span",
@@ -487,7 +478,6 @@ class ArrayNetwork(Engine):
         }
         self._indptr = layout.indptr
         self._nbr_dense = layout.nbr_dense
-        self._nbr_weight = layout.weights
         self._edge_info = layout.edge_info
         self._band = np.zeros(layout.slot_count, dtype=np.int64)
         self._band_span = bandwidth + 1
@@ -549,13 +539,6 @@ class ArrayNetwork(Engine):
             return self._nodes[vertex]
         except KeyError as exc:
             raise SimulationError(f"unknown vertex {vertex}") from exc
-
-    def edge_weight(self, u: VertexId, v: VertexId) -> float:
-        """Weight of edge ``{u, v}`` (raises if absent)."""
-        info = self._edge_info.get((u, v))
-        if info is None:
-            raise SimulationError(f"no edge between {u} and {v}")
-        return self._nbr_weight[info[0]]
 
     # ------------------------------------------------------------------ #
     # communication
@@ -740,16 +723,6 @@ class ArrayNetwork(Engine):
         self._col_payload.extend([None] * (cap - len(self._col_payload)))
         self._cap = cap
 
-    def remaining_capacity(self, sender: VertexId, receiver: VertexId) -> int:
-        """Words still available this round over the directed edge ``sender -> receiver``."""
-        info = self._edge_info.get((sender, receiver))
-        if info is None:
-            return self.bandwidth
-        base = self._gen_base
-        value = int(self._band[info[0]])
-        used = value - base if value > base else 0
-        return self.bandwidth - used
-
     def pending_count(self) -> int:
         """Number of messages queued for delivery in the next round."""
         return self._fill + len(self._pt_sender)
@@ -856,18 +829,6 @@ class ArrayNetwork(Engine):
         else:
             metrics.record_bulk(fill, int(words.sum()), kind=round_kind)
         return _LazyInboxes(senders, recv, kinds, payloads, words, sent_round, vertex_of)
-
-    def idle_rounds(self, count: int) -> None:
-        """Advance the clock by ``count`` silent rounds (no messages)."""
-        if count < 0:
-            raise SimulationError(f"cannot advance the clock by {count} rounds")
-        if self._fill or self._pt_sender:
-            raise SimulationError("cannot declare idle rounds while messages are pending")
-        for _ in range(count):
-            self.metrics.record_round()
-        self._round_value = self.metrics.rounds
-        self._generation += count
-        self._gen_base = self._generation * self._band_span
 
 
 # ---------------------------------------------------------------------- #

@@ -2,9 +2,9 @@
 
 Every algorithm in the library talks to the network through the
 :class:`Engine` contract: queue messages with :meth:`Engine.send`,
-advance the global clock with :meth:`Engine.deliver_round` /
-:meth:`Engine.idle_rounds`, and read costs through the shared
-:class:`~repro.simulator.metrics.Metrics` helpers.  Two implementations
+advance the global clock with :meth:`Engine.deliver_round` (the only
+way a round passes), and read costs through the shared
+:class:`~repro.simulator.metrics.Metrics` helpers.  Three implementations
 ship with the package:
 
 * ``"reference"`` -- :class:`~repro.simulator.network.SyncNetwork`, the
@@ -127,10 +127,6 @@ class Engine(abc.ABC):
         """Return the :class:`NodeState` of ``vertex``."""
 
     @abc.abstractmethod
-    def edge_weight(self, u: VertexId, v: VertexId) -> float:
-        """Weight of edge ``{u, v}`` (raises if absent)."""
-
-    @abc.abstractmethod
     def send(
         self,
         sender: VertexId,
@@ -176,10 +172,6 @@ class Engine(abc.ABC):
         return count
 
     @abc.abstractmethod
-    def remaining_capacity(self, sender: VertexId, receiver: VertexId) -> int:
-        """Words still available this round over the directed edge ``sender -> receiver``."""
-
-    @abc.abstractmethod
     def pending_count(self) -> int:
         """Number of messages queued for delivery in the next round."""
 
@@ -194,14 +186,6 @@ class Engine(abc.ABC):
         (``sender`` / ``receiver`` / ``kind`` / ``payload`` / ``words`` /
         ``sent_in_round``); per-receiver lists preserve global send
         order, and receivers appear in first-message order.
-        """
-
-    @abc.abstractmethod
-    def idle_rounds(self, count: int) -> None:
-        """Advance the clock by ``count`` silent rounds (no messages).
-
-        Must raise :class:`~repro.exceptions.SimulationError` when
-        messages are pending or ``count`` is negative.
         """
 
 

@@ -6,9 +6,8 @@ round semantics, same bandwidth enforcement, same cost accounting -- but
 restructures the hot path for throughput:
 
 * vertex identities are mapped to dense integer indices once, at
-  construction, and edge weights live in one flat CSR-style array
-  (``_nbr_weight``); each directed edge ``u -> v`` owns the flat slot
-  at ``v``'s position in ``u``'s adjacency run, and a single
+  construction; each directed edge ``u -> v`` owns one flat CSR-style
+  slot at ``v``'s position in ``u``'s adjacency run, and a single
   precomputed table resolves ``(u, v)`` to (slot, receiver bucket,
   receiver index) in one lookup;
 * in-flight messages are plain tuples (:class:`FastMessage`, a
@@ -71,13 +70,6 @@ class FastMessage(NamedTuple):
     words: int = 1
     sent_in_round: int = 0
 
-    def describe(self) -> str:
-        """Human-readable one-line description (used in error messages and logs)."""
-        return (
-            f"{self.kind}: {self.sender} -> {self.receiver} "
-            f"({self.words} word(s), round {self.sent_in_round})"
-        )
-
 
 class FastNetwork(Engine):
     """Batched synchronous message-passing kernel over a weighted graph.
@@ -104,7 +96,6 @@ class FastNetwork(Engine):
         "_vertex_of",
         "_index",
         "_nodes",
-        "_nbr_weight",
         "_edge_info",
         "_edge_packed",
         "_band_span",
@@ -133,15 +124,13 @@ class FastNetwork(Engine):
 
         # CSR-style adjacency: each directed edge u -> v owns one flat
         # slot, v's position in u's sorted adjacency run; the slot indexes
-        # both the weight array and the bandwidth-accounting array.  One
-        # lookup per send resolves (sender, receiver) -> (slot, receiver's
+        # the bandwidth-accounting array.  One lookup per send resolves (sender, receiver) -> (slot, receiver's
         # bucket object, receiver's dense index).  Buckets are never
         # replaced (delivery copies and clears them in place), so the
         # bucket aliases stay valid for the lifetime of the engine.
         index = self._index
         buckets = self._buckets
         nodes: Dict[VertexId, NodeState] = {}
-        nbr_weight: List[float] = []
         edge_info: Dict[Tuple[VertexId, VertexId], Tuple[int, List[FastMessage], int]] = {}
         for vertex in order:
             neighbors = tuple(sorted(graph.neighbors(vertex)))
@@ -150,19 +139,17 @@ class FastNetwork(Engine):
             for neighbor in neighbors:
                 receiver_index = index[neighbor]
                 edge_info[(vertex, neighbor)] = (
-                    len(nbr_weight),
+                    len(edge_info),
                     buckets[receiver_index],
                     receiver_index,
                 )
-                nbr_weight.append(weights[neighbor])
         self._nodes = nodes
-        self._nbr_weight = nbr_weight
         self._edge_info = edge_info
 
         # Bandwidth accounting: one flat entry per directed edge packing
         # ``generation * span + words_used``; see the module docstring.
         self._band_span = bandwidth + 1
-        self._edge_packed: List[int] = [0] * len(nbr_weight)
+        self._edge_packed: List[int] = [0] * len(edge_info)
         self._generation = 0
         self._gen_base = 0
 
@@ -193,18 +180,6 @@ class FastNetwork(Engine):
             return self._nodes[vertex]
         except KeyError as exc:
             raise SimulationError(f"unknown vertex {vertex}") from exc
-
-    def _slot(self, sender: VertexId, receiver: VertexId) -> int:
-        """Flat slot of the directed edge ``sender -> receiver``, or -1."""
-        info = self._edge_info.get((sender, receiver))
-        return -1 if info is None else info[0]
-
-    def edge_weight(self, u: VertexId, v: VertexId) -> float:
-        """Weight of edge ``{u, v}`` (raises if absent)."""
-        slot = self._slot(u, v)
-        if slot < 0:
-            raise SimulationError(f"no edge between {u} and {v}")
-        return self._nbr_weight[slot]
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
         """True when ``{u, v}`` is an edge of the communication graph."""
@@ -257,16 +232,6 @@ class FastNetwork(Engine):
             )
         )
 
-    def remaining_capacity(self, sender: VertexId, receiver: VertexId) -> int:
-        """Words still available this round over the directed edge ``sender -> receiver``."""
-        slot = self._slot(sender, receiver)
-        if slot < 0:
-            return self.bandwidth
-        base = self._gen_base
-        value = self._edge_packed[slot]
-        used = value - base if value > base else 0
-        return self.bandwidth - used
-
     def pending_count(self) -> int:
         """Number of messages queued for delivery in the next round."""
         buckets = self._buckets
@@ -305,18 +270,6 @@ class FastNetwork(Engine):
             len(delivered), sum(map(_WORDS_OF, delivered)), kinds=map(_KIND_OF, delivered)
         )
         return inboxes
-
-    def idle_rounds(self, count: int) -> None:
-        """Advance the clock by ``count`` silent rounds (no messages)."""
-        if count < 0:
-            raise SimulationError(f"cannot advance the clock by {count} rounds")
-        if self._touched:
-            raise SimulationError("cannot declare idle rounds while messages are pending")
-        for _ in range(count):
-            self.metrics.record_round()
-        self._round_value = self.metrics.rounds
-        self._generation += count
-        self._gen_base = self._generation * self._band_span
 
 
 register_engine("fast", FastNetwork)

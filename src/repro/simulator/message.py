@@ -39,10 +39,3 @@ class Message:
     def __post_init__(self) -> None:
         if self.words < 1:
             raise ValueError(f"a message must carry at least one word, got {self.words}")
-
-    def describe(self) -> str:
-        """Human-readable one-line description (used in error messages and logs)."""
-        return (
-            f"{self.kind}: {self.sender} -> {self.receiver} "
-            f"({self.words} word(s), round {self.sent_in_round})"
-        )

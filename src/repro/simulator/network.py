@@ -100,12 +100,6 @@ class SyncNetwork(Engine):
         except KeyError as exc:
             raise SimulationError(f"unknown vertex {vertex}") from exc
 
-    def edge_weight(self, u: VertexId, v: VertexId) -> float:
-        """Weight of edge ``{u, v}`` (raises if absent)."""
-        if not self.graph.has_edge(u, v):
-            raise SimulationError(f"no edge between {u} and {v}")
-        return self.graph[u][v]["weight"]
-
     # ------------------------------------------------------------------ #
     # communication
     # ------------------------------------------------------------------ #
@@ -146,10 +140,6 @@ class SyncNetwork(Engine):
             )
         )
 
-    def remaining_capacity(self, sender: VertexId, receiver: VertexId) -> int:
-        """Words still available this round over the directed edge ``sender -> receiver``."""
-        return self.bandwidth - self._words_this_round[(sender, receiver)]
-
     def pending_count(self) -> int:
         """Number of messages queued for delivery in the next round."""
         return len(self._pending)
@@ -171,20 +161,6 @@ class SyncNetwork(Engine):
         self._pending = []
         self._words_this_round = defaultdict(int)
         return dict(inboxes)
-
-    def idle_rounds(self, count: int) -> None:
-        """Advance the clock by ``count`` silent rounds (no messages).
-
-        Used by orchestration code when the model requires waiting (for
-        example, to align phases that the paper analyses as taking a
-        fixed number of rounds even if some executions finish earlier).
-        """
-        if count < 0:
-            raise SimulationError(f"cannot advance the clock by {count} rounds")
-        if self._pending:
-            raise SimulationError("cannot declare idle rounds while messages are pending")
-        for _ in range(count):
-            self.metrics.record_round()
 
 
 register_engine("reference", SyncNetwork)

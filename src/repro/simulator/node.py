@@ -32,7 +32,3 @@ class NodeState:
     vertex: VertexId
     neighbors: tuple[VertexId, ...]
     edge_weights: Dict[VertexId, float]
-
-    def degree(self) -> int:
-        """Number of incident edges."""
-        return len(self.neighbors)

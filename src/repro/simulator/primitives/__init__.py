@@ -6,10 +6,9 @@ construction, broadcast and convergecast over rooted forests, pipelined
 upcast and downcast over a BFS tree, subtree interval labelling for
 routing, and the one-round exchange of values between graph neighbours.
 
-Every primitive charges its communication through an
-:class:`~repro.simulator.engine.Engine` kernel (the reference
-:class:`~repro.simulator.network.SyncNetwork` or the batched
-:class:`~repro.simulator.fast_network.FastNetwork`), so the round and
+Every primitive is a :class:`~repro.simulator.protocol.NodeProtocol`
+run by :func:`~repro.simulator.protocol.run_protocol` on any
+:class:`~repro.simulator.engine.Engine` kernel, so the round and
 message totals of an algorithm are the sums of what its primitives
 actually did.
 """
@@ -17,7 +16,6 @@ actually did.
 from .bfs import BFSTree, build_bfs_tree
 from .broadcast import forest_broadcast
 from .convergecast import ConvergecastResult, forest_convergecast
-from .flooding import flood_value
 from .intervals import assign_intervals, IntervalRouting
 from .neighbor_exchange import neighbor_exchange
 from .pipeline import pipelined_downcast, pipelined_upcast
@@ -31,7 +29,6 @@ __all__ = [
     "ConvergecastResult",
     "forest_convergecast",
     "neighbor_exchange",
-    "flood_value",
     "IntervalRouting",
     "assign_intervals",
     "pipelined_downcast",

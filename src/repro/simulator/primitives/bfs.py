@@ -36,10 +36,6 @@ class BFSTree:
         """Eccentricity of the root (<= hop diameter D of the graph)."""
         return self.forest.height
 
-    def parent_of(self, vertex: VertexId) -> Optional[VertexId]:
-        """Parent of ``vertex`` in the tree (``None`` for the root)."""
-        return self.forest.parent[vertex]
-
 
 class _BFSProtocol(NodeProtocol):
     """Synchronous BFS flood from a designated root."""

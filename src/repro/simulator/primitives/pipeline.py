@@ -25,7 +25,7 @@ such record fits in one ``O(log n)``-bit message.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ...exceptions import ProtocolError
 from ...types import VertexId
@@ -37,7 +37,6 @@ from .intervals import IntervalRouting
 from .trees import RootedForest
 
 Key = Hashable
-NextHop = Callable[[VertexId, VertexId], VertexId]
 
 
 class _PipelinedUpcastProtocol(NodeProtocol):
@@ -182,7 +181,7 @@ class _PipelinedDowncastProtocol(NodeProtocol):
         network: Engine,
         tree: RootedForest,
         payloads: List[Tuple[VertexId, Any]],
-        next_hop: NextHop,
+        routing: IntervalRouting,
     ) -> None:
         super().__init__(tree.vertices)
         if len(tree.roots) != 1:
@@ -200,7 +199,7 @@ class _PipelinedDowncastProtocol(NodeProtocol):
         self._tree = tree
         self._root = tree.roots[0]
         self._payloads = list(payloads)
-        self._next_hop = next_hop
+        self._next_hop = routing.next_hop
         self._queues: Dict[VertexId, Dict[VertexId, deque]] = {
             v: {} for v in self.participants
         }
@@ -250,17 +249,12 @@ def pipelined_downcast(
     network: Engine,
     tree: RootedForest,
     payloads: List[Tuple[VertexId, Any]],
-    routing: Optional[IntervalRouting] = None,
-    next_hop: Optional[NextHop] = None,
+    routing: IntervalRouting,
 ) -> Dict[VertexId, List[Any]]:
     """Deliver ``payloads`` (a list of ``(target, payload)`` pairs) from the root.
 
-    Routing decisions use either an :class:`IntervalRouting` (the paper's
-    mechanism) or an explicit ``next_hop`` callable.  Returns the payloads
-    received by each target.
+    Each hop follows the interval labels of ``routing`` (the paper's
+    mechanism).  Returns the payloads received by each target.
     """
-    if routing is None and next_hop is None:
-        raise ProtocolError("pipelined_downcast needs either an IntervalRouting or a next_hop")
-    hop = next_hop if next_hop is not None else routing.next_hop
-    protocol = _PipelinedDowncastProtocol(network, tree, payloads, hop)
+    protocol = _PipelinedDowncastProtocol(network, tree, payloads, routing)
     return run_protocol(network, protocol)

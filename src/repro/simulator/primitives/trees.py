@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...exceptions import ProtocolError
 from ...types import VertexId
@@ -92,10 +92,6 @@ class RootedForest:
         """True when ``vertex`` is a root of its tree."""
         return self.parent[vertex] is None
 
-    def is_leaf(self, vertex: VertexId) -> bool:
-        """True when ``vertex`` has no children."""
-        return not self.children[vertex]
-
     def root_of(self, vertex: VertexId) -> VertexId:
         """Root of the tree containing ``vertex``."""
         current = vertex
@@ -103,46 +99,6 @@ class RootedForest:
             current = self.parent[current]
         return current
 
-    def tree_vertices(self, root: VertexId) -> List[VertexId]:
-        """All vertices of the tree rooted at ``root``, in BFS order."""
-        if root not in self.parent or self.parent[root] is not None:
-            raise ProtocolError(f"{root} is not a root of this forest")
-        order: List[VertexId] = []
-        queue: deque[VertexId] = deque([root])
-        while queue:
-            vertex = queue.popleft()
-            order.append(vertex)
-            queue.extend(self.children[vertex])
-        return order
-
-    def path_to_root(self, vertex: VertexId) -> List[VertexId]:
-        """Vertices on the path from ``vertex`` up to (and including) its root."""
-        path = [vertex]
-        while self.parent[path[-1]] is not None:
-            path.append(self.parent[path[-1]])
-        return path
-
     def edges(self) -> List[Tuple[VertexId, VertexId]]:
         """Tree edges as (child, parent) pairs."""
         return [(v, p) for v, p in self.parent.items() if p is not None]
-
-    def bottom_up_order(self) -> List[VertexId]:
-        """Vertices sorted by decreasing depth (children before parents)."""
-        return sorted(self.parent, key=lambda v: -self.depth[v])
-
-    def top_down_order(self) -> List[VertexId]:
-        """Vertices sorted by increasing depth (parents before children)."""
-        return sorted(self.parent, key=lambda v: self.depth[v])
-
-    @staticmethod
-    def single_tree(parent: Dict[VertexId, Optional[VertexId]]) -> "RootedForest":
-        """Build a forest and check that it consists of exactly one tree."""
-        forest = RootedForest(parent=dict(parent))
-        if len(forest.roots) != 1:
-            raise ProtocolError(f"expected a single tree, found {len(forest.roots)} roots")
-        return forest
-
-    @staticmethod
-    def from_parent_pairs(pairs: Iterable[Tuple[VertexId, Optional[VertexId]]]) -> "RootedForest":
-        """Build a forest from (vertex, parent-or-None) pairs."""
-        return RootedForest(parent=dict(pairs))

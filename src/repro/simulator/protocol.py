@@ -5,7 +5,7 @@ each round: an initialisation step (:meth:`NodeProtocol.on_start`) and a
 per-round step (:meth:`NodeProtocol.on_round`) that receives the messages
 delivered to the vertex at the beginning of the round.  The driver
 (:func:`run_protocol`) executes the protocol on a
-:class:`~repro.simulator.engine.Engine` (either kernel), advancing the global clock
+:class:`~repro.simulator.engine.Engine` (any kernel), advancing the global clock
 once per round, until every participant has declared itself finished and
 no messages remain in flight.
 
@@ -81,10 +81,6 @@ class ProtocolApi:
             sender, f"{self._protocol_name}:{kind}", payload, words, exclude
         )
 
-    def remaining_capacity(self, sender: VertexId, receiver: VertexId) -> int:
-        """Words still available this round on the directed edge ``sender -> receiver``."""
-        return self._network.remaining_capacity(sender, receiver)
-
     def node(self, vertex: VertexId) -> NodeState:
         """Local state of ``vertex`` (protocols must only touch the current vertex)."""
         return self._network.node(vertex)
@@ -116,10 +112,6 @@ class ProtocolApi:
         where a waiting one keeps the run going to its round limit.
         """
         self._awake.discard(vertex)
-
-    def finished_count(self) -> int:
-        """Number of vertices that have declared completion."""
-        return len(self._finished)
 
 
 class NodeProtocol(abc.ABC):
@@ -217,11 +209,11 @@ def run_protocol(
         if rounds_used >= limit:
             error = ConvergenceError(
                 f"protocol {protocol.name!r} did not terminate within {limit} rounds "
-                f"({api.finished_count()}/{len(protocol.participants)} vertices finished, "
+                f"({len(finished)}/{total} vertices finished, "
                 f"{pending_count()} messages pending)"
             )
             error.rounds_limit = limit
-            error.finished_participants = api.finished_count()
+            error.finished_participants = len(finished)
             error.pending_messages = pending_count()
             raise error
         inboxes = deliver_round()
@@ -238,10 +230,3 @@ def run_protocol(
             on_round(vertex, nodes[vertex], api, [] if inbox is None else inbox)
 
     return protocol.result(network)
-
-
-def run_protocols_sequentially(
-    network: Engine, protocols: Iterable[NodeProtocol]
-) -> List[Any]:
-    """Run several protocols one after another, returning their results in order."""
-    return [run_protocol(network, protocol) for protocol in protocols]

@@ -18,25 +18,16 @@ class FullEngine(Engine):
     def node(self, vertex):
         return None
 
-    def edge_weight(self, u, v):
-        return 1
-
     def send(self, sender, receiver, kind, payload):
         self.metrics.record_message(kind, 1)
-
-    def remaining_capacity(self, sender, receiver):
-        return 1
 
     def pending_count(self):
         return 0
 
     def deliver_round(self):
+        self.metrics.record_round()
         self.metrics.record_bulk(0, 0)
         return {}
-
-    def idle_rounds(self, count):
-        for _ in range(count):
-            self.metrics.record_round()
 
 
 def summarize(path):

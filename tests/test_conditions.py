@@ -35,7 +35,6 @@ from repro.config import RunConfig
 from repro.exceptions import (
     ConfigurationError,
     NonTerminationError,
-    SimulationError,
     VerificationError,
 )
 from repro.graphs.generators import make_graph
@@ -314,18 +313,6 @@ class TestConditionedEngineUnits:
             engine.deliver_round()
         assert excinfo.value.round_cap == 3
         assert excinfo.value.rounds == 3
-        # idle_rounds counts against the same cap.
-        engine, _ = self._wrap(graph, "seed=0+cap=3")
-        with pytest.raises(NonTerminationError):
-            engine.idle_rounds(10)
-
-    def test_idle_with_held_messages_is_rejected(self):
-        graph = make_graph("path", n=3, seed=0)
-        engine, _ = self._wrap(graph, "delay(max=1)")
-        engine.send(0, 1, "ping")
-        engine.deliver_round()
-        with pytest.raises(SimulationError, match="deferred"):
-            engine.idle_rounds(1)
 
 
 #: Eventual-delivery presets: every algorithm terminates and stays

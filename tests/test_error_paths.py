@@ -9,10 +9,12 @@ the actionable messages of scenario validation.
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 import pytest
 
-from repro import GraphSpec, RunConfig
+from repro import GraphSpec, RunConfig, Runner
 from repro.algorithms import algorithm_info, available_algorithms, run_algorithm
 from repro.api import Scenario
 from repro.campaign.presets import available_presets, preset_campaign
@@ -22,6 +24,7 @@ from repro.exceptions import (
     DisconnectedGraphError,
     GraphError,
     ReproError,
+    WeightError,
 )
 from repro.graphs.generators import make_graph, random_connected_graph
 from repro.simulator.engine import available_engines, create_engine
@@ -103,3 +106,22 @@ class TestScenarioValidationMessages:
 
         with pytest.raises(ConfigurationError, match="int"):
             normalize_config(4)  # a classic: bandwidth passed positionally
+
+
+class TestNonFiniteWeightsNeverReachTheStore:
+    """An infinite weight is rejected before any run, sequential ones included."""
+
+    @pytest.mark.parametrize("algorithm", ["elkin", "kruskal"])
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1, 1.0), (1, 2, math.inf), (0, 2, 3.0), (2, 3, 2.0)],
+            [(0, 1, 1.0), (1, 2, math.inf)],
+        ],
+        ids=["off-mst", "on-mst"],
+    )
+    def test_infinite_weight_raises_and_writes_nothing(self, tmp_path, algorithm, edges):
+        path = tmp_path / "runs.jsonl"
+        with pytest.raises(WeightError, match=r"edge \(1, 2\) has weight inf"):
+            Runner(store=path).run(Scenario(graph=edges, algorithm=algorithm))
+        assert not path.exists() or "Infinity" not in path.read_text(encoding="utf-8")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 import pytest
 
@@ -105,6 +107,17 @@ class TestProperties:
         graph[0][2]["weight"] = 3.0
         with pytest.raises(WeightError):
             validate_weighted_graph(graph)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "3"], ids=repr)
+    def test_validate_rejects_non_finite_and_non_numeric_weights(self, bad):
+        graph = _unweighted_triangle()
+        graph[0][1]["weight"] = bad
+        graph[1][2]["weight"] = 2.0
+        graph[0][2]["weight"] = 3.0
+        expected = f"edge (0, 1) has weight {bad!r}; every weight must be a finite real number > 0"
+        with pytest.raises(WeightError) as excinfo:
+            validate_weighted_graph(graph, require_unique_weights=False)
+        assert str(excinfo.value) == expected
 
     def test_validate_rejects_duplicate_weights_when_required(self):
         graph = _unweighted_triangle()

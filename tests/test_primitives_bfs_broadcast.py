@@ -1,4 +1,4 @@
-"""Tests for BFS, flooding, broadcast, convergecast, neighbour exchange and direct sends."""
+"""Tests for BFS, broadcast, convergecast, neighbour exchange and direct sends."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.simulator.primitives.bfs import build_bfs_tree
 from repro.simulator.primitives.broadcast import forest_broadcast
 from repro.simulator.primitives.convergecast import forest_convergecast
 from repro.simulator.primitives.direct import send_over_edges
-from repro.simulator.primitives.flooding import flood_value
 from repro.simulator.primitives.neighbor_exchange import neighbor_exchange
 from repro.simulator.primitives.trees import RootedForest
 
@@ -57,25 +56,6 @@ class TestBFS:
         network = SyncNetwork(path_graph(5, seed=0))
         with pytest.raises(ProtocolError):
             build_bfs_tree(network, root=99)
-
-
-class TestFlooding:
-    def test_every_vertex_learns_the_value(self):
-        network = SyncNetwork(grid_graph(4, 4, seed=2))
-        learned = flood_value(network, source=0, value="token")
-        assert set(learned) == set(network.vertices())
-        assert all(value == "token" for value in learned.values())
-
-    def test_cost_is_linear_in_edges(self):
-        graph = random_connected_graph(30, seed=2)
-        network = SyncNetwork(graph)
-        flood_value(network, source=0, value=1)
-        assert network.metrics.messages <= 2 * graph.number_of_edges()
-
-    def test_unknown_source_raises(self):
-        network = SyncNetwork(path_graph(4, seed=0))
-        with pytest.raises(ProtocolError):
-            flood_value(network, source=77, value=1)
 
 
 class TestForestBroadcast:

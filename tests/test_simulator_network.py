@@ -16,11 +16,6 @@ class TestMessage:
         with pytest.raises(ValueError):
             Message(sender=0, receiver=1, kind="x", words=0)
 
-    def test_describe_mentions_endpoints(self):
-        message = Message(sender=3, receiver=7, kind="explore", words=2, sent_in_round=5)
-        text = message.describe()
-        assert "3" in text and "7" in text and "explore" in text
-
 
 class TestMetrics:
     def test_counters_accumulate(self):
@@ -97,38 +92,9 @@ class TestSyncNetwork:
         network.send(0, 1, "b")
         assert network.pending_count() == 1
 
-    def test_remaining_capacity(self):
-        network = SyncNetwork(path_graph(3, seed=0), bandwidth=3)
-        assert network.remaining_capacity(0, 1) == 3
-        network.send(0, 1, "a", words=2)
-        assert network.remaining_capacity(0, 1) == 1
-
     def test_rejects_invalid_bandwidth(self, small_random_graph):
         with pytest.raises(SimulationError):
             SyncNetwork(small_random_graph, bandwidth=0)
-
-    def test_idle_rounds_advance_clock_only(self, network):
-        before = network.metrics.messages
-        network.idle_rounds(5)
-        assert network.round == 5
-        assert network.metrics.messages == before
-
-    def test_idle_rounds_reject_pending_messages(self):
-        network = SyncNetwork(path_graph(3, seed=0))
-        network.send(0, 1, "a")
-        with pytest.raises(SimulationError):
-            network.idle_rounds(1)
-
-    def test_idle_rounds_reject_negative(self, network):
-        with pytest.raises(SimulationError):
-            network.idle_rounds(-1)
-
-    def test_edge_weight_lookup(self):
-        graph = path_graph(3, seed=0, random_weights=False)
-        network = SyncNetwork(graph)
-        assert network.edge_weight(0, 1) == graph[0][1]["weight"]
-        with pytest.raises(SimulationError):
-            network.edge_weight(0, 2)
 
     def test_sorted_edges_are_sorted_by_weight(self, network):
         edges = network.sorted_edges()

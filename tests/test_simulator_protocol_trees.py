@@ -16,16 +16,10 @@ from repro.simulator.network import SyncNetwork
 from repro.simulator.primitives.bfs import build_bfs_tree
 from repro.simulator.primitives.broadcast import forest_broadcast
 from repro.simulator.primitives.convergecast import forest_convergecast
-from repro.simulator.primitives.flooding import flood_value
 from repro.simulator.primitives.intervals import assign_intervals
 from repro.simulator.primitives.pipeline import pipelined_downcast, pipelined_upcast
 from repro.simulator.primitives.trees import RootedForest
-from repro.simulator.protocol import (
-    NodeProtocol,
-    ProtocolApi,
-    run_protocol,
-    run_protocols_sequentially,
-)
+from repro.simulator.protocol import NodeProtocol, ProtocolApi, run_protocol
 
 
 class _RelayProtocol(NodeProtocol):
@@ -152,7 +146,8 @@ class TestProtocolDriver:
 
     def test_sequential_composition_accumulates_costs(self):
         network = SyncNetwork(path_graph(5, seed=0))
-        run_protocols_sequentially(network, [_RelayProtocol(network), _RelayProtocol(network)])
+        for _ in range(2):
+            run_protocol(network, _RelayProtocol(network))
         assert network.round == 8
         assert network.metrics.messages == 8
 
@@ -207,7 +202,6 @@ def _protocol_runs(graph):
             net, tree, dict.fromkeys(vertices, 1), operator.add
         ),
         "ival": lambda net: assign_intervals(net, tree),
-        "flood": lambda net: flood_value(net, 0, "news"),
         "upcast": lambda net: pipelined_upcast(net, tree, items),
         "downcast": lambda net: pipelined_downcast(
             net, tree, [(v, v) for v in vertices[::2]], routing=routing
@@ -258,23 +252,11 @@ class TestRootedForest:
         assert forest.height == 2
         assert forest.size == 6
         assert forest.is_root(4) and not forest.is_root(5)
-        assert forest.is_leaf(3) and not forest.is_leaf(0)
 
     def test_root_of_and_path_to_root(self):
         forest = RootedForest(parent={0: None, 1: 0, 2: 1, 3: 2})
         assert forest.root_of(3) == 0
-        assert forest.path_to_root(3) == [3, 2, 1, 0]
-
-    def test_tree_vertices_in_bfs_order(self):
-        forest = RootedForest(parent={0: None, 1: 0, 2: 0, 3: 1})
-        assert forest.tree_vertices(0) == [0, 1, 2, 3]
-        with pytest.raises(ProtocolError):
-            forest.tree_vertices(1)
-
-    def test_orders(self):
-        forest = RootedForest(parent={0: None, 1: 0, 2: 1})
-        assert forest.top_down_order() == [0, 1, 2]
-        assert forest.bottom_up_order() == [2, 1, 0]
+        assert forest.root_of(0) == 0
 
     def test_edges_are_child_parent_pairs(self):
         forest = RootedForest(parent={0: None, 1: 0})
@@ -295,13 +277,3 @@ class TestRootedForest:
     def test_rejects_empty_forest(self):
         with pytest.raises(ProtocolError):
             RootedForest(parent={})
-
-    def test_single_tree_helper(self):
-        with pytest.raises(ProtocolError):
-            RootedForest.single_tree({0: None, 1: None})
-        tree = RootedForest.single_tree({0: None, 1: 0})
-        assert tree.roots == (0,)
-
-    def test_from_parent_pairs(self):
-        forest = RootedForest.from_parent_pairs([(0, None), (1, 0)])
-        assert forest.size == 2

@@ -255,6 +255,42 @@ class TestCrashRecovery:
         with pytest.raises(ConfigurationError, match="corrupt"):
             RunStore(path)
 
+    @pytest.mark.parametrize("name", ["store.jsonl", "store-dir"])
+    def test_a_tear_at_any_byte_of_the_last_record_loses_at_most_that_record(
+        self, tmp_path, name
+    ):
+        path = tmp_path / name
+        campaign = Campaign.from_grid(
+            "tear", [graph_spec_for("path", 4)], algorithms=("elkin", "kruskal"), seeds=(0,)
+        )
+        with RunStore(path) as store:
+            execute_campaign(campaign, store=store)
+            target = store.shard_paths()[-1]
+        intact = target.read_bytes()
+        last_line = intact[:-1].rsplit(b"\n", 1)[-1]
+        start = len(intact) - len(last_line) - 1
+
+        def keys(store) -> tuple:
+            return sorted(store.run_keys()), sorted(store.graph_keys())
+
+        def files() -> dict:
+            return {p: p.read_bytes() for p in (path.iterdir() if path.is_dir() else [path])}
+
+        every = keys(open_store(path, read_only=True))
+        target.write_bytes(intact[:start])
+        all_but_last = keys(open_store(path, read_only=True))
+        assert all_but_last != every
+        for offset in range(start, len(intact)):
+            target.write_bytes(intact[:offset])
+            before = files()
+            open_store(path, read_only=True)
+            assert files() == before, offset
+            store = open_store(path)
+            assert keys(store) in (every, all_but_last), offset
+            store.append_record_line(last_line.decode("utf-8"))
+            store.close()
+            assert keys(open_store(path, read_only=True)) == every, offset
+
 
 class TestShardedLayout:
     def test_directory_path_selects_the_sharded_layout(self, tmp_path):

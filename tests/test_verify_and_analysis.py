@@ -8,6 +8,7 @@ import multiprocessing
 import networkx as nx
 import pytest
 
+from repro.analysis import fitting
 from repro.analysis.bounds import (
     controlled_ghs_message_bound,
     controlled_ghs_time_bound,
@@ -245,6 +246,23 @@ class TestFitting:
             fit_power_law([1], [1])
         with pytest.raises(ReproError):
             fit_power_law([1, -2], [1, 2])
+
+    @pytest.mark.parametrize("path", ["numpy", "pure-python"])
+    def test_both_least_squares_paths_reject_vertical_and_agree(self, path, monkeypatch):
+        if path == "numpy":
+            pytest.importorskip("numpy")
+        xs, ys = [10, 20, 40, 80, 160], [31.0, 90.0, 240.0, 800.0, 2100.0]
+        with monkeypatch.context() as patch:
+            patch.setattr(fitting, "np", None)
+            pure = fit_power_law(xs, ys)
+        if path == "pure-python":
+            monkeypatch.setattr(fitting, "np", None)
+        # Every x equal: there is no slope to fit, on either path.
+        with pytest.raises(ReproError, match="two distinct x values"):
+            fit_power_law([2, 2, 2], [1, 2, 3])
+        fit = fit_power_law(xs, ys)
+        for field in ("exponent", "scale", "residual"):
+            assert getattr(fit, field) == pytest.approx(getattr(pure, field), rel=1e-9, abs=1e-9)
 
     def test_ratio_series(self):
         assert ratio_series([2, 9], [1, 3]) == [2.0, 3.0]
