@@ -62,7 +62,7 @@ def test_e13_store_append_throughput(benchmark, record, tmp_path):
         seconds = {}
         for durability in ("record", "batch"):
             store = RunStore(
-                tmp_path / f"{durability}-store", durability=durability, batch_size=256
+                tmp_path / f"{durability}-store.jsonl", durability=durability, batch_size=256
             )
             seconds[durability] = _append_all(store, payload, RECORDS)
             rows.append(
@@ -86,7 +86,9 @@ def test_e13_store_append_throughput(benchmark, record, tmp_path):
     record("E13: run-store append throughput (batch vs per-record fsync)", rows)
 
     # Both stores hold the identical logical state after reload.
-    assert len(RunStore(tmp_path / "record-store")) == len(RunStore(tmp_path / "batch-store"))
+    assert len(RunStore(tmp_path / "record-store.jsonl")) == len(
+        RunStore(tmp_path / "batch-store.jsonl")
+    )
     assert (
         speedup >= MIN_SPEEDUP
     ), f"group-commit speedup {speedup:.2f}x below the {MIN_SPEEDUP}x floor"
@@ -113,13 +115,12 @@ def test_e13_interrupted_batch_sweep_resumes_byte_identical(tmp_path):
     reference.close()
 
     # Interrupted batched run: half the campaign lands, plus a torn line.
-    batched_path = tmp_path / "v2-store"
+    batched_path = tmp_path / "v2-store.jsonl"
     half = Campaign("half", campaign.specs[: len(campaign.specs) // 2])
     store = RunStore(batched_path, durability="batch")
     execute_campaign(half, store=store)
     store.close()
-    shard = sorted(batched_path.glob("shard-*.jsonl"))[-1]
-    with shard.open("a", encoding="utf-8") as handle:
+    with batched_path.open("a", encoding="utf-8") as handle:
         handle.write('{"kind": "run", "key": "torn')  # crash mid-write
 
     resumed_store = RunStore(batched_path, durability="batch")

@@ -4,10 +4,9 @@ Like E11/E12, this benchmark measures the harness rather than the
 paper: a zoo-scale sweep (the ``zoo`` preset, several hundred cells)
 run through the batched-parallel scheduler
 (:mod:`repro.campaign.scheduler`: graph-affine work units leased to
-persistent workers, each batching locally, worker-local shard stores
-folded back) must be at least 2x faster than the legacy per-cell
-process pool at the *same* job count, while the merged rows stay
-byte-identical to a serial sweep.  The speedup is pure overhead
+persistent workers, each batching locally) must be at least 2x faster
+than the legacy per-cell process pool at the *same* job count, while
+the rows stay byte-identical to a serial sweep.  The speedup is pure overhead
 amortization -- per-unit graph builds, oracles and descriptions, plus
 one worker lifecycle per campaign instead of one pool per phase -- so
 the simulations themselves are identical executions.

@@ -11,9 +11,11 @@ engine x seed) cells.  This package turns such sweeps into data:
 * :mod:`repro.campaign.presets` -- named grids reproducing the paper's
   E1-E9 experiment scenarios;
 * :mod:`repro.campaign.executor` -- serial and ``multiprocessing``
-  executors that produce row-for-row identical output;
-* :mod:`repro.campaign.store` -- an append-only JSONL run store keyed by
-  each cell's content hash, with provenance and resume semantics;
+  executors that produce row-for-row identical output; only the calling
+  process writes the store;
+* :mod:`repro.campaign.store` -- an append-only JSONL run store (one
+  file) keyed by each cell's content hash, with provenance and resume
+  semantics;
 * :mod:`repro.campaign.columnar` -- the sqlite-backed columnar backend
   behind the same contract (:func:`open_store` picks by path; see
   DESIGN.md, Section 15).

@@ -44,6 +44,7 @@ from .store import (
     GraphDescription,
     make_run_record,
     merge_stores,
+    refuse_directory,
 )
 
 _SCHEMA_VERSION = 1
@@ -115,10 +116,7 @@ class ColumnarStore:
             "fsyncs": 0,
             "recovered_lines": 0,
         }
-        if self.path.is_dir():
-            raise ConfigurationError(
-                f"{self.path} is a directory (a sharded JSONL store, not a columnar one)"
-            )
+        refuse_directory(self.path)
         if read_only:
             if not self.path.exists():
                 raise ConfigurationError(f"no run store at {self.path}")
@@ -393,15 +391,6 @@ class ColumnarStore:
     def iter_graph_items(self) -> Iterator[Tuple[str, GraphDescription]]:
         for key, description in self._graphs.items():
             yield key, dict(description)
-
-    # -- layout ----------------------------------------------------------
-
-    @property
-    def is_sharded(self) -> bool:
-        return False
-
-    def shard_paths(self) -> List[Path]:
-        return [self.path] if self.path.exists() else []
 
     # -- maintenance -----------------------------------------------------
 

@@ -17,12 +17,12 @@ wall-clock time:
 * batched-parallel (``jobs>1``, the default): the
   :mod:`~repro.campaign.scheduler` leases graph-affine work units to
   persistent worker processes, each running the batch runner locally
-  and committing to a worker-local shard store that is folded back
-  into the campaign store.
+  and reporting finished cells to the parent, which commits them.
 
-Results are committed to the run store in deterministic campaign order,
-and instance descriptions (n, m, hop-diameter) are computed once per
-distinct graph and cached in the store.
+Only the calling process writes the run store: in campaign order, or
+in completion order on the scheduler.  Instance descriptions (n, m,
+hop-diameter) are computed once per distinct graph and cached in the
+store.
 """
 
 from __future__ import annotations
@@ -324,6 +324,28 @@ def _notify(observers: Sequence[object], method: str, *args: object) -> None:
             hook(*args)
 
 
+def _commit(
+    store: RunStore,
+    spec: RunSpec,
+    row: Row,
+    result_json: Dict[str, object],
+    executor: str,
+    verified: bool,
+    observers: Sequence[object],
+) -> None:
+    """Commit one finished cell to ``store``, then fire its result events.
+
+    Committing first means that at ``durability="record"`` no crash can
+    lose a cell an observer has already seen.
+    """
+    store.record_run(spec, row, result_json, _provenance(spec, executor, verified))
+    if observers:
+        result = MSTRunResult.from_json_dict(result_json)
+        for phase in result.phases:
+            _notify(observers, "on_phase", spec, phase)
+        _notify(observers, "on_result", spec, result, row)
+
+
 def _provenance(spec: RunSpec, executor: str, verified: bool) -> Dict[str, object]:
     from .. import __version__
 
@@ -586,15 +608,8 @@ def execute_campaign(
                 assert index == out_index
                 if _record_description(spec, used):
                     described += 1
-                store.record_run(
-                    spec, row, result_json, _provenance(spec, executor_name, do_verify)
-                )
+                _commit(store, spec, row, result_json, executor_name, do_verify, observers)
                 fresh[index] = row
-                if observers:
-                    result = MSTRunResult.from_json_dict(result_json)
-                    for phase in result.phases:
-                        _notify(observers, "on_phase", spec, phase)
-                    _notify(observers, "on_result", spec, result, row)
     finally:
         if pool is not None:
             pool.terminate()

@@ -13,22 +13,23 @@ and multiprocessing (the ``jobs > 1`` pool) -- into one scheduler:
   processes** -- one process lifecycle per campaign, not one pool per
   phase; a worker that finishes a unit immediately leases the next, so
   stragglers self-balance;
-* each worker runs a local :class:`_BatchRunner` over its unit
-  and appends the finished cells to its own **worker-local shard
-  store** (``durability="batch"``, one commit per completed lease),
-  so no two processes ever contend on one file;
-* the parent streams lifecycle events off a result queue -- observers
-  (:class:`repro.api.hooks.RunObserver`) see ``on_run_start`` /
-  ``on_phase`` / ``on_result`` live, in completion order -- and folds
-  every shard into the caller's store with the idempotent
-  :meth:`~repro.campaign.store.RunStore.merge_from`.
+* each worker runs a local :class:`_BatchRunner` over its unit and
+  reports every finished cell (row, result JSON, used description) on
+  a result queue; workers never open a store;
+* the parent is the campaign store's only writer: it commits each
+  reported cell with :meth:`~repro.campaign.store.RunStore.record_run`
+  at the store's own durability, then fires the observers
+  (:class:`repro.api.hooks.RunObserver`) -- ``on_run_start`` /
+  ``on_phase`` / ``on_result`` stream live, in completion order.
 
 Rows, store records and resume semantics are byte-identical to the
-serial, batched and legacy pool paths; only wall-clock time and the
-provenance ``executor`` tag (``"batched-pool-<jobs>"``) differ.  A
-worker that dies mid-campaign loses only its uncommitted lease: every
-shard it flushed is still folded in, the campaign raises, and a
-``--resume`` completes exactly the missing cells.
+serial, batched and legacy pool paths; only wall-clock time, the
+store's record order (completion order) and the provenance
+``executor`` tag (``"batched-pool-<jobs>"``) differ.  A worker that
+dies mid-campaign loses only the cells it had not reported: every
+reported cell is committed, the campaign raises, and a ``--resume``
+completes exactly the missing cells.  Workers whose parent died stop
+before their next lease.
 """
 
 from __future__ import annotations
@@ -36,25 +37,25 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import queue
-import shutil
-import tempfile
 import time
 import traceback
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.results import MSTRunResult
 from ..exceptions import ConfigurationError, SimulationError
 from .spec import content_hash, RunSpec
-from .store import GraphDescription, open_store, RunStore
+from .store import GraphDescription, RunStore
 
 #: Target number of work units leased per worker over a campaign.
 #: More units per worker means finer-grained load balancing; fewer
-#: means less per-lease overhead (one queue round trip and one shard
-#: commit per unit).  Four leaves enough slack for stragglers without
-#: fragmenting the graph groups of small sweeps.
+#: means less per-lease overhead (one queue round trip per unit).
+#: Four leaves enough slack for stragglers without fragmenting the
+#: graph groups of small sweeps.
 UNITS_PER_WORKER = 4
+
+#: Seconds a queue read waits before the reader looks around: a worker
+#: re-checks that its parent is alive, the parent polls worker exits.
+_POLL_SECONDS = 0.1
 
 
 @dataclass(frozen=True)
@@ -118,20 +119,6 @@ def partition_units(
     return units
 
 
-def _shard_path(shard_root: str, worker_id: int, backend: str = "jsonl") -> Path:
-    """Worker-local shard store path; the backend follows the fold target.
-
-    JSONL shards are sharded directories, columnar shards single sqlite
-    files -- keeping each worker on the same backend as the caller's
-    store exercises one code path end to end and keeps the fold a
-    same-backend merge.
-    """
-    name = f"worker-{worker_id:02d}"
-    if backend == "columnar":
-        name += ".sqlite"
-    return Path(shard_root) / name
-
-
 def _transportable(error: BaseException) -> Optional[BaseException]:
     # The result queue pickles in a background feeder thread, where a
     # pickling failure would vanish silently; probe here and fall back
@@ -143,31 +130,30 @@ def _transportable(error: BaseException) -> Optional[BaseException]:
         return None
 
 
+def _parent_gone() -> bool:
+    parent = multiprocessing.parent_process()
+    return parent is not None and not parent.is_alive()
+
+
 def _worker_main(
     worker_id: int,
     tasks: "multiprocessing.Queue",
     results: "multiprocessing.Queue",
     abort: "multiprocessing.Event",
-    shard_root: str,
-    shard_backend: str,
-    executor_name: str,
     do_verify: bool,
     compute_diameter: bool,
-    want_results: bool,
 ) -> None:
-    """Persistent worker: lease units until the sentinel, commit per lease."""
-    from .executor import _BatchRunner, _provenance
+    """Persistent worker: lease units until the sentinel, report every cell."""
+    from .executor import _BatchRunner
 
-    store = open_store(
-        _shard_path(shard_root, worker_id, shard_backend),
-        backend=shard_backend,
-        durability="batch",
-    )
     busy = 0.0
     units = cells = 0
     try:
-        while True:
-            unit = tasks.get()
+        while not _parent_gone():
+            try:
+                unit = tasks.get(timeout=_POLL_SECONDS)
+            except queue.Empty:
+                continue
             if unit is None:
                 break
             if abort.is_set():
@@ -181,25 +167,17 @@ def _worker_main(
             for (index, spec, _), (_, _, description) in zip(pending, unit.cells):
                 results.put(("start", worker_id, index))
                 _, row, result_json, used = runner.run(index, spec, description)
-                store.record_run(
-                    spec, row, result_json, _provenance(spec, executor_name, do_verify)
-                )
                 cells += 1
-                results.put(
-                    ("result", worker_id, index, row,
-                     result_json if want_results else None, used)
-                )
-            store.flush()  # group commit: one fsync per completed lease
+                results.put(("result", worker_id, index, row, result_json, used))
             units += 1
             busy += time.perf_counter() - started
     except BaseException as error:
-        store.flush()  # finished cells of the failing lease still count
         results.put(("error", worker_id, _transportable(error), traceback.format_exc()))
-    finally:
-        store.close()
-        results.put(
-            ("done", worker_id, {"units": units, "cells": cells, "busy_seconds": busy})
-        )
+    results.put(("done", worker_id, {"units": units, "cells": cells, "busy_seconds": busy}))
+    if _parent_gone():
+        # Nobody drains the result queue any more: exit without flushing
+        # it, or this process would block forever on a full pipe.
+        results.cancel_join_thread()
 
 
 def run_scheduled(
@@ -213,7 +191,7 @@ def run_scheduled(
     observers: Sequence[object],
     record_description: Callable[[RunSpec, GraphDescription], bool],
 ) -> Tuple[Dict[int, Dict[str, object]], int, int, List[Dict[str, object]]]:
-    """Run the pending cells on persistent workers; fold shards into ``store``.
+    """Run the pending cells on persistent workers, committing each to ``store``.
 
     Returns ``(fresh, described, workers, worker_stats)``: the freshly
     simulated rows by campaign index, the number of graph descriptions
@@ -221,12 +199,12 @@ def run_scheduled(
     stats dict per worker (units/cells executed, busy seconds, and
     utilization -- busy time over campaign wall time).
 
-    The shard fold runs in a ``finally``: a worker crash or an
-    interrupt still merges every committed lease before the error
-    propagates, so a subsequent ``--resume`` re-runs only what was
-    genuinely lost.
+    The parent is the store's only writer.  Each reported cell is
+    committed with ``store.record_run`` before its ``on_result`` fires,
+    so a crash of the parent or of a worker loses no cell an observer
+    saw, and a subsequent ``--resume`` re-runs only uncommitted cells.
     """
-    from .executor import _notify
+    from .executor import _commit, _notify
     from ..simulator.engine import active_provider_count
 
     methods = multiprocessing.get_all_start_methods()
@@ -251,13 +229,12 @@ def run_scheduled(
     for _ in range(worker_count):
         tasks.put(None)  # one sentinel per worker, after every unit
 
-    shard_root = tempfile.mkdtemp(prefix="repro-campaign-shards-")
-    shard_backend = getattr(store, "backend_name", "jsonl")
     specs_by_index = {index: spec for index, spec, _ in pending}
     fresh: Dict[int, Dict[str, object]] = {}
     described = 0
     stats: Dict[int, Dict[str, object]] = {}
     finished: Set[int] = set()
+    exited: Set[int] = set()
     failure: Optional[Tuple[Optional[BaseException], str]] = None
     workers: List[multiprocessing.Process] = []
     started = time.perf_counter()
@@ -265,39 +242,35 @@ def run_scheduled(
         for worker_id in range(worker_count):
             process = context.Process(
                 target=_worker_main,
-                args=(
-                    worker_id,
-                    tasks,
-                    results,
-                    abort,
-                    shard_root,
-                    shard_backend,
-                    executor_name,
-                    do_verify,
-                    compute_diameter,
-                    bool(observers),
-                ),
+                args=(worker_id, tasks, results, abort, do_verify, compute_diameter),
                 daemon=True,
             )
             process.start()
             workers.append(process)
         while len(finished) < worker_count:
             try:
-                event = results.get(timeout=0.1)
+                event = results.get(timeout=_POLL_SECONDS)
             except queue.Empty:
                 for worker_id, process in enumerate(workers):
                     if worker_id in finished or process.exitcode is None:
                         continue
-                    # Exited without a "done" event: a hard crash.  Its
-                    # committed leases are still on disk and folded in
-                    # below; only the uncommitted lease is lost.
+                    if worker_id not in exited:
+                        # An exited process has written every event it
+                        # sent into the pipe, so the next poll drains
+                        # them, its "done" included, before it can come
+                        # back empty.
+                        exited.add(worker_id)
+                        continue
+                    # Exited, and a whole empty poll later still no
+                    # "done": a hard crash.  Every cell it reported is
+                    # committed; only its unreported cells are lost.
                     finished.add(worker_id)
                     abort.set()
                     if failure is None:
                         failure = (
                             None,
                             f"campaign worker {worker_id} died with exit code "
-                            f"{process.exitcode}; committed leases were kept and "
+                            f"{process.exitcode}; committed cells were kept and "
                             f"resume completes the rest",
                         )
                 continue
@@ -307,14 +280,10 @@ def run_scheduled(
             elif kind == "result":
                 _, _, index, row, result_json, used = event
                 spec = specs_by_index[index]
-                fresh[index] = row
                 if record_description(spec, used):
                     described += 1
-                if observers and result_json is not None:
-                    result = MSTRunResult.from_json_dict(result_json)
-                    for phase in result.phases:
-                        _notify(observers, "on_phase", spec, phase)
-                    _notify(observers, "on_result", spec, result, row)
+                _commit(store, spec, row, result_json, executor_name, do_verify, observers)
+                fresh[index] = row
             elif kind == "error":
                 _, _, error, text = event
                 abort.set()
@@ -338,14 +307,6 @@ def run_scheduled(
         for channel in (tasks, results):
             channel.close()
             channel.cancel_join_thread()
-        # Fold every shard -- including a crashed worker's committed
-        # leases -- into the caller's store.  merge_from skips keys the
-        # store already holds, so the fold is idempotent.
-        for worker_id in range(worker_count):
-            shard = _shard_path(shard_root, worker_id, shard_backend)
-            if shard.exists():
-                store.merge_from(shard)
-        shutil.rmtree(shard_root, ignore_errors=True)
     if failure is not None:
         error, text = failure
         if isinstance(error, BaseException):

@@ -8,7 +8,7 @@ together with its output row, the full serialized
 against the same store skips every cell whose key is already present --
 the resume semantics the ``repro-mst sweep --resume`` flag exposes.
 
-Store v2 (this module) adds three things over the original
+Store v2 (this module) adds two things over the original
 one-fsync-per-record file:
 
 * **Group commit.**  Appends are buffered and committed with one
@@ -22,24 +22,22 @@ one-fsync-per-record file:
   every campaign, so ``--resume`` semantics are exact no matter the
   durability level -- at worst a crash re-runs the uncommitted tail.
 
-* **Sharded layout.**  A store path naming a *directory* holds a
-  ``MANIFEST.json`` plus ``shard-NNNNN.jsonl`` files that roll over
-  every :data:`SHARD_RECORDS` records, so huge campaign stores never
-  hinge on one monolithic file.  A path naming a file (e.g. the classic
-  ``runs.jsonl``) keeps the original single-file layout; old stores
-  are transparently readable and writable either way.
-
 * **Maintenance.**  :meth:`compact` rewrites the store dropping
   superseded last-record-wins duplicates; :meth:`merge_from` folds
-  another store (v1 file or v2 directory) into this one, skipping keys
-  already present -- both idempotent, both exposed as ``repro-mst
-  store compact|merge``.
+  another store (either backend) into this one, skipping keys already
+  present -- both idempotent, both exposed as ``repro-mst store
+  compact|merge``.
+
+A store is one file.  A directory path -- the sharded layout that
+releases up to 1.6.0 wrote -- raises
+:class:`~repro.exceptions.ConfigurationError` naming the conversion.
 
 Crash recovery: a torn final line (a write interrupted before its
-terminating newline) is dropped on load and counted in
-``stats["recovered_lines"]``; a *terminated* corrupt line is still a
-hard :class:`~repro.exceptions.ConfigurationError`, because it means
-the file was damaged, not merely truncated.
+terminating newline) is dropped on load, counted in
+``stats["recovered_lines"]`` and logged as a warning naming the file
+and byte offset; a *terminated* corrupt line is still a hard
+:class:`~repro.exceptions.ConfigurationError`, because it means the
+file was damaged, not merely truncated.
 
 A store constructed with ``path=None`` is purely in-memory; the legacy
 experiment runners use that mode so they stay side-effect free.
@@ -50,12 +48,12 @@ from __future__ import annotations
 import copy
 import json
 import os
-import shutil
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.results import MSTRunResult
 from ..exceptions import ConfigurationError
+from ..logging_utils import get_logger
 from .spec import RunSpec
 
 #: One instance description: {"n": int, "m": int, "D": int (optional)}.
@@ -64,33 +62,18 @@ GraphDescription = Dict[str, object]
 #: Supported durability levels (see :class:`RunStore`).
 DURABILITY_LEVELS = ("record", "batch", "none")
 
-#: Name of the v2 manifest file inside a sharded store directory.
-MANIFEST_NAME = "MANIFEST.json"
-
-#: Records per shard file before a sharded store rolls over to a new
-#: shard.  Recorded in every manifest as ``"shard_records"``.
-SHARD_RECORDS = 4096
-
-_SHARD_PREFIX = "shard-"
-_SHARD_SUFFIX = ".jsonl"
+_LOG = get_logger(__name__)
 
 
-def _shard_name(index: int) -> str:
-    return f"{_SHARD_PREFIX}{index:05d}{_SHARD_SUFFIX}"
-
-
-def _is_directory_layout(path: Path) -> bool:
-    """Classify a store path: directory (v2 sharded) or single file (v1).
-
-    An existing path is classified by what it is; a fresh path by its
-    spelling -- a ``.jsonl``/``.json``/``.ndjson`` suffix means the
-    classic single-file layout, anything else becomes a shard directory.
-    """
+def refuse_directory(path: Path) -> None:
+    """Raise if ``path`` is a directory: a store of either backend is one file."""
     if path.is_dir():
-        return True
-    if path.exists():
-        return False
-    return path.suffix.lower() not in (".jsonl", ".json", ".ndjson")
+        raise ConfigurationError(
+            f"{path} is a directory, but a run store is one file and sharded "
+            f"directory stores are no longer read; convert it with repro-mst "
+            f"1.6.0 (`repro-mst store convert {path} --into {path}.jsonl`) or "
+            f"concatenate {path}/shard-*.jsonl in name order into one file"
+        )
 
 
 class RunStore:
@@ -116,10 +99,9 @@ class RunStore:
     Section 11).  :meth:`compact` writes the held text as is.
 
     Args:
-        path: ``None`` for a purely in-memory store, a file path for
-            the classic single-file JSONL layout, or a directory path
-            for the sharded v2 layout (``MANIFEST.json`` +
-            ``shard-NNNNN.jsonl``).
+        path: ``None`` for a purely in-memory store, else the store's
+            file (a directory raises
+            :class:`~repro.exceptions.ConfigurationError`).
         durability: ``"batch"`` (default) buffers appends and commits
             them with one fsync per :attr:`batch_size` records or
             explicit :meth:`flush`; ``"record"`` commits and fsyncs
@@ -155,6 +137,8 @@ class RunStore:
         self.durability = durability
         self.batch_size = batch_size
         self.read_only = read_only
+        if self.path is not None:
+            refuse_directory(self.path)
         if read_only:
             if self.path is None:
                 raise ConfigurationError("read_only requires an on-disk store path")
@@ -177,13 +161,7 @@ class RunStore:
         self._graphs: Dict[str, GraphDescription] = {}
         self._buffer: List[str] = []
         self._handle = None
-        self._sharded = self.path is not None and _is_directory_layout(self.path)
-        #: Shard file names in commit order (single-file stores use one
-        #: pseudo-shard: the file itself).
-        self._shards: List[str] = []
-        #: Physical records in the active (last) shard.
-        self._active_records = 0
-        #: Physical records on disk across all shards (>= logical ones).
+        #: Physical records in the file (>= logical ones).
         self._physical_records = 0
         if self.path is not None and self.path.exists():
             self._load()
@@ -205,23 +183,15 @@ class RunStore:
         if self.path is None or not self._buffer:
             return
         self._require_writable()
-        start = 0
-        while start < len(self._buffer):
-            self._rotate_if_needed()
-            if self._sharded:
-                room = max(1, SHARD_RECORDS - self._active_records)
-                chunk = self._buffer[start : start + room]
-            else:
-                chunk = self._buffer[start:]
-            handle = self._open_handle()
-            handle.write("".join(chunk))
-            handle.flush()
-            if self.durability != "none":
-                os.fsync(handle.fileno())
-                self.stats["fsyncs"] += 1
-            self._active_records += len(chunk)
-            self._physical_records += len(chunk)
-            start += len(chunk)
+        if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = self.path.open("a", encoding="utf-8")
+        self._handle.write("".join(self._buffer))
+        self._handle.flush()
+        if self.durability != "none":
+            os.fsync(self._handle.fileno())
+            self.stats["fsyncs"] += 1
+        self._physical_records += len(self._buffer)
         self._buffer.clear()
         self.stats["commits"] += 1
 
@@ -232,105 +202,20 @@ class RunStore:
             self._handle.close()
             self._handle = None
 
-    # -- layout ----------------------------------------------------------
-
-    @property
-    def is_sharded(self) -> bool:
-        """True for the directory (v2) layout, False for a single file."""
-        return self._sharded
-
-    def shard_paths(self) -> List[Path]:
-        """The on-disk files holding this store's records, in order."""
-        if self.path is None:
-            return []
-        if not self._sharded:
-            return [self.path] if self.path.exists() else []
-        return [self.path / name for name in self._shards]
-
-    def _manifest_path(self) -> Path:
-        assert self.path is not None
-        return self.path / MANIFEST_NAME
-
-    def _write_manifest(self) -> None:
-        payload = {
-            "version": 2,
-            "shards": list(self._shards),
-            "shard_records": SHARD_RECORDS,
-        }
-        tmp = self._manifest_path().with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        os.replace(tmp, self._manifest_path())
-
-    def _discover_shards(self) -> List[str]:
-        """Shard names from the manifest, self-healed against the directory.
-
-        Shards written after a crash (before the manifest caught up) are
-        globbed back in; shards listed but missing are dropped.  Order is
-        the shard index order either way.
-        """
-        assert self.path is not None
-        names = set()
-        manifest = self._manifest_path()
-        if manifest.exists():
-            try:
-                listed = json.loads(manifest.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as error:
-                raise ConfigurationError(
-                    f"{manifest}: corrupt store manifest ({error})"
-                ) from error
-            names.update(str(name) for name in listed.get("shards", []))
-        names.update(
-            entry.name
-            for entry in self.path.glob(f"{_SHARD_PREFIX}*{_SHARD_SUFFIX}")
-        )
-        return sorted(name for name in names if (self.path / name).exists())
-
-    def _rotate_if_needed(self) -> None:
-        """Ensure the active shard has room; roll to a new one if not."""
-        if not self._sharded:
-            return
-        if self._shards and self._active_records < SHARD_RECORDS:
-            return
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        self._shards.append(_shard_name(len(self._shards)))
-        self._active_records = 0
-        self.path.mkdir(parents=True, exist_ok=True)
-        self._write_manifest()
-
-    def _open_handle(self):
-        if self._handle is None:
-            if self._sharded:
-                self._rotate_if_needed()
-                target = self.path / self._shards[-1]
-            else:
-                target = self.path
-            target.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = target.open("a", encoding="utf-8")
-        return self._handle
-
     # -- loading ---------------------------------------------------------
 
     def _load(self) -> None:
-        assert self.path is not None
-        if self._sharded:
-            self._shards = self._discover_shards()
-            for name in self._shards:
-                self._active_records = self._load_file(self.path / name)
-        else:
-            self._active_records = self._load_file(self.path)
+        """Load the store file into the in-memory maps.
 
-    def _load_file(self, path: Path) -> int:
-        """Load one JSONL file into the in-memory maps; returns its record count.
-
-        Streamed line by line (legacy single-file stores can be huge).
-        The final line is allowed to be torn (no terminating newline and
-        unparseable): that is the signature of a crash mid-write, and
-        the record it held was never acknowledged as committed.  Any
-        other malformed line is corruption and raises.
+        Streamed line by line (stores can be huge).  The final line is
+        allowed to be torn (no terminating newline and unparseable):
+        that is the signature of a crash mid-write, and the record it
+        held was never acknowledged as committed.  Any other malformed
+        line is corruption and raises.  Every repair is logged as a
+        warning naming the file and the byte offset it happened at.
         """
-        records = 0
+        path = self.path
+        assert path is not None
         needs_newline = False
         offset = line_number = 0
         with path.open("rb") as handle:
@@ -363,11 +248,26 @@ class RunStore:
                         # half-record and corrupt the line for every
                         # subsequent reader.
                         self.stats["recovered_lines"] += 1
-                        if not self.read_only:
-                            try:
-                                os.truncate(path, line_start)
-                            except OSError:
-                                pass  # read-only filesystem: recovery stays in-memory
+                        if self.read_only:
+                            _LOG.warning(
+                                "%s: skipped a torn final record at byte %d; "
+                                "read-only open, file left as is",
+                                path, line_start,
+                            )
+                            continue
+                        try:
+                            os.truncate(path, line_start)
+                        except OSError as failure:
+                            _LOG.warning(
+                                "%s: skipped a torn final record at byte %d; "
+                                "truncating it failed (%s)",
+                                path, line_start, failure,
+                            )
+                        else:
+                            _LOG.warning(
+                                "%s: dropped a torn final record, truncated at byte %d",
+                                path, line_start,
+                            )
                         continue
                     raise ConfigurationError(
                         f"{path}:{line_number}: corrupt run-store line ({error})"
@@ -381,15 +281,22 @@ class RunStore:
                     raise ConfigurationError(
                         f"{path}:{line_number}: unknown record kind {kind!r}"
                     )
-                records += 1
                 self._physical_records += 1
         if needs_newline and not self.read_only:
             try:
                 with path.open("a", encoding="utf-8") as handle:
                     handle.write("\n")
-            except OSError:
-                pass  # read-only filesystem: the in-memory state is still right
-        return records
+            except OSError as failure:
+                _LOG.warning(
+                    "%s: final record lacks its newline; appending one at byte %d "
+                    "failed (%s)",
+                    path, offset, failure,
+                )
+            else:
+                _LOG.warning(
+                    "%s: final record lacked its newline; appended one at byte %d",
+                    path, offset,
+                )
 
     # -- writing ---------------------------------------------------------
 
@@ -519,10 +426,9 @@ class RunStore:
 
         Drops superseded duplicates (``resume=False`` re-runs, merged
         overlaps).  The rewrite is crash-safe: the full live record set
-        is written to a temporary and renamed into place (for sharded
-        stores: as one consolidated shard) before any old file is
-        removed, so no window loses committed records.  A second
-        :meth:`compact` is a no-op (idempotent).  Returns
+        is written to a temporary and renamed over the store file, so
+        no window loses committed records.  A second :meth:`compact` is
+        a no-op (idempotent).  Returns
         ``{"before": .., "after": .., "dropped": ..}`` physical record
         counts; in-memory stores report zeros.
         """
@@ -532,51 +438,24 @@ class RunStore:
         self.close()
         live = list(self._live_lines())
         before = self._physical_records
-        if self._sharded:
-            self.path.mkdir(parents=True, exist_ok=True)
-            # The compacted output is one shard regardless of
-            # SHARD_RECORDS (appends re-grow the shard set from there):
-            # a single os.replace switches the whole live record set
-            # atomically *before* any old shard is removed.  Every
-            # crash window is then safe -- stale shards left behind
-            # only re-assert the newest value of keys they contain
-            # (within-shard order is append order), and the
-            # self-healing glob drops them once the unlinks complete.
-            name = _shard_name(0)
-            self._rewrite_atomically(self.path / name, live)
-            for stale in self._shards:
-                if stale != name:
-                    (self.path / stale).unlink(missing_ok=True)
-            self._shards = [name]
-            self._write_manifest()
-        else:
-            self._rewrite_atomically(self.path, live)
-        self._active_records = len(live)
-        self._physical_records = len(live)
-        return {"before": before, "after": len(live), "dropped": before - len(live)}
-
-    def _rewrite_atomically(self, target: Path, lines: List[str]) -> None:
-        """Write ``lines`` to a temporary and rename it over ``target``.
-
-        Always fsyncs, whatever the durability level: this path deletes
-        the only other copy of committed (possibly fsynced) records, so
-        the knob that governs append acknowledgment latency must not
-        weaken a destructive rewrite.
-        """
-        tmp = target.with_name(target.name + ".tmp")
+        tmp = self.path.with_name(self.path.name + ".tmp")
         with tmp.open("w", encoding="utf-8") as handle:
-            for line in lines:
+            for line in live:
                 handle.write(line + "\n")
             handle.flush()
+            # Always fsynced, whatever the durability level: the rename
+            # deletes the only other copy of committed records.
             os.fsync(handle.fileno())
-        os.replace(tmp, target)
+        os.replace(tmp, self.path)
+        self._physical_records = len(live)
+        return {"before": before, "after": len(live), "dropped": before - len(live)}
 
     def merge_from(self, source: Union["RunStore", str, Path]) -> Dict[str, int]:
         """Fold ``source`` (a store of any backend, or a path) into this one.
 
         Records whose key this store already holds are kept as-is, which
-        makes merging the same source twice -- or merging stores from
-        parallel CI shards that overlap -- idempotent.  Source paths are
+        makes merging the same source twice -- or merging overlapping
+        stores from parallel CI jobs -- idempotent.  Source paths are
         opened ``read_only`` (merging must never side-effect the
         source).  Returns ``{"runs": .., "graphs": .., "skipped": ..}``
         counts.
@@ -598,24 +477,25 @@ class RunStore:
             yield from self._live_lines()
             return
         self.flush()
-        for path in self.shard_paths():
-            with path.open("rb") as handle:
-                for raw in handle:
-                    terminated = raw.endswith(b"\n")
-                    stripped = raw.strip()
-                    if not stripped:
-                        continue
-                    try:
-                        # utf-8-sig, as loading does: a leading BOM is not record text.
-                        text = stripped.decode("utf-8-sig")
-                        json.loads(text)
-                    except (json.JSONDecodeError, UnicodeDecodeError) as error:
-                        if not terminated:
-                            continue  # torn tail: dropped on load as well
-                        raise ConfigurationError(
-                            f"{path}: corrupt run-store line ({error})"
-                        ) from error
-                    yield text
+        if not self.path.exists():
+            return
+        with self.path.open("rb") as handle:
+            for raw in handle:
+                terminated = raw.endswith(b"\n")
+                stripped = raw.strip()
+                if not stripped:
+                    continue
+                try:
+                    # utf-8-sig, as loading does: a leading BOM is not record text.
+                    text = stripped.decode("utf-8-sig")
+                    json.loads(text)
+                except (json.JSONDecodeError, UnicodeDecodeError) as error:
+                    if not terminated:
+                        continue  # torn tail: dropped on load as well
+                    raise ConfigurationError(
+                        f"{self.path}: corrupt run-store line ({error})"
+                    ) from error
+                yield text
 
     def append_record_line(self, line: str) -> None:
         """Append one physical record given as its exact JSON text.
@@ -682,14 +562,12 @@ def _looks_like_sqlite(path: Path) -> bool:
 def detect_backend(path: Union[str, Path]) -> str:
     """Classify a store path as ``"jsonl"`` or ``"columnar"``.
 
-    Existing paths are classified by what they hold (directories and
-    JSONL files are ``jsonl``; files starting with the SQLite magic are
-    ``columnar``); fresh paths by their suffix (``.sqlite`` /
-    ``.sqlite3`` / ``.db`` select the columnar backend).
+    Existing paths are classified by what they hold (files starting
+    with the SQLite magic are ``columnar``, anything else ``jsonl``);
+    fresh paths by their suffix (``.sqlite`` / ``.sqlite3`` / ``.db``
+    select the columnar backend).
     """
     path = Path(path)
-    if path.is_dir():
-        return "jsonl"
     if path.exists():
         return "columnar" if _looks_like_sqlite(path) else "jsonl"
     return "columnar" if path.suffix.lower() in _COLUMNAR_SUFFIXES else "jsonl"
@@ -707,8 +585,8 @@ def open_store(
     ``backend="auto"`` (the default) resolves via :func:`detect_backend`;
     ``path=None`` is always the in-memory JSONL-backend store.  Every
     construction site that accepts a user-supplied store path (CLI,
-    :class:`~repro.api.runner.Runner`, scheduler shards) goes through
-    here so the columnar backend is a spelling away everywhere.
+    :class:`~repro.api.runner.Runner`) goes through here so the
+    columnar backend is a spelling away everywhere.
     """
     if backend not in STORE_BACKENDS:
         raise ConfigurationError(
@@ -729,7 +607,7 @@ def open_store(
 
 
 def _same_store_path(a: Optional[Path], b: Optional[Path]) -> bool:
-    """True when both paths name the same store file/directory.
+    """True when both paths name the same store file.
 
     Resolved before comparison so relative/absolute/symlinked spellings
     of one path cannot bypass the self-merge guard.
@@ -790,9 +668,8 @@ def convert_store(
 
     Every physical record's JSON text travels verbatim (superseded
     records included), so ``JSONL -> columnar -> JSONL`` round trips are
-    byte-identical for single-file stores and byte-identical per record
-    stream for sharded ones.  The destination must not exist; the source
-    is opened read-only.  A conversion that raises removes the
+    byte-identical.  The destination must not exist; the source is
+    opened read-only.  A conversion that raises removes the
     destination it created, so a retry starts clean.
     """
     source_path = Path(source)
@@ -812,10 +689,7 @@ def convert_store(
         finally:
             dest.close()
     except BaseException:
-        if dest_path.is_dir():
-            shutil.rmtree(dest_path)
-        elif dest_path.exists():
-            dest_path.unlink()
+        dest_path.unlink(missing_ok=True)
         raise
     finally:
         src.close()

@@ -207,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default=None,
         metavar="PATH",
-        help="run store; completed cells are appended with provenance "
-        "(JSONL file, sharded directory, or columnar sqlite file)",
+        help="run store file; completed cells are appended with provenance "
+        "(JSONL, or columnar sqlite)",
     )
     campaign_parser.add_argument(
         "--store-backend",
@@ -272,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         required=True,
         metavar="PATH",
-        help="run store (JSONL file, sharded directory, or columnar sqlite "
-        "file); opened read-only",
+        help="run store file (JSONL or columnar sqlite); opened read-only",
     )
     report_parser.add_argument(
         "--output",

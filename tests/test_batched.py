@@ -10,13 +10,22 @@ builds its own kernel.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
+import queue
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.algorithms import run_algorithm
 from repro.campaign import Campaign, execute_campaign, executor, RunStore
 from repro.campaign.scheduler import partition_units
@@ -238,7 +247,7 @@ class TestScheduledEquivalence:
     per-key store records and resume behaviour must be byte-identical
     to the serial executor, whichever mix of batching and processes
     produced them.  (Store *insertion order* is the one legitimate
-    difference: shards merge in worker order, not campaign order.)
+    difference: the parent commits cells in completion order.)
     """
 
     def _store_records(self, store, campaign):
@@ -293,6 +302,20 @@ class TestScheduledEquivalence:
             reresumed = execute_campaign(campaign, store=RunStore(sched_path), **kwargs)
             assert reresumed.executed == 0
             assert reresumed.rows == second.rows
+
+    def test_scheduled_rerun_supersedes_stored_records_like_serial(self, tmp_path):
+        """Bugfix: worker shards were folded in skipping keys the store
+        already held, so a ``jobs>1`` re-run never replaced a record:
+        a verified sweep over unverified records re-ran them on every
+        later resume."""
+        campaign = _sixteen_cell_grid()
+        path = tmp_path / "s.jsonl"
+        execute_campaign(campaign, store=RunStore(path), verify=False, jobs=2)
+        upgraded = execute_campaign(campaign, store=RunStore(path), jobs=2)
+        assert upgraded.executed == len(campaign)
+        store = RunStore(path)
+        assert all(store.get_provenance(key)["verified"] for key in campaign.run_keys())
+        assert execute_campaign(campaign, store=store, jobs=2).executed == 0
 
     def test_scheduler_streams_observer_events(self):
         campaign = _sixteen_cell_grid()
@@ -351,13 +374,14 @@ class TestScheduledEquivalence:
     def test_worker_death_keeps_committed_leases_and_resume_completes(
         self, tmp_path, monkeypatch
     ):
-        """Kill one worker mid-campaign: the fold must stay consistent.
+        """Kill one worker mid-campaign: the store must stay consistent.
 
         The kamikaze algorithm hard-exits the worker whose lease covers
         the 20-vertex graph group; graph-affinity puts that whole group
-        in one unit, so the other group's lease commits normally.  The
-        campaign raises, the merged store holds exactly a subset of the
-        serial records, and a resume finishes the rest.
+        in one unit, so the other group's cells are reported and
+        committed normally.  The campaign raises, the store holds
+        exactly a subset of the serial records, and a resume finishes
+        the rest.
         """
         from repro.algorithms import AlgorithmInfo, register_algorithm, _REGISTRY
 
@@ -392,8 +416,8 @@ class TestScheduledEquivalence:
             with pytest.raises(SimulationError, match="died with exit code 3"):
                 execute_campaign(campaign, store=RunStore(store_path), jobs=2)
 
-            # Whatever leases committed before the crash merged cleanly:
-            # every surviving record is byte-identical to serial output.
+            # Every cell reported before the crash was committed: each
+            # surviving record is byte-identical to serial output.
             monkeypatch.delenv("REPRO_TEST_KAMIKAZE")
             reference = execute_campaign(
                 campaign, store=RunStore(tmp_path / "ref.jsonl"), batch=False
@@ -412,6 +436,139 @@ class TestScheduledEquivalence:
             assert resumed.rows == reference.rows
         finally:
             _REGISTRY.pop("kamikaze", None)
+
+
+def _session_members(session: int) -> list:
+    """Live (not zombie) processes in session ``session``, from ``/proc``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                # "pid (comm) state ppid pgrp session ..."; comm may hold ")".
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if fields[0] not in ("Z", "X") and int(fields[3]) == session:
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the failures are injected into forked workers",
+)
+class TestSchedulerFailureModes:
+    """The parent is the store's only writer; no failure is silent or sticky."""
+
+    def test_an_empty_poll_after_clean_exits_is_not_a_worker_death(self, monkeypatch):
+        """Bugfix: one empty 0.1 s poll that expired just after a worker
+        sent its last events and exited cleanly failed a finished
+        campaign with ``campaign worker 0 died with exit code 0``."""
+        real = multiprocessing.get_context("fork")
+        parent = os.getpid()
+        processes = []
+        injected = []
+
+        class EmptyOnceAfterExits:
+            """The parent's first ``get`` reports empty once every worker
+            has exited, holding back the events it read meanwhile."""
+
+            def __init__(self, inner):
+                self._inner = inner
+                self._held = []
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def get(self, timeout=None):
+                if os.getpid() == parent and not injected:
+                    injected.append(True)
+                    while any(process.exitcode is None for process in processes):
+                        with contextlib.suppress(queue.Empty):
+                            self._held.append(self._inner.get(timeout=0.05))
+                    raise queue.Empty
+                if self._held:
+                    return self._held.pop(0)
+                return self._inner.get(timeout=timeout)
+
+        class Context:
+            def Queue(self):
+                return EmptyOnceAfterExits(real.Queue())
+
+            def Event(self):
+                return real.Event()
+
+            def Process(self, **kwargs):
+                processes.append(real.Process(**kwargs))
+                return processes[-1]
+
+        monkeypatch.setattr(
+            "repro.campaign.scheduler.multiprocessing.get_context", lambda method: Context()
+        )
+        campaign = _sixteen_cell_grid()
+        report = execute_campaign(campaign, jobs=2)
+        assert injected and len(processes) == 2
+        assert all(process.exitcode == 0 for process in processes)
+        assert report.executed == len(campaign)
+        assert sum(stat["cells"] for stat in report.worker_stats) == len(campaign)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads sessions from /proc")
+    def test_a_killed_parent_keeps_reported_cells_and_leaves_no_worker(self, tmp_path):
+        """SIGKILL the parent after its k-th ``on_result``.
+
+        Every reported cell was committed at ``durability="record"``
+        before its ``on_result`` fired, so the store holds at least k
+        runs; no temporary store directory is left behind; and the
+        orphaned workers notice the dead parent and exit, so no process
+        of its session survives 10 s.
+        """
+        k = 5
+        store_path = tmp_path / "killed.jsonl"
+        temp = tmp_path / "tmp"
+        temp.mkdir()
+        script = textwrap.dedent(
+            f"""
+            import os, signal
+            from repro.campaign import RunStore, execute_campaign, preset_campaign
+
+            class KillParent:
+                results = 0
+
+                def on_result(self, spec, result, row):
+                    KillParent.results += 1
+                    if KillParent.results == {k}:
+                        os.kill(os.getpid(), signal.SIGKILL)
+
+            execute_campaign(
+                preset_campaign("zoo"),
+                store=RunStore({str(store_path)!r}, durability="record"),
+                jobs=2,
+                observers=[KillParent()],
+            )
+            """
+        )
+        env = dict(
+            os.environ,
+            TMPDIR=str(temp),
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, start_new_session=True
+        )
+        try:
+            assert process.wait(timeout=120) == -signal.SIGKILL
+            with RunStore(store_path, read_only=True) as store:
+                assert len(store) >= k
+            assert list(temp.glob("repro-campaign-shards-*")) == []
+            deadline = time.monotonic() + 10.0
+            while _session_members(process.pid) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert _session_members(process.pid) == []
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(process.pid, signal.SIGKILL)
 
 
 class TestWorkUnits:

@@ -1,8 +1,7 @@
 """Columnar (sqlite) run-store backend.
 
 The equivalence matrix here is the gate ROADMAP item 5 demands: the
-JSONL file, sharded-directory and columnar backends must produce
-identical rows, identical ``CampaignAnalysis`` output and an identical
+JSONL and columnar backends must produce identical rows, identical ``CampaignAnalysis`` output and an identical
 rendered EXPERIMENTS.md from the same campaign, and ``store convert``
 round trips must be byte-identical.
 """
@@ -332,23 +331,17 @@ class TestCrossBackendMerge:
 
 
 class TestEquivalenceMatrix:
-    """JSONL file / sharded dir / columnar: one campaign, identical output."""
+    """JSONL / columnar: one campaign, identical output."""
 
     @pytest.fixture(scope="class")
     def matrix(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("matrix")
         campaign = _campaign()
-        paths = {
-            "jsonl": tmp / "runs.jsonl",
-            "sharded": tmp / "runs-dir",
-            "columnar": tmp / "runs.sqlite",
-        }
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("repro.campaign.store.SHARD_RECORDS", 4)
-            for path in paths.values():
-                store = open_store(path)
-                execute_campaign(campaign, store=store)
-                store.close()
+        paths = {"jsonl": tmp / "runs.jsonl", "columnar": tmp / "runs.sqlite"}
+        for path in paths.values():
+            store = open_store(path)
+            execute_campaign(campaign, store=store)
+            store.close()
         return paths
 
     def test_rows_identical_across_backends(self, matrix):
@@ -356,26 +349,22 @@ class TestEquivalenceMatrix:
             name: list(open_store(path, read_only=True).iter_rows())
             for name, path in matrix.items()
         }
-        assert rows["jsonl"] == rows["sharded"] == rows["columnar"]
+        assert rows["jsonl"] == rows["columnar"]
 
     def test_campaign_analysis_identical_across_backends(self, matrix):
         analyses = {
             name: analyze_store(open_store(path, read_only=True))
             for name, path in matrix.items()
         }
-        assert analyses["jsonl"] == analyses["sharded"] == analyses["columnar"]
+        assert analyses["jsonl"] == analyses["columnar"]
 
     def test_rendered_markdown_identical_across_backends(self, matrix):
         documents = {
             name: render_markdown(analyze_store(open_store(path, read_only=True)))
             for name, path in matrix.items()
         }
-        assert documents["jsonl"] == documents["sharded"] == documents["columnar"]
+        assert documents["jsonl"] == documents["columnar"]
         assert "bound-violation count: **0**" in documents["columnar"]
-
-    def test_sharded_store_really_sharded(self, matrix):
-        store = open_store(matrix["sharded"], read_only=True)
-        assert store.is_sharded and len(store.shard_paths()) > 1
 
 
 class TestConvert:

@@ -323,36 +323,6 @@ class TestReportCLI:
         assert main(["report", "--store", dest]) == 0
 
 
-class TestReportOverShardedStore:
-    def test_report_over_sharded_v2_directory_store(self, tmp_path, monkeypatch):
-        """The report pipeline must read the sharded directory layout
-        exactly as it reads a single file."""
-        from repro.analysis.report import analyze_store
-        from repro.campaign import RunStore
-
-        monkeypatch.setattr("repro.campaign.store.SHARD_RECORDS", 8)
-        rows = _golden_rows()
-        store = RunStore(tmp_path / "shards")
-        for index, row in enumerate(rows):
-            store.append_record_line(
-                json.dumps(
-                    {
-                        "kind": "run",
-                        "key": f"k{index:04d}",
-                        "spec": {},
-                        "row": row,
-                        "result": {},
-                        "provenance": {},
-                    }
-                )
-            )
-        store.close()
-        with RunStore(tmp_path / "shards", read_only=True) as reloaded:
-            assert reloaded.is_sharded and len(reloaded.shard_paths()) > 1
-            document = render_markdown(analyze_store(reloaded))
-        assert document == render_markdown(analyze_rows(rows))
-
-
 class TestNonTerminatedRowsMissingMetrics:
     """``status="non-terminated"`` rows may lack the metric columns a
     clean row always carries; the analysis must not crash on them."""

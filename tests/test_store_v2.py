@@ -1,14 +1,15 @@
-"""Store v2: group commit, durability matrix, sharding, compact and merge.
+"""Store v2: group commit, durability matrix, crash recovery, compact and merge.
 
 The contract under test (DESIGN.md, Section 11): whatever the
-durability level and on-disk layout, a campaign that returned has all
-of its records on disk, resume semantics are exact, and the final rows
-are byte-identical to the original per-record-fsync single-file store.
+durability level, a campaign that returned has all of its records on
+disk, resume semantics are exact, and the final rows are byte-identical
+to the original per-record-fsync store.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.campaign import (
     RunStore,
 )
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import DURABILITY_LEVELS, MANIFEST_NAME, merge_stores
+from repro.campaign.store import DURABILITY_LEVELS, merge_stores
 from repro.exceptions import ConfigurationError
 
 
@@ -79,7 +80,7 @@ class TestDurabilityMatrix:
         """Acceptance: batched v2 rows == per-record-fsync v1-style rows."""
         campaign = _campaign()
         v1 = RunStore(tmp_path / "v1.jsonl", durability="record", batch_size=1)
-        v2 = RunStore(tmp_path / "v2-dir", durability="batch")
+        v2 = RunStore(tmp_path / "v2.jsonl", durability="batch")
         execute_campaign(campaign, store=v1)
         execute_campaign(campaign, store=v2)
         v1.close(), v2.close()
@@ -89,7 +90,7 @@ class TestDurabilityMatrix:
             )
             assert v1.get_result(key).to_json_dict() == v2.get_result(key).to_json_dict()
         # ... and the run records on disk parse to the same payloads.
-        reload_v1, reload_v2 = RunStore(tmp_path / "v1.jsonl"), RunStore(tmp_path / "v2-dir")
+        reload_v1, reload_v2 = RunStore(tmp_path / "v1.jsonl"), RunStore(tmp_path / "v2.jsonl")
         for key in campaign.run_keys():
             assert reload_v1.get_row(key) == reload_v2.get_row(key)
             assert reload_v1.get_provenance(key)["verified"] is True
@@ -238,7 +239,7 @@ class TestCrashRecovery:
         with pytest.raises(ConfigurationError, match="corrupt"):
             RunStore(path)
 
-    @pytest.mark.parametrize("name", ["store.jsonl", "store-dir"])
+    @pytest.mark.parametrize("name", ["store.jsonl"])
     def test_terminated_damage_inside_result_raises(self, tmp_path, name):
         """Open keeps only row and provenance, but must still parse the
         whole line: damage after a well-formed ``row`` is corruption."""
@@ -246,16 +247,15 @@ class TestCrashRecovery:
         with RunStore(path) as store:
             execute_campaign(_campaign(2), store=store)
             record = next(store.iter_run_records())
-            target = store.shard_paths()[-1]
         line = json.dumps(record)
         assert line.index('"row"') < line.index('"result"')
         damaged = line.replace('"result": {', '"result": {,', 1)
-        with target.open("a", encoding="utf-8") as handle:
+        with path.open("a", encoding="utf-8") as handle:
             handle.write(damaged + "\n")
         with pytest.raises(ConfigurationError, match="corrupt"):
             RunStore(path)
 
-    @pytest.mark.parametrize("name", ["store.jsonl", "store-dir"])
+    @pytest.mark.parametrize("name", ["store.jsonl"])
     def test_a_tear_at_any_byte_of_the_last_record_loses_at_most_that_record(
         self, tmp_path, name
     ):
@@ -265,73 +265,96 @@ class TestCrashRecovery:
         )
         with RunStore(path) as store:
             execute_campaign(campaign, store=store)
-            target = store.shard_paths()[-1]
-        intact = target.read_bytes()
+        intact = path.read_bytes()
         last_line = intact[:-1].rsplit(b"\n", 1)[-1]
         start = len(intact) - len(last_line) - 1
 
         def keys(store) -> tuple:
             return sorted(store.run_keys()), sorted(store.graph_keys())
 
-        def files() -> dict:
-            return {p: p.read_bytes() for p in (path.iterdir() if path.is_dir() else [path])}
-
         every = keys(open_store(path, read_only=True))
-        target.write_bytes(intact[:start])
+        path.write_bytes(intact[:start])
         all_but_last = keys(open_store(path, read_only=True))
         assert all_but_last != every
         for offset in range(start, len(intact)):
-            target.write_bytes(intact[:offset])
-            before = files()
+            path.write_bytes(intact[:offset])
             open_store(path, read_only=True)
-            assert files() == before, offset
+            assert path.read_bytes() == intact[:offset], offset
             store = open_store(path)
             assert keys(store) in (every, all_but_last), offset
             store.append_record_line(last_line.decode("utf-8"))
             store.close()
             assert keys(open_store(path, read_only=True)) == every, offset
 
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("torn", "dropped a torn final record, truncated at byte {start}"),
+            ("torn-read-only", "skipped a torn final record at byte {start}; read-only open"),
+            ("unterminated", "final record lacked its newline; appended one at byte {end}"),
+            ("refused", "skipped a torn final record at byte {start}; truncating it failed"),
+        ],
+    )
+    def test_every_recovery_logs_one_warning_with_file_and_offset(
+        self, tmp_path, monkeypatch, caplog, case, message
+    ):
+        path = tmp_path / "store.jsonl"
+        with RunStore(path) as store:
+            store.record_graph("g1", {"n": 4, "m": 3})
+        start = path.stat().st_size
+        if case == "unterminated":
+            path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        else:
+            with path.open("a", encoding="utf-8") as handle:
+                handle.write('{"kind": "gr')
+        end = path.stat().st_size
+        if case == "refused":
+
+            def refuse(*args):
+                raise PermissionError("read-only file system")
+
+            monkeypatch.setattr("repro.campaign.store.os.truncate", refuse)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            store = RunStore(path, read_only=case == "torn-read-only")
+        assert store.graph_keys() == ["g1"]
+        assert [(record.name, record.levelno) for record in caplog.records] == [
+            ("repro.campaign.store", logging.WARNING)
+        ]
+        text = caplog.records[0].getMessage()
+        assert text.startswith(f"{path}: ")
+        assert message.format(start=start, end=end) in text
+
 
 class TestShardedLayout:
-    def test_directory_path_selects_the_sharded_layout(self, tmp_path):
-        assert RunStore(tmp_path / "store-dir").is_sharded
-        assert not RunStore(tmp_path / "store.jsonl").is_sharded
+    """The sharded directory layout is gone: every store is one file."""
 
-    def test_existing_paths_classified_by_what_they_are(self, tmp_path):
-        (tmp_path / "dir").mkdir()
-        (tmp_path / "flat").write_text("")
-        assert RunStore(tmp_path / "dir").is_sharded
-        assert not RunStore(tmp_path / "flat").is_sharded
+    def test_a_fresh_path_without_a_suffix_is_one_file(self, tmp_path):
+        path = tmp_path / "runs"
+        with RunStore(path) as store:
+            store.record_graph("g", {"n": 1, "m": 0})
+        assert path.is_file()
+        assert RunStore(path, read_only=True).graph_keys() == ["g"]
 
-    def test_shards_roll_over_and_reload(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.campaign.store.SHARD_RECORDS", 2)
-        campaign = _campaign()
-        store = RunStore(tmp_path / "store", batch_size=3)
-        report = execute_campaign(campaign, store=store)
-        store.close()
-        shards = sorted(p.name for p in (tmp_path / "store").glob("shard-*.jsonl"))
-        assert len(shards) >= 2
-        for shard in shards[:-1]:
-            lines = (tmp_path / "store" / shard).read_text().count("\n")
-            assert lines == 2
-        manifest = json.loads((tmp_path / "store" / MANIFEST_NAME).read_text())
-        assert manifest["version"] == 2
-        assert sorted(manifest["shards"]) == shards
-        reloaded = RunStore(tmp_path / "store")
-        assert len(reloaded) == len(campaign)
-        assert [reloaded.get_row(key) for key in campaign.run_keys()] == report.rows
+    def test_a_directory_raises_naming_the_conversion(self, tmp_path):
+        from repro.cli import main
 
-    def test_shard_not_in_manifest_is_globbed_back(self, tmp_path, monkeypatch):
-        """Self-healing: a crash between shard creation and manifest update."""
-        monkeypatch.setattr("repro.campaign.store.SHARD_RECORDS", 2)
-        store = RunStore(tmp_path / "store", batch_size=2)
-        execute_campaign(_campaign(), store=store)
-        store.close()
-        manifest_path = tmp_path / "store" / MANIFEST_NAME
-        manifest = json.loads(manifest_path.read_text())
-        manifest["shards"] = manifest["shards"][:1]
-        manifest_path.write_text(json.dumps(manifest))
-        assert len(RunStore(tmp_path / "store")) == len(_campaign())
+        directory = tmp_path / "runs"
+        directory.mkdir()
+        (directory / "shard-00000.jsonl").write_text("", encoding="utf-8")
+        conversion = f"repro-mst store convert {directory} --into {directory}.jsonl"
+        opens = {
+            "RunStore": lambda: RunStore(directory),
+            "RunStore read-only": lambda: RunStore(directory, read_only=True),
+            "open_store": lambda: open_store(directory),
+            "open_store read-only": lambda: open_store(directory, read_only=True),
+            "report": lambda: main(["report", "--store", str(directory)]),
+        }
+        for name, opener in opens.items():
+            with pytest.raises(ConfigurationError) as caught:
+                opener()
+            assert "is a directory" in str(caught.value), name
+            assert conversion in str(caught.value), name
+            assert "shard-*.jsonl in name order" in str(caught.value), name
 
     def test_legacy_single_file_store_reads_transparently(self, tmp_path):
         """A v1-era file (one record per line, no manifest) just works."""
@@ -340,7 +363,6 @@ class TestShardedLayout:
         report = execute_campaign(_campaign(), store=store)
         store.close()
         legacy = RunStore(path)
-        assert not legacy.is_sharded
         assert len(legacy) == len(report.rows)
         # ... and it can keep serving resumes and merges.
         resumed = execute_campaign(_campaign(), store=RunStore(path))
@@ -370,51 +392,7 @@ class TestCompact:
         assert second["dropped"] == 0
         assert second["before"] == second["after"] == first["after"]
 
-    def test_compact_sharded_store_consolidates_to_one_shard(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.campaign.store.SHARD_RECORDS", 2)
-        store = RunStore(tmp_path / "store", batch_size=2)
-        execute_campaign(_campaign(), store=store)
-        execute_campaign(_campaign(), store=store, resume=False)
-        shards_before = len(list((tmp_path / "store").glob("shard-*.jsonl")))
-        store.compact()
-        assert shards_before > 1
-        # One consolidated shard: the whole live set switches with one
-        # atomic rename before any stale shard is unlinked.
-        assert [p.name for p in (tmp_path / "store").glob("shard-*.jsonl")] == [
-            "shard-00000.jsonl"
-        ]
-        assert len(RunStore(tmp_path / "store")) == len(_campaign())
-        assert not list((tmp_path / "store").glob("*.tmp"))
-
-    def test_crash_between_compact_rename_and_unlink_loses_nothing(self, tmp_path, monkeypatch):
-        """The documented crash window: new shard in place, stale shards left.
-
-        Stale shards only re-assert the newest value of keys they hold
-        (within-shard order is append order), so a load over the
-        half-finished layout must equal the fully compacted one.
-        """
-        monkeypatch.setattr("repro.campaign.store.SHARD_RECORDS", 2)
-        store = RunStore(tmp_path / "store", batch_size=2)
-        execute_campaign(_campaign(), store=store)
-        execute_campaign(_campaign(), store=store, resume=False)
-        store.close()
-        stale = sorted((tmp_path / "store").glob("shard-*.jsonl"))
-        saved = {p.name: p.read_bytes() for p in stale}
-        compacted = RunStore(tmp_path / "store")
-        compacted.compact()
-        expected = {key: compacted.get_row(key) for key in compacted.run_keys()}
-        # Re-materialize the crash state: compacted shard-00000 plus the
-        # old stale shards that the interrupted unlink loop left behind.
-        for name, data in saved.items():
-            if name != "shard-00000.jsonl":
-                (tmp_path / "store" / name).write_bytes(data)
-        crashed = RunStore(tmp_path / "store")
-        assert len(crashed) == len(expected)
-        for key, row in expected.items():
-            assert crashed.get_row(key) == row
-
-    def test_store_keeps_appending_after_compact(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.campaign.store.SHARD_RECORDS", 2)
+    def test_store_keeps_appending_after_compact(self, tmp_path):
         store = RunStore(tmp_path / "store", batch_size=2)
         half = Campaign("half", _campaign().specs[:2])
         execute_campaign(half, store=store)
@@ -504,14 +482,13 @@ class TestStoreContractBugfixes:
                 store.merge_from("store.jsonl")
 
     def test_uppercase_jsonl_suffix_is_a_single_file_store(self, tmp_path):
-        """Bugfix: the layout sniff compared suffixes case-sensitively,
-        so ``runs.JSONL`` silently became a sharded directory."""
+        """Bugfix: the (since removed) layout sniff compared suffixes
+        case-sensitively, so ``runs.JSONL`` silently became a directory."""
         path = tmp_path / "runs.JSONL"
         with RunStore(path) as store:
             store.record_graph("g", {"n": 1, "m": 0})
         assert path.is_file()
         with RunStore(path) as reloaded:
-            assert not reloaded.is_sharded
             assert reloaded.graph_keys() == ["g"]
 
     def test_mutating_returned_structures_cannot_corrupt_the_store(self, tmp_path):
@@ -678,7 +655,7 @@ class TestLeanRunRecords:
 
     def test_reopened_store_serves_the_recorded_spec_and_result(self, tmp_path, recorded):
         _, runs = recorded
-        path = tmp_path / "store-dir"
+        path = tmp_path / "store.jsonl"
         campaign = _campaign()
         with RunStore(path) as store:
             execute_campaign(campaign, store=store)
