@@ -14,14 +14,14 @@ Quickstart::
     from repro.api import Runner, Scenario
     from repro import GraphSpec, RunConfig
 
-    runner = Runner(store="runs.jsonl")
-    outcome = runner.run(
-        Scenario(
-            graph=GraphSpec("random_connected", {"n": 200, "seed": 7}),
-            algorithm="elkin",
-            config=RunConfig(bandwidth=2, engine="fast"),
+    with Runner(store="runs.jsonl") as runner:
+        outcome = runner.run(
+            Scenario(
+                graph=GraphSpec("random_connected", {"n": 200, "seed": 7}),
+                algorithm="elkin",
+                config=RunConfig(bandwidth=2, engine="fast"),
+            )
         )
-    )
     print(outcome.result.rounds, outcome.result.messages)
 
 Everything older (``sweep_graphs``, ``compare_algorithms``, the

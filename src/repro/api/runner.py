@@ -57,7 +57,9 @@ class Runner:
             :class:`~repro.campaign.columnar.ColumnarStore`), a store
             path (backend auto-detected, see
             :func:`~repro.campaign.store.open_store`), or ``None`` for
-            a private in-memory store.
+            a private in-memory store.  A store the Runner opens from a
+            path is the Runner's to close: call :meth:`close`, or use
+            the Runner as a context manager.
         resume: when True (default), scenarios whose content hash is
             already in the store are answered from it without
             re-simulating.
@@ -73,13 +75,29 @@ class Runner:
         hooks: Sequence[object] = (),
         compute_diameter: bool = True,
     ) -> None:
-        if store is None or isinstance(store, (str, Path)):
+        self._owns_store = store is None or isinstance(store, (str, Path))
+        if self._owns_store:
             self.store = open_store(store)
         else:
             self.store = store
         self.resume = resume
         self.hooks: List[object] = list(hooks)
         self.compute_diameter = compute_diameter
+
+    def close(self) -> None:
+        """Flush and close the store if this Runner opened it.
+
+        A store instance passed in by the caller stays open: its owner
+        closes it.
+        """
+        if self._owns_store:
+            self.store.close()
+
+    def __enter__(self) -> "Runner":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def add_hook(self, hook: object) -> None:
         """Attach a lifecycle observer to every subsequent execution."""

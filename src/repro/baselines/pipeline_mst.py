@@ -75,7 +75,9 @@ class _PipelineMSTProtocol(NodeProtocol):
         self._child_done: Dict[VertexId, Set[VertexId]] = {v: set() for v in self.participants}
         self._done_sent: Set[VertexId] = set()
         self._root_received: List[CandidateEdge] = []
-        self._messages_sent = 0
+
+    def initiators(self) -> Tuple[VertexId, ...]:
+        return self._tree.leaves
 
     # -------------------------------------------------------------- #
 
@@ -114,7 +116,6 @@ class _PipelineMSTProtocol(NodeProtocol):
                 # locally (no message is spent on it).
                 continue
             api.send(vertex, parent, "edge", payload=(edge,), words=1)
-            self._messages_sent += 1
             budget -= 1
         if budget == 0:
             return  # stopped by the bandwidth budget: more to send next round

@@ -404,19 +404,22 @@ def _run_sweep(args: argparse.Namespace) -> int:
         if args.output
         else None
     )
-    report = execute_campaign(
-        campaign,
-        store=store,
-        jobs=args.jobs,
-        resume=args.resume,
-        verify=not args.no_verify,
-        compute_diameter=not args.no_diameter,
-        batch=args.batch,
-    )
+    try:
+        report = execute_campaign(
+            campaign,
+            store=store,
+            jobs=args.jobs,
+            resume=args.resume,
+            verify=not args.no_verify,
+            compute_diameter=not args.no_diameter,
+            batch=args.batch,
+        )
+    finally:
+        if store is not None:
+            store.close()
     print(format_table(report.rows))
     summary = report.summary()
     if args.output:
-        store.close()
         summary += f" -> {args.output}"
     print(summary)
     return 0

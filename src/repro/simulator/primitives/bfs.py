@@ -12,7 +12,7 @@ propagates the wave to its other neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ...exceptions import ProtocolError
 from ...types import VertexId
@@ -49,6 +49,9 @@ class _BFSProtocol(NodeProtocol):
         self.root = root
         self._parent: Dict[VertexId, Optional[VertexId]] = {}
         self._distance: Dict[VertexId, int] = {}
+
+    def initiators(self) -> Tuple[VertexId, ...]:
+        return (self.root,)
 
     def on_start(self, vertex: VertexId, node: NodeState, api: ProtocolApi) -> None:
         if vertex != self.root:

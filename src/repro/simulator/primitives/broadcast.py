@@ -9,7 +9,7 @@ because all trees of the forest run in parallel.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from ...exceptions import ProtocolError
 from ...types import VertexId
@@ -37,14 +37,13 @@ class _ForestBroadcastProtocol(NodeProtocol):
             raise ProtocolError(
                 f"forest_broadcast: {len(missing)} roots have no value to broadcast, e.g. {missing[0]}"
             )
-        for child, parent in forest.edges():
-            if not network.has_edge(child, parent):
-                raise ProtocolError(
-                    f"forest_broadcast: tree edge ({child}, {parent}) is not a graph edge"
-                )
+        forest.check_edges(network, "forest_broadcast")
         self._forest = forest
         self._root_values = root_values
         self._value: Dict[VertexId, Any] = {}
+
+    def initiators(self) -> Tuple[VertexId, ...]:
+        return self._forest.roots
 
     def _forward(self, vertex: VertexId, api: ProtocolApi) -> None:
         for child in self._forest.children[vertex]:

@@ -13,7 +13,7 @@ non-root vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 from ...exceptions import ProtocolError
 from ...types import VertexId
@@ -34,9 +34,10 @@ class ConvergecastResult:
         root_values: aggregate of every tree, keyed by its root.
         per_vertex: aggregate of the subtree of every vertex (the value
             the vertex sent, or would send, to its parent).
-        child_values: for every vertex, the aggregate received from each
-            of its children; used e.g. by the interval labelling, where a
-            parent must know the subtree size of each child separately.
+        child_values: for every vertex with children, the aggregate
+            received from each child; a vertex without children has no
+            entry.  Used where a parent must know each child's aggregate
+            separately.
     """
 
     root_values: Dict[VertexId, Any]
@@ -57,31 +58,27 @@ class _ForestConvergecastProtocol(NodeProtocol):
         combiner: Combiner,
     ) -> None:
         super().__init__(forest.vertices)
-        missing = [v for v in self.participants if v not in values]
+        missing = set(self.participants).difference(values)
         if missing:
             raise ProtocolError(
-                f"forest_convergecast: {len(missing)} vertices have no input value, e.g. {missing[0]}"
+                f"forest_convergecast: {len(missing)} vertices have no input value, "
+                f"e.g. {min(missing)}"
             )
-        for child, parent in forest.edges():
-            if not network.has_edge(child, parent):
-                raise ProtocolError(
-                    f"forest_convergecast: tree edge ({child}, {parent}) is not a graph edge"
-                )
+        forest.check_edges(network, "forest_convergecast")
         self._forest = forest
         self._combiner = combiner
         self._accumulated: Dict[VertexId, Any] = dict(values)
-        self._expected: Dict[VertexId, int] = {
-            v: len(forest.children[v]) for v in self.participants
-        }
-        self._received_from: Dict[VertexId, Dict[VertexId, Any]] = {
-            v: {} for v in self.participants
-        }
+        #: aggregates received so far, created at a vertex's first one
+        self._received_from: Dict[VertexId, Dict[VertexId, Any]] = {}
         self._sent: set[VertexId] = set()
+
+    def initiators(self) -> Tuple[VertexId, ...]:
+        return self._forest.leaves
 
     def _maybe_send_up(self, vertex: VertexId, api: ProtocolApi) -> None:
         if vertex in self._sent:
             return
-        if len(self._received_from[vertex]) < self._expected[vertex]:
+        if len(self._received_from.get(vertex, ())) < len(self._forest.children[vertex]):
             api.wait(vertex)
             return
         self._sent.add(vertex)
@@ -99,19 +96,20 @@ class _ForestConvergecastProtocol(NodeProtocol):
         for message in inbox:
             if not message.kind.endswith(":aggregate"):
                 continue
-            if message.sender in self._received_from[vertex]:
+            received = self._received_from.setdefault(vertex, {})
+            if message.sender in received:
                 raise ProtocolError(
                     f"vertex {vertex} received two aggregates from child {message.sender}"
                 )
             child_value = message.payload[0]
-            self._received_from[vertex][message.sender] = child_value
+            received[message.sender] = child_value
             self._accumulated[vertex] = self._combiner(self._accumulated[vertex], child_value)
         self._maybe_send_up(vertex, api)
 
     def result(self, network: Engine) -> ConvergecastResult:
-        unfinished = [v for v in self.participants if v not in self._sent]
+        unfinished = len(self.participants) - len(self._sent)
         if unfinished:
-            raise ProtocolError(f"convergecast incomplete at {len(unfinished)} vertices")
+            raise ProtocolError(f"convergecast incomplete at {unfinished} vertices")
         root_values = {root: self._accumulated[root] for root in self._forest.roots}
         return ConvergecastResult(
             root_values=root_values,

@@ -27,8 +27,6 @@ class _EdgeMessagesProtocol(NodeProtocol):
     name = "edgemsg"
 
     def __init__(self, network: Engine, messages: List[EdgeMessage]) -> None:
-        participants = set(network.vertices())
-        super().__init__(participants)
         seen: Dict[Tuple[VertexId, VertexId], int] = {}
         for sender, receiver, _ in messages:
             if not network.has_edge(sender, receiver):
@@ -39,6 +37,8 @@ class _EdgeMessagesProtocol(NodeProtocol):
                     f"{seen[(sender, receiver)]} messages over directed edge "
                     f"({sender}, {receiver}) exceed bandwidth {network.bandwidth}"
                 )
+        # Only the endpoints act: senders send, receivers read.
+        super().__init__({vertex for edge in seen for vertex in edge})
         self._by_sender: Dict[VertexId, List[EdgeMessage]] = {}
         for message in messages:
             self._by_sender.setdefault(message[0], []).append(message)

@@ -82,6 +82,9 @@ class _IntervalAssignProtocol(NodeProtocol):
         self._size = subtree_size
         self._interval: Dict[VertexId, Tuple[int, int]] = {}
 
+    def initiators(self) -> Tuple[VertexId, ...]:
+        return self._forest.roots
+
     def _assign_children(self, vertex: VertexId, api: ProtocolApi) -> None:
         lo, _ = self._interval[vertex]
         cursor = lo + 1

@@ -25,7 +25,7 @@ such record fits in one ``O(log n)``-bit message.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Tuple
 
 from ...exceptions import ProtocolError
 from ...types import VertexId
@@ -51,20 +51,18 @@ class _PipelinedUpcastProtocol(NodeProtocol):
         items: Dict[VertexId, Dict[Key, Any]],
     ) -> None:
         super().__init__(forest.vertices)
-        for child, parent in forest.edges():
-            if not network.has_edge(child, parent):
-                raise ProtocolError(
-                    f"pipelined_upcast: tree edge ({child}, {parent}) is not a graph edge"
-                )
+        forest.check_edges(network, "pipelined_upcast")
         self._forest = forest
         self._best: Dict[VertexId, Dict[Key, Any]] = {
             v: dict(items.get(v, {})) for v in self.participants
         }
         self._emitted: Dict[VertexId, set] = {v: set() for v in self.participants}
-        self._last_emitted: Dict[VertexId, Optional[Key]] = {v: None for v in self.participants}
         self._child_last: Dict[VertexId, Dict[VertexId, Key]] = {v: {} for v in self.participants}
         self._child_done: Dict[VertexId, set] = {v: set() for v in self.participants}
         self._done_sent: set = set()
+
+    def initiators(self) -> Tuple[VertexId, ...]:
+        return self._forest.leaves
 
     # -------------------------------------------------------------- #
 
@@ -112,7 +110,6 @@ class _PipelinedUpcastProtocol(NodeProtocol):
                 vertex, parent, "item", payload=(key, self._best[vertex][key]), words=1
             )
             self._emitted[vertex].add(key)
-            self._last_emitted[vertex] = key
             budget -= 1
         if budget == 0:
             return  # stopped by the bandwidth budget: more to send next round
@@ -186,11 +183,7 @@ class _PipelinedDowncastProtocol(NodeProtocol):
         super().__init__(tree.vertices)
         if len(tree.roots) != 1:
             raise ProtocolError("pipelined_downcast requires a single-rooted tree")
-        for child, parent in tree.edges():
-            if not network.has_edge(child, parent):
-                raise ProtocolError(
-                    f"pipelined_downcast: tree edge ({child}, {parent}) is not a graph edge"
-                )
+        tree.check_edges(network, "pipelined_downcast")
         unknown = [target for target, _ in payloads if target not in tree.parent]
         if unknown:
             raise ProtocolError(

@@ -5,17 +5,22 @@ parent pointers.  BFS trees, MST fragment trees and the auxiliary tree
 ``tau`` of the paper are all instances; the broadcast, convergecast and
 pipelining primitives operate on any of them.  The structure is validated
 eagerly (no cycles, parents are present, edges are consistent) because a
-malformed forest would silently corrupt cost accounting.
+malformed forest would silently corrupt cost accounting.  Whether its
+tree edges are graph edges is checked once per graph
+(:meth:`RootedForest.check_edges`), since one forest is reused by many
+primitive runs.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Any, Dict, List, Optional, Tuple
 
 from ...exceptions import ProtocolError
 from ...types import VertexId
+from ..engine import Engine
 
 
 @dataclass
@@ -31,6 +36,8 @@ class RootedForest:
     children: Dict[VertexId, Tuple[VertexId, ...]] = field(init=False)
     roots: Tuple[VertexId, ...] = field(init=False)
     depth: Dict[VertexId, int] = field(init=False)
+    #: the graph whose edges last passed :meth:`check_edges`
+    _checked_graph: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.parent:
@@ -73,10 +80,15 @@ class RootedForest:
 
     # ------------------------------------------------------------------ #
 
-    @property
+    @cached_property
     def vertices(self) -> Tuple[VertexId, ...]:
         """Vertices of the forest in sorted order."""
         return tuple(sorted(self.parent))
+
+    @cached_property
+    def leaves(self) -> Tuple[VertexId, ...]:
+        """Vertices without children (singleton roots included) in sorted order."""
+        return tuple(v for v in self.vertices if not self.children[v])
 
     @property
     def size(self) -> int:
@@ -102,3 +114,19 @@ class RootedForest:
     def edges(self) -> List[Tuple[VertexId, VertexId]]:
         """Tree edges as (child, parent) pairs."""
         return [(v, p) for v, p in self.parent.items() if p is not None]
+
+    def check_edges(self, network: Engine, caller: str) -> None:
+        """Raise :class:`ProtocolError` unless every tree edge is an edge of ``network``.
+
+        The forest remembers the graph that last passed, so a forest that
+        many primitive runs share on one network is checked once.
+        ``caller`` names the primitive in the error.
+        """
+        if self._checked_graph is network.graph:
+            return
+        for child, parent in self.edges():
+            if not network.has_edge(child, parent):
+                raise ProtocolError(
+                    f"{caller}: tree edge ({child}, {parent}) is not a graph edge"
+                )
+        self._checked_graph = network.graph

@@ -11,9 +11,11 @@ no messages remain in flight.
 
 A participant is *finished* after :meth:`ProtocolApi.finish`, *waiting*
 after :meth:`ProtocolApi.wait` (until its next message arrives), and
-*awake* otherwise.  A round calls ``on_round`` at the awake participants
-and at every participant that received mail; a finished or waiting
-vertex with an empty inbox is skipped.
+*awake* otherwise.  Only the protocol's initiators
+(:meth:`NodeProtocol.initiators`) run ``on_start``; every other
+participant starts waiting.  A round calls ``on_round`` at the awake
+participants and at every participant that received mail; a finished or
+waiting vertex with an empty inbox is skipped.
 
 Protocols keep their per-vertex variables on the protocol instance,
 keyed by vertex, so composed protocols do not interfere with one
@@ -23,9 +25,9 @@ another.
 from __future__ import annotations
 
 import abc
-from typing import Any, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..exceptions import ConvergenceError, ProtocolError
+from ..exceptions import ConvergenceError, ProtocolError, SimulationError
 from ..types import VertexId
 from .engine import Engine
 from .message import Message
@@ -42,6 +44,10 @@ class ProtocolApi:
     def __init__(self, network: Engine, protocol_name: str) -> None:
         self._network = network
         self._protocol_name = protocol_name
+        self._send = network.send
+        self._send_to_neighbors = network.send_to_neighbors
+        #: kind -> namespaced kind, so a run formats each kind once
+        self._kinds: Dict[str, str] = {}
         self._finished: Set[VertexId] = set()
         #: unfinished vertices that are not waiting for mail
         self._awake: Set[VertexId] = set()
@@ -60,7 +66,11 @@ class ProtocolApi:
         words: int = 1,
     ) -> None:
         """Send a message from ``sender`` to its neighbour ``receiver``."""
-        self._network.send(sender, receiver, f"{self._protocol_name}:{kind}", payload, words)
+        try:
+            namespaced = self._kinds[kind]
+        except KeyError:
+            namespaced = self._kinds[kind] = f"{self._protocol_name}:{kind}"
+        self._send(sender, receiver, namespaced, payload, words)
 
     def send_to_neighbors(
         self,
@@ -77,9 +87,11 @@ class ProtocolApi:
         namespaced once and array-backed kernels broadcast with a single
         vectorized scatter.  Returns the number of messages queued.
         """
-        return self._network.send_to_neighbors(
-            sender, f"{self._protocol_name}:{kind}", payload, words, exclude
-        )
+        try:
+            namespaced = self._kinds[kind]
+        except KeyError:
+            namespaced = self._kinds[kind] = f"{self._protocol_name}:{kind}"
+        return self._send_to_neighbors(sender, namespaced, payload, words, exclude)
 
     def node(self, vertex: VertexId) -> NodeState:
         """Local state of ``vertex`` (protocols must only touch the current vertex)."""
@@ -122,6 +134,13 @@ class NodeProtocol(abc.ABC):
     :meth:`result` extractor that assembles the protocol's output after
     the driver stops.  Per-vertex state lives on the instance, keyed by
     vertex.
+
+    A subclass may narrow :meth:`initiators` to the participants whose
+    ``on_start`` does more than call :meth:`ProtocolApi.wait`; the driver
+    then starts only those and lets every other participant wait for
+    mail.  ``on_start`` must still be correct at every participant: the
+    schedule that starts them all is the reference the narrowed one is
+    tested against.
     """
 
     #: short identifier; must be unique among concurrently-run protocols
@@ -140,6 +159,17 @@ class NodeProtocol(abc.ABC):
         theorem bounds are checked separately by the verification layer).
         """
         return 20 * (network.n + network.m) + 100
+
+    def initiators(self) -> Iterable[VertexId]:
+        """Participants at which the driver calls :meth:`on_start`.
+
+        The default is every participant.  Narrow it only to a set that
+        contains every participant whose ``on_start`` would send, finish,
+        or change state: each participant left out starts waiting, which
+        is what an ``on_start`` that only calls :meth:`ProtocolApi.wait`
+        would leave behind.
+        """
+        return self.participants
 
     @abc.abstractmethod
     def on_start(self, vertex: VertexId, node: NodeState, api: ProtocolApi) -> None:
@@ -169,13 +199,23 @@ def run_protocol(
     so the rounds charged to the enclosing execution are exactly the
     rounds this protocol used.
 
-    This loop is the hottest frame of every simulation, so a round calls
-    ``on_round`` only at the awake participants and at those that
-    received mail: its work follows the messages and the vertices with
-    pending work, not participants x rounds.  The visited vertices are
-    taken in sorted-participant order, which is what keeps message
-    emission -- and therefore every reported metric -- deterministic.
-    The clock still advances one round at a time, quiet rounds included.
+    Beyond one set of the participants, a run's work follows its
+    initiators, its messages and the vertices it calls, not participants
+    x rounds.  ``on_start`` runs only at :meth:`NodeProtocol.initiators`,
+    in sorted order; every other participant starts waiting.  A round
+    calls ``on_round`` only at the awake participants and at those that
+    received mail, in sorted order, which is what keeps message emission
+    -- and therefore every reported metric -- deterministic.  The driver
+    keeps no other per-participant state: it looks a vertex's
+    :class:`~repro.simulator.node.NodeState` up when it calls it.  The
+    clock still advances one round at a time, quiet rounds included.
+
+    Raises:
+        SimulationError: before round 1, when a participant is not a
+            vertex of ``network``.
+        ProtocolError: before round 1, when an initiator is not a
+            participant.
+        ConvergenceError: when the run exceeds its round limit.
     """
     api = ProtocolApi(network, protocol.name)
     if max_rounds is not None:
@@ -187,11 +227,27 @@ def run_protocol(
         # rounds); explicit caller limits are never stretched.
         stretch = int(getattr(network, "round_limit_stretch", 1) or 1)
         limit = protocol.max_rounds_hint(network) * max(stretch, 1)
-    nodes = {vertex: network.node(vertex) for vertex in protocol.participants}
-    total = len(nodes)
+    # A set, not a frozenset: ``inboxes.keys() & participants`` walks only
+    # the inboxes when the right operand is an exact set, but the whole
+    # participant set when it is a frozenset.
+    participants = set(protocol.participants)
+    unknown = participants.difference(network.vertices())
+    if unknown:
+        # Checked up front: a waiting participant is never looked up, so
+        # a bad one would otherwise surface only at the round limit.
+        raise SimulationError(f"unknown vertex {min(unknown)}")
+    initiators = sorted(protocol.initiators())
+    if not participants.issuperset(initiators):
+        stray = next(vertex for vertex in initiators if vertex not in participants)
+        raise ProtocolError(
+            f"protocol {protocol.name!r}: initiator {stray} is not a participant"
+        )
+    total = len(participants)
     finished = api._finished
     awake = api._awake
-    awake.update(nodes)
+    awake.update(initiators)
+    node = network.node
+    on_start = protocol.on_start
     on_round = protocol.on_round
     # Bound methods resolved once per protocol, not once per round: the
     # attribute walks (instance dict / slots, then class) are pure
@@ -199,8 +255,8 @@ def run_protocol(
     deliver_round = network.deliver_round
     pending_count = network.pending_count
 
-    for vertex, node in nodes.items():
-        protocol.on_start(vertex, node, api)
+    for vertex in initiators:
+        on_start(vertex, node(vertex), api)
 
     rounds_used = 0
     while True:
@@ -221,12 +277,12 @@ def run_protocol(
         get_inbox = inboxes.get
         # Mail wakes a waiting recipient; a finished one is visited in
         # this round only.  Mail to non-participants is never read.
-        recipients = nodes.keys() & inboxes.keys()
+        recipients = inboxes.keys() & participants
         awake |= recipients - finished
         for vertex in sorted(awake | recipients):
             inbox = get_inbox(vertex)
             # A fresh empty list per quiet vertex: a shared sentinel
             # would let a mutating protocol poison every later round.
-            on_round(vertex, nodes[vertex], api, [] if inbox is None else inbox)
+            on_round(vertex, node(vertex), api, [] if inbox is None else inbox)
 
     return protocol.result(network)

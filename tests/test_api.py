@@ -10,8 +10,10 @@ every registered algorithm on every engine.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
+import warnings
 
 import networkx as nx
 import pytest
@@ -161,6 +163,25 @@ class TestRunner:
         again = Runner(store=RunStore(tmp_path / "runs.jsonl")).run(scenario)
         assert again.reused is True
         assert _result_json(again.result) == _result_json(first.result)
+
+    def test_close_releases_the_store_it_opened_and_no_other(self, tmp_path, monkeypatch):
+        scenario = Scenario(graph=GraphSpec("path", {"n": 8, "seed": 0}))
+        passed = RunStore(tmp_path / "passed.jsonl")
+        closed = []
+        monkeypatch.setattr(passed, "close", lambda: closed.append(passed))
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with Runner(store=str(tmp_path / "owned.jsonl")) as runner:
+                runner.run(scenario)
+            with Runner(store=passed) as runner:
+                runner.run(scenario)
+            del runner
+            gc.collect()
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert [w for w in leaked if str(tmp_path) in str(w.message)] == []
+        assert closed == []
+        RunStore.close(passed)
 
     def test_run_many_mixed_verify_preserves_order(self):
         scenarios = [

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import warnings
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -126,6 +130,26 @@ class TestSweepCommand:
         assert main(argv + ["--resume"]) == 0
         second = capsys.readouterr().out
         assert "0 executed, 2 reused" in second
+
+    def test_sweep_closes_its_store_when_the_campaign_raises(self, capsys, tmp_path, monkeypatch):
+        execute_campaign = cli.execute_campaign
+
+        def fails_after_committing(campaign, store=None, **kwargs):
+            execute_campaign(campaign, store=store, **kwargs)
+            raise RuntimeError("interrupted sweep")
+
+        monkeypatch.setattr(cli, "execute_campaign", fails_after_committing)
+        argv = ["sweep", "--families", "path", "--sizes", "8", "--seeds", "0",
+                "--output", str(tmp_path / "runs.jsonl")]
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="interrupted sweep"):
+                main(argv)
+            gc.collect()
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert [w for w in leaked if str(tmp_path) in str(w.message)] == []
+        assert (tmp_path / "runs.jsonl").read_text().count('"kind"') >= 2
 
     def test_sweep_parallel_preset(self, capsys):
         exit_code = main(["sweep", "--preset", "smoke", "--jobs", "2", "--no-verify"])

@@ -15,6 +15,7 @@ Regenerate (only when a drift is intended and understood)::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ import pytest
 
 from repro.algorithms import available_algorithms
 from repro.campaign import Campaign, execute_campaign
+from repro.campaign.presets import preset_campaign
 from repro.campaign.spec import RunSpec
 from repro.graphs.generators import GraphSpec
 
@@ -118,6 +120,22 @@ class TestGoldenRegression:
                 b["messages"],
                 b["weight"],
             ), f"engines disagree on {key}"
+
+
+#: preset -> (rows, sha256 of ``json.dumps(rows, sort_keys=True)``).
+#: Unlike the golden fixture these pin every column of every row,
+#: fault telemetry and the non-terminated crash-stop cells included.
+PRESET_ROW_PINS = {
+    "zoo": (362, "13ac641ff211035110cccaf97c5ffa0a8784fbb6424f24f91bbab80436573e7f"),
+    "zoo-faulty": (24, "abbd43be9c97b5df18eb9cc5d54ea5e983568fbad1c0f4ddc971238b90c5e484"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_ROW_PINS))
+def test_preset_rows_match_their_pinned_digest(name):
+    rows = execute_campaign(preset_campaign(name)).rows
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode("utf-8")).hexdigest()
+    assert (len(rows), digest) == PRESET_ROW_PINS[name]
 
 
 try:

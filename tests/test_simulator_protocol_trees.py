@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import operator
 
+import networkx as nx
 import pytest
 
 from repro.baselines.pipeline_mst import pipeline_mst_upcast
@@ -16,7 +17,9 @@ from repro.simulator.network import SyncNetwork
 from repro.simulator.primitives.bfs import build_bfs_tree
 from repro.simulator.primitives.broadcast import forest_broadcast
 from repro.simulator.primitives.convergecast import forest_convergecast
+from repro.simulator.primitives.direct import _EdgeMessagesProtocol, send_over_edges
 from repro.simulator.primitives.intervals import assign_intervals
+from repro.simulator.primitives.neighbor_exchange import neighbor_exchange
 from repro.simulator.primitives.pipeline import pipelined_downcast, pipelined_upcast
 from repro.simulator.primitives.trees import RootedForest
 from repro.simulator.protocol import NodeProtocol, ProtocolApi, run_protocol
@@ -87,6 +90,25 @@ class _WaitingRelayProtocol(NodeProtocol):
 
     def result(self, network):
         return list(self.calls)
+
+
+class _InitiatedRelayProtocol(_WaitingRelayProtocol):
+    """The waiting relay over chosen participants, started at chosen initiators."""
+
+    name = "initiated-relay"
+
+    def __init__(self, participants, initiators):
+        NodeProtocol.__init__(self, participants)
+        self.calls = []
+        self.started = []
+        self._initiators = initiators
+
+    def initiators(self):
+        return self._initiators
+
+    def on_start(self, vertex, node, api):
+        self.started.append(vertex)
+        super().on_start(vertex, node, api)
 
 
 class _AlwaysWaitingProtocol(NodeProtocol):
@@ -172,6 +194,31 @@ class TestProtocolDriver:
         assert calls == [(0, 0), (1, 0), (2, 0)]
         assert network.round == 1
 
+    def test_only_the_initiators_start(self):
+        network = SyncNetwork(path_graph(6, seed=0))
+        protocol = _InitiatedRelayProtocol(range(6), initiators=(0,))
+        calls = run_protocol(network, protocol)
+        assert protocol.started == [0]
+        # Same run as when every vertex starts and all but 0 wait.
+        assert calls == [(vertex, 1) for vertex in range(1, 6)]
+        assert (network.round, network.metrics.messages) == (5, 5)
+
+    def test_unknown_waiting_participant_raises_before_round_one(self):
+        network = SyncNetwork(path_graph(3, seed=0))
+        protocol = _InitiatedRelayProtocol([0, 1, 2, 99], initiators=(0,))
+        with pytest.raises(SimulationError, match="unknown vertex 99"):
+            run_protocol(network, protocol)
+        assert protocol.started == []
+        assert (network.round, network.metrics.messages) == (0, 0)
+
+    def test_initiator_outside_the_participants_raises_before_round_one(self):
+        network = SyncNetwork(path_graph(6, seed=0))
+        protocol = _InitiatedRelayProtocol([0, 1, 2], initiators=(0, 4))
+        with pytest.raises(ProtocolError, match="initiator 4 is not a participant"):
+            run_protocol(network, protocol)
+        assert protocol.started == []
+        assert (network.round, network.metrics.messages) == (0, 0)
+
 
 #: Families for the waiting differential: high diameter, a grid, low diameter.
 WAITING_FAMILIES = {
@@ -182,7 +229,7 @@ WAITING_FAMILIES = {
 
 
 def _protocol_runs(graph):
-    """One call per protocol that waits, plus downcast, each on the engine it is given."""
+    """One call per in-tree protocol, each on the engine it is given."""
     setup = SyncNetwork(graph)
     tree = build_bfs_tree(setup, root=0).forest
     routing = assign_intervals(setup, tree)
@@ -209,7 +256,53 @@ def _protocol_runs(graph):
         "gkp-pipeline": lambda net: pipeline_mst_upcast(
             net, tree, candidates, set(fragment.values())
         ),
+        "nbrx": lambda net: neighbor_exchange(net, {v: v % 5 for v in vertices}),
+        # Both directions of every third tree edge: some vertices send,
+        # some receive, some do both and most take no part.
+        "edgemsg": lambda net: send_over_edges(
+            net,
+            [
+                message
+                for child, parent in tree.edges()[::3]
+                for message in ((child, parent, child), (parent, child, parent))
+            ],
+        ),
     }
+
+
+def _in_tree_protocols():
+    """Every NodeProtocol subclass the package defines."""
+    found, pending = [], [NodeProtocol]
+    while pending:
+        for subclass in pending.pop().__subclasses__():
+            pending.append(subclass)
+            if subclass.__module__.startswith("repro."):
+                found.append(subclass)
+    return found
+
+
+def _start_every_participant(monkeypatch):
+    """The reference schedule: every participant starts and none waits.
+
+    ``on_start`` runs at every participant, ``wait()`` is a no-op (so
+    every unfinished vertex is called every round), and edge messages
+    make every vertex a participant.  Returns the names of the
+    protocols whose narrowed initiators were widened.
+    """
+    monkeypatch.setattr(ProtocolApi, "wait", lambda self, vertex: None)
+    widened = []
+    for cls in _in_tree_protocols():
+        if "initiators" in vars(cls):
+            monkeypatch.setattr(cls, "initiators", NodeProtocol.initiators)
+            widened.append(cls.name)
+    edge_messages_init = _EdgeMessagesProtocol.__init__
+
+    def every_vertex_participates(self, network, messages):
+        edge_messages_init(self, network, messages)
+        self.participants = tuple(network.vertices())
+
+    monkeypatch.setattr(_EdgeMessagesProtocol, "__init__", every_vertex_participates)
+    return sorted(widened)
 
 
 def _observe(run, graph, engine, condition):
@@ -229,14 +322,16 @@ def _observe(run, graph, engine, condition):
 @pytest.mark.parametrize("engine", ["reference", "fast"])
 @pytest.mark.parametrize("family", sorted(WAITING_FAMILIES))
 def test_waiting_changes_no_result_or_cost(family, engine, condition, monkeypatch):
-    # wait() as a no-op gives the schedule without waiting, which calls
-    # every unfinished vertex every round.  Results, rounds, messages and
-    # the per-kind histogram (in key order) must not tell the two apart,
-    # and neither may the exception a faulty network ends a run with.
+    # The shipped schedule starts only the initiators and skips waiting
+    # vertices; the reference starts every participant and calls every
+    # unfinished vertex every round.  Results, rounds, messages and the
+    # per-kind histogram (in key order) must not tell the two apart, and
+    # neither may the exception a faulty network ends a run with.
     graph = WAITING_FAMILIES[family]()
     runs = _protocol_runs(graph)
     shipped = {name: _observe(run, graph, engine, condition) for name, run in runs.items()}
-    monkeypatch.setattr(ProtocolApi, "wait", lambda self, vertex: None)
+    widened = _start_every_participant(monkeypatch)
+    assert widened == ["bcast", "bfs", "cvgc", "gkp-pipeline", "ival", "upcast"]
     unskipped = {name: _observe(run, graph, engine, condition) for name, run in runs.items()}
     assert shipped == unskipped
     if condition is None:
@@ -277,3 +372,23 @@ class TestRootedForest:
     def test_rejects_empty_forest(self):
         with pytest.raises(ProtocolError):
             RootedForest(parent={})
+
+    def test_vertices_and_leaves_are_sorted(self):
+        forest = RootedForest(parent={5: None, 3: 5, 1: 5, 4: 3, 9: None})
+        assert forest.vertices == (1, 3, 4, 5, 9)
+        assert forest.leaves == (1, 4, 9)
+
+    def test_tree_edges_are_checked_once_per_graph(self):
+        forest = RootedForest(parent={0: None, 1: 0, 2: 1})
+        path = SyncNetwork(path_graph(3, seed=0))
+        checked = []
+        has_edge = path.has_edge
+        path.has_edge = lambda u, v: checked.append((u, v)) or has_edge(u, v)
+        for _ in range(3):
+            forest_broadcast(path, forest, {0: "x"})
+        assert sorted(checked) == [(1, 0), (2, 1)]
+        star = nx.Graph()
+        star.add_edge(0, 1, weight=1.0)
+        star.add_edge(0, 2, weight=2.0)
+        with pytest.raises(ProtocolError, match=r"forest_broadcast: tree edge \(2, 1\)"):
+            forest_broadcast(SyncNetwork(star), forest, {0: "x"})
