@@ -30,7 +30,7 @@ The direct entrypoint is still available::
     print(result.rounds, result.messages, result.total_weight)
 
 See README.md for the architecture overview (including the migration
-table from the legacy entrypoints to scenarios) and EXPERIMENTS.md for
+table from the removed entrypoints to scenarios) and EXPERIMENTS.md for
 the paper-versus-measured record.
 """
 

@@ -6,10 +6,11 @@ the runner callable plus the capability metadata sweep tooling needs to
 reason about it (is it distributed? does the CONGEST bandwidth affect
 it? which complexity class do its round/message counts belong to?).
 
-The experiment runners (:mod:`repro.analysis.experiments`), the campaign
-layer (:mod:`repro.campaign`) and the scenario facade (:mod:`repro.api`)
-all dispatch by *name* through :func:`run_algorithm`, so this module is
-the single place where a name becomes a callable.  Keeping it a leaf
+The single-execution contract
+(:func:`repro.analysis.experiments.run_single`), the campaign layer
+(:mod:`repro.campaign`) and the scenario facade (:mod:`repro.api`) all
+dispatch by *name* through :func:`run_algorithm`, so this module is the
+single place where a name becomes a callable.  Keeping it a leaf
 module lets every layer share one source of truth without importing each
 other.
 
@@ -17,7 +18,7 @@ Third-party algorithms join via :func:`register_algorithm`; the
 sequential references ride on the adapter in
 :mod:`repro.baselines.sequential`, which is what makes ``kruskal`` /
 ``prim`` / ``boruvka_seq`` legal values everywhere an algorithm name is
-accepted (``compare_algorithms``, ``repro-mst sweep --algorithms``, ...).
+accepted (``Scenario(algorithm=...)``, ``repro-mst sweep --algorithms``, ...).
 """
 
 from __future__ import annotations
@@ -115,13 +116,13 @@ def algorithm_info(name: str) -> AlgorithmInfo:
         ) from None
 
 
-def available_algorithms(distributed_only: bool = False) -> List[str]:
-    """Sorted names accepted by ``algorithm`` arguments across the package."""
-    return sorted(
-        name
-        for name, info in _REGISTRY.items()
-        if info.is_distributed or not distributed_only
-    )
+def available_algorithms() -> List[str]:
+    """Sorted names accepted by ``algorithm`` arguments across the package.
+
+    ``algorithm_info(name).is_distributed`` tells the simulated
+    algorithms from the sequential references.
+    """
+    return sorted(_REGISTRY)
 
 
 def algorithm_registry() -> Mapping[str, AlgorithmInfo]:
@@ -293,14 +294,3 @@ register_algorithm(
         message_bound="0 (local computation)",
     )
 )
-
-
-def _algorithms_view() -> Dict[str, AlgorithmRunner]:
-    """Legacy ``ALGORITHMS`` mapping (name -> bare runner)."""
-    return {name: info.runner for name, info in _REGISTRY.items()}
-
-
-#: Deprecated compatibility view of the registry.  Computed once at
-#: import; use :func:`algorithm_registry` / :func:`register_algorithm`
-#: to observe or mutate the live registry.
-ALGORITHMS: Dict[str, AlgorithmRunner] = _algorithms_view()

@@ -7,11 +7,21 @@ against the simulator's accounting conventions and are deliberately
 generous: the point of the bound checks is to catch *asymptotic*
 regressions (a primitive suddenly costing a factor of ``n`` more), not to
 re-prove the theorems' constants.
+
+:func:`elkin_bounds` is the one evaluation of the Theorem 3.1/3.2 bounds
+for a run: the executor's row columns, ``strict_bounds`` mode
+(:func:`repro.verify.complexity_checks.assert_elkin_bounds`) and the
+report's audit of rows without bound columns all call it, so they cannot
+apply different policies.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional, Tuple, TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ..conditions.spec import NetworkCondition
 
 
 def log2_ceil(value: int) -> int:
@@ -48,6 +58,41 @@ def elkin_message_bound_formula(
     return constant * (m * log_n + n * log_n * log_star(n)) + slack
 
 
+def elkin_bounds(
+    n: int,
+    m: int,
+    bandwidth: int = 1,
+    diameter: Optional[int] = None,
+    bfs_depth: Optional[int] = None,
+    condition: Optional["NetworkCondition"] = None,
+) -> Tuple[Optional[float], float]:
+    """The Theorem 3.1/3.2 ``(round, message)`` bounds of one ``elkin`` run.
+
+    The diameter term is the instance's hop-diameter ``diameter`` when it
+    is known, else the ``bfs_depth`` the run recorded (at most ``D``, so
+    it only tightens the bound).  With neither the round bound is
+    ``None``: it is never evaluated with a silent 0, which would tighten
+    it and fail runs that conform.
+
+    The theorems assume a reliable synchronous network, so a run under a
+    :class:`~repro.conditions.NetworkCondition` gets rounds scaled by
+    ``condition.time_stretch()`` (deferred and retransmitted traffic
+    extends the schedule) and messages by ``condition.message_stretch()``
+    (each loss adds at most ``retransmit`` re-sends per message).
+    """
+    time_stretch = message_stretch = 1.0
+    if condition is not None:
+        time_stretch = condition.time_stretch()
+        message_stretch = condition.message_stretch()
+    diameter_term = diameter if diameter is not None else bfs_depth
+    round_bound = None
+    if diameter_term is not None:
+        round_bound = (
+            elkin_time_bound_formula(n, int(diameter_term), bandwidth) * time_stretch
+        )
+    return round_bound, elkin_message_bound_formula(n, m) * message_stretch
+
+
 def controlled_ghs_time_bound(
     n: int, k: int, constant: float = 30.0, slack: int = 60
 ) -> float:
@@ -66,15 +111,3 @@ def controlled_ghs_message_bound(
 def gkp_message_bound(n: int, m: int, constant: float = 10.0, slack: int = 300) -> float:
     """Garay-Kutten-Peleg message bound: ``O(m + n^{3/2})`` (plus the phase-1 log factors)."""
     return constant * (m * log2_ceil(n) + n * math.sqrt(n) + n * log2_ceil(n) * log_star(n)) + slack
-
-
-def ghs_time_bound(n: int, constant: float = 10.0, slack: int = 60) -> float:
-    """Round bound of the GHS-style baseline: ``O(n log n)``."""
-    return constant * n * log2_ceil(n) + slack
-
-
-def pipeline_phase_time_bound(
-    n: int, diameter: int, k: int, bandwidth: int = 1, constant: float = 12.0, slack: int = 40
-) -> float:
-    """Per-phase round bound of the second phase: ``O(D + k + n / (k b))`` (Equation (1))."""
-    return constant * (diameter + k + n / (k * bandwidth)) + slack

@@ -12,9 +12,9 @@ a ``CampaignReport``, a JSONL file) into a :class:`CampaignAnalysis`:
   annotated with the exponent the paper's Theorem 3.1/3.2 bounds
   predict;
 * a theorem-bound audit of every row of the paper's algorithm -- the
-  recorded bound columns when present, the
-  :mod:`~repro.analysis.bounds` formulas re-evaluated on the row's
-  instance description otherwise -- summarised as a violation count
+  recorded bound columns when present,
+  :func:`~repro.analysis.bounds.elkin_bounds` on the row's instance
+  description otherwise -- summarised as a violation count
   that should be **zero** on a faithful reproduction;
 * the E9 head-to-head (paper versus the PRS16-style ``k = sqrt(n)``
   strategy) wherever a sweep ran both.
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..exceptions import ReproError
-from .bounds import elkin_message_bound_formula, elkin_time_bound_formula
+from .bounds import elkin_bounds
 from .fitting import fit_power_law, PowerLawFit
 from .tables import format_table
 
@@ -151,48 +151,45 @@ def _audit_elkin_row(row: Row) -> Tuple[List[BoundViolation], bool]:
     """Check one elkin row against the Theorem 3.1/3.2 bounds.
 
     Prefers the bound columns the executor recorded with the row; falls
-    back to re-evaluating the formulas on the row's instance
-    description.  The message bound (Theorem 3.1) needs only ``n`` and
-    ``m`` and is always audited; the round bound (Theorem 3.2) needs a
-    diameter term, and a row carrying neither a recorded round bound
-    nor the hop-diameter has its *round* check skipped -- never
-    evaluated with a silent 0 diameter, which would tighten the bound
-    (mirroring :func:`repro.verify.complexity_checks.elkin_time_bound`).
+    back to :func:`~repro.analysis.bounds.elkin_bounds` on the row's
+    instance description.  The message bound (Theorem 3.1) needs only
+    ``n`` and ``m`` and is always audited; the round bound (Theorem 3.2)
+    needs a diameter term, and a row carrying neither a recorded round
+    bound nor the hop-diameter has its *round* check skipped -- never
+    evaluated with a silent 0 diameter, which would tighten the bound.
     Returns ``(violations, round_checked)``.
     """
     graph = str(row.get("graph", "?"))
     violations: List[BoundViolation] = []
-    n, m = int(row["n"]), int(row["m"])
-    bandwidth = int(row.get("bandwidth", 1))
+    round_bound, message_bound = elkin_bounds(
+        int(row["n"]),
+        int(row["m"]),
+        int(row.get("bandwidth", 1)),
+        diameter=row.get("D"),
+    )
+    if row.get("round_bound") is not None:
+        round_bound = float(row["round_bound"])
+    if row.get("message_bound") is not None:
+        message_bound = float(row["message_bound"])
 
-    round_checked = True
-    round_bound = row.get("round_bound")
-    if round_bound is None:
-        diameter = row.get("D")
-        if diameter is None:
-            round_checked = False
-        else:
-            round_bound = elkin_time_bound_formula(n, int(diameter), bandwidth)
-    if round_checked and float(row["rounds"]) > float(round_bound):
+    round_checked = round_bound is not None
+    if round_bound is not None and float(row["rounds"]) > round_bound:
         violations.append(
             BoundViolation(
                 graph=graph,
                 metric="rounds",
                 measured=float(row["rounds"]),
-                bound=float(round_bound),
+                bound=round_bound,
             )
         )
 
-    message_bound = row.get("message_bound")
-    if message_bound is None:
-        message_bound = elkin_message_bound_formula(n, m)
-    if float(row["messages"]) > float(message_bound):
+    if float(row["messages"]) > message_bound:
         violations.append(
             BoundViolation(
                 graph=graph,
                 metric="messages",
                 measured=float(row["messages"]),
-                bound=float(message_bound),
+                bound=message_bound,
             )
         )
     return violations, round_checked

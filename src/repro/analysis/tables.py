@@ -2,8 +2,8 @@
 
 The paper has no figures to re-plot, so the harness reports its series as
 aligned ASCII tables (one per experiment) that can be pasted into
-EXPERIMENTS.md.  No third-party table library is used to keep the
-dependency footprint at networkx + numpy.
+EXPERIMENTS.md.  No third-party table library is used: the analysis
+layer depends on the standard library alone.
 """
 
 from __future__ import annotations

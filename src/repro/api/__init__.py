@@ -24,11 +24,10 @@ Quickstart::
         )
     print(outcome.result.rounds, outcome.result.messages)
 
-Everything older (``sweep_graphs``, ``compare_algorithms``, the
-``repro-mst`` subcommands) is a thin shim over this facade; see the
-README's Migration section for the mapping.  ``run_single`` is the
-reverse: the campaign executor calls it for every cell, as the
-single-execution contract.
+The ``repro-mst`` subcommands are thin shims over this facade; the
+README's Migration section maps the removed pre-1.3 runners to it.
+``run_single`` is the reverse: the campaign executor calls it for every
+cell, as the single-execution contract.
 """
 
 from ..algorithms import (

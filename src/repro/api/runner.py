@@ -6,8 +6,7 @@ through the campaign executor, so a one-off call gets exactly the
 services a 10k-cell sweep gets: verification against the sequential
 oracles, provenance stamping, run-store persistence with resume, the
 graph-description cache and lifecycle hooks.  There is deliberately no
-second code path -- the legacy entrypoints (``sweep_graphs``,
-``compare_algorithms``, the CLI) are shims over this facade, and
+second code path -- the CLI is a shim over this facade, and
 ``run_single`` is the single-cell contract the executor calls for every
 cell.
 """
@@ -98,10 +97,6 @@ class Runner:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def add_hook(self, hook: object) -> None:
-        """Attach a lifecycle observer to every subsequent execution."""
-        self.hooks.append(hook)
 
     # -- execution -------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Adapter exposing the sequential references through the registry contract.
 
 The sequential MSTs (Kruskal, Prim, Boruvka) historically returned bare
-edge sets, which kept them out of every sweep: ``compare_algorithms``
+edge sets, which kept them out of every sweep: ``Runner.run_many``
 and ``repro-mst sweep`` only speak the ``(graph, RunConfig) ->
 MSTRunResult`` contract.  :func:`sequential_runner` wraps an edge-set
 function into that contract so the references become first-class,

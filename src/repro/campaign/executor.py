@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from ..analysis.bounds import elkin_message_bound_formula, elkin_time_bound_formula
+from ..analysis.bounds import elkin_bounds
 from ..analysis.experiments import run_single
 from ..core.results import MSTRunResult
 from ..exceptions import ConfigurationError, NonTerminationError
@@ -64,9 +64,9 @@ def describe_instance(spec: RunSpec, compute_diameter: bool = True) -> GraphDesc
 def _build_row(spec: RunSpec, description: GraphDescription, result: MSTRunResult) -> Row:
     """Assemble the flat output row for one completed cell.
 
-    The column set is a superset of what the legacy experiment runners
-    produced, adding ``engine`` and ``seed`` for provenance and the
-    theorem-bound ratio columns for the paper's algorithm.  Conditioned
+    The columns are the instance description, ``engine`` and ``seed``
+    for provenance, the measured costs and, for the paper's algorithm,
+    the theorem-bound ratio columns (:func:`elkin_bounds`).  Conditioned
     cells additionally carry the condition label/key, a ``status``
     column (``"ok"`` / ``"non-terminated"``) and the observed-fault
     telemetry; unconditioned rows keep the exact pre-existing column
@@ -104,24 +104,21 @@ def _build_row(spec: RunSpec, description: GraphDescription, result: MSTRunResul
         if non_terminated:
             row["round_cap"] = result.details.get("round_cap")
     if spec.algorithm == "elkin" and not non_terminated:
-        diameter = int(row.get("D", result.details.get("bfs_depth", 0)))
-        # Degradation mode: a conditioned run is audited against the
-        # condition-stretched bounds (see verify.complexity_checks), so
-        # the ratio columns never flag fault-model artifacts.
-        time_stretch = 1.0 if condition is None else condition.time_stretch()
-        message_stretch = 1.0 if condition is None else condition.message_stretch()
-        time_bound = (
-            elkin_time_bound_formula(result.n, diameter, spec.bandwidth) * time_stretch
+        # A conditioned run gets the condition-stretched bounds, so the
+        # ratio columns never flag fault-model artifacts.
+        round_bound, message_bound = elkin_bounds(
+            result.n,
+            result.m,
+            spec.bandwidth,
+            diameter=row.get("D"),
+            bfs_depth=result.details.get("bfs_depth"),
+            condition=condition,
         )
-        message_bound = elkin_message_bound_formula(result.n, result.m) * message_stretch
-        row.update(
-            {
-                "round_bound": round(time_bound),
-                "round_ratio": round(result.rounds / time_bound, 3),
-                "message_bound": round(message_bound),
-                "message_ratio": round(result.messages / message_bound, 3),
-            }
-        )
+        if round_bound is not None:
+            row["round_bound"] = round(round_bound)
+            row["round_ratio"] = round(result.rounds / round_bound, 3)
+        row["message_bound"] = round(message_bound)
+        row["message_ratio"] = round(result.messages / message_bound, 3)
     return row
 
 

@@ -71,11 +71,11 @@ def graph_spec_for(family: str, n: int, seed: Optional[int] = None) -> GraphSpec
 def inline_graph_spec(graph: nx.Graph, require_int_nodes: bool = True) -> GraphSpec:
     """Serialize a prebuilt weighted graph into an ``edge_list`` spec.
 
-    This is how the legacy runners (``compare_algorithms`` /
-    ``sweep_bandwidth``), which accept an already-built
-    :class:`networkx.Graph`, ride on the campaign layer: the graph is
-    flattened into a sorted ``(u, v, weight)`` list so the resulting
-    spec hashes and round-trips like any other.
+    This is how a :class:`~repro.api.Scenario` over an already-built
+    :class:`networkx.Graph` (the ``repro-mst compare`` and
+    ``sweep-bandwidth`` subcommands build one) rides on the campaign
+    layer: the graph is flattened into a sorted ``(u, v, weight)`` list
+    so the resulting spec hashes and round-trips like any other.
     """
     if require_int_nodes and any(not isinstance(node, int) for node in graph.nodes()):
         raise ConfigurationError("inline graphs must have integer node labels")

@@ -39,8 +39,9 @@ and byte offset; a *terminated* corrupt line is still a hard
 :class:`~repro.exceptions.ConfigurationError`, because it means the
 file was damaged, not merely truncated.
 
-A store constructed with ``path=None`` is purely in-memory; the legacy
-experiment runners use that mode so they stay side-effect free.
+A store constructed with ``path=None`` is purely in-memory; a
+:class:`~repro.api.Runner` built without a store uses that mode, so
+one-off runs stay side-effect free.
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from .algorithms import available_algorithms
-from .analysis.experiments import compare_algorithms, sweep_bandwidth
 from .analysis.tables import format_table
 from .api import Runner, Scenario
 from .campaign import (
@@ -513,6 +512,25 @@ def _run_store_maintenance(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_grid_rows(
+    graph, algorithms: List[str], bandwidths: List[int], args: argparse.Namespace
+) -> None:
+    """Run every algorithm x bandwidth on ``graph`` and print one row each."""
+    scenarios = [
+        Scenario(
+            graph=graph,
+            algorithm=algorithm,
+            config=RunConfig(bandwidth=bandwidth, engine=args.engine),
+            label=args.family,
+        )
+        for algorithm in algorithms
+        for bandwidth in bandwidths
+    ]
+    with Runner() as runner:
+        outcomes = runner.run_many(scenarios)
+    print(format_table([outcome.row for outcome in outcomes]))
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for the ``repro-mst`` console script."""
     parser = build_parser()
@@ -559,15 +577,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{telemetry.get('crash_omissions', 0)} crash omissions"
             )
     elif args.command == "compare":
-        rows = compare_algorithms(
-            graph, algorithms=args.algorithms, label=args.family, engine=args.engine
-        )
-        print(format_table(rows))
+        _print_grid_rows(graph, args.algorithms, [1], args)
     elif args.command == "sweep-bandwidth":
-        rows = sweep_bandwidth(
-            graph, bandwidths=args.bandwidths, label=args.family, engine=args.engine
-        )
-        print(format_table(rows))
+        _print_grid_rows(graph, ["elkin"], args.bandwidths, args)
     return 0
 
 

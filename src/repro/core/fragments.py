@@ -75,10 +75,6 @@ class Fragment:
         """The fragment's tree edges in canonical form."""
         return {normalize_edge(child, parent) for child, parent in self._forest.edges()}
 
-    def as_forest(self) -> RootedForest:
-        """The fragment tree as a :class:`RootedForest` (single tree)."""
-        return self._forest
-
     def diameter(self) -> int:
         """Strong diameter of the fragment tree (longest path, in hops).
 

@@ -74,14 +74,6 @@ class CostReport:
             words=self.words + other.words,
         )
 
-    def merged_parallel(self, other: "CostReport") -> "CostReport":
-        """Combine two executions that ran in parallel (rounds = max, messages add)."""
-        return CostReport(
-            rounds=max(self.rounds, other.rounds),
-            messages=self.messages + other.messages,
-            words=self.words + other.words,
-        )
-
 
 @dataclass
 class PhaseTelemetry:

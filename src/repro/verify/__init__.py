@@ -8,12 +8,7 @@ against the structural lemmas of the paper (Lemmas 4.1/4.2), and every
 cost report against the theorem bounds with explicit constants.
 """
 
-from .complexity_checks import (
-    assert_controlled_ghs_bounds,
-    assert_elkin_bounds,
-    elkin_message_bound,
-    elkin_time_bound,
-)
+from .complexity_checks import assert_controlled_ghs_bounds, assert_elkin_bounds
 from .forest_checks import (
     assert_alpha_beta_forest,
     assert_forest_coarsens,
@@ -36,6 +31,4 @@ __all__ = [
     "assert_valid_mst_forest",
     "assert_controlled_ghs_bounds",
     "assert_elkin_bounds",
-    "elkin_message_bound",
-    "elkin_time_bound",
 ]

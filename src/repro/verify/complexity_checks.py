@@ -1,104 +1,70 @@
 """Complexity-bound checks: measured cost versus theorem bounds.
 
 These checks compare what the simulator measured for one run against the
-bound formulas of :mod:`repro.analysis.bounds`.  They are used in three
-places: the optional ``strict_bounds`` mode of
-:func:`repro.core.elkin_mst.compute_mst`, the integration tests, and the
-benchmark harness (where a violated bound marks a row as a reproduction
-failure rather than silently reporting a number).
+bound formulas of :mod:`repro.analysis.bounds`.  The optional
+``strict_bounds`` mode of :func:`repro.core.elkin_mst.compute_mst` runs
+:func:`assert_elkin_bounds` on every result.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, TYPE_CHECKING
 
 from ..analysis.bounds import (
     controlled_ghs_message_bound,
     controlled_ghs_time_bound,
-    elkin_message_bound_formula,
-    elkin_time_bound_formula,
+    elkin_bounds,
 )
 from ..core.controlled_ghs import ControlledGHSResult
 from ..core.results import MSTRunResult
 from ..exceptions import VerificationError
 from ..types import CostReport
 
-
-def elkin_time_bound(
-    result: MSTRunResult, constant: float = 24.0, diameter: Optional[int] = None
-) -> float:
-    """The Theorem 3.2 round bound evaluated for ``result``'s instance.
-
-    The BFS depth recorded on the result is used as the diameter term; it
-    is at most ``D``, so the bound is evaluated conservatively (a run that
-    passes with the BFS depth would also pass with the true ``D``).  The
-    default constant doubles the calibrated one to absorb that the BFS
-    depth may be as small as ``D / 2``.
-
-    A result without a recorded BFS depth -- rehydrated from an old run
-    store, or produced by a baseline that never builds a BFS tree --
-    falls back to ``diameter`` (the instance description's hop-diameter
-    ``D``, which only loosens the bound).  When neither is available the
-    check refuses to run: silently using 0 would *tighten* the bound and
-    fail runs that actually conform.
-    """
-    diameter_term = result.details.get("bfs_depth", diameter)
-    if diameter_term is None:
-        raise VerificationError(
-            f"cannot evaluate the Theorem 3.2 round bound for {result.algorithm!r}: "
-            "the result records no 'bfs_depth' and no instance diameter was "
-            "supplied; pass diameter=D from the instance description"
-        )
-    return elkin_time_bound_formula(
-        result.n, int(diameter_term), result.bandwidth, constant=constant
-    )
-
-
-def elkin_message_bound(result: MSTRunResult, constant: float = 12.0) -> float:
-    """The Theorem 3.1/3.2 message bound evaluated for ``result``'s instance."""
-    return elkin_message_bound_formula(result.n, result.m, constant=constant)
+if TYPE_CHECKING:
+    from ..conditions.spec import NetworkCondition
 
 
 def assert_elkin_bounds(
     result: MSTRunResult,
     diameter: Optional[int] = None,
-    condition: Optional[object] = None,
+    condition: Optional["NetworkCondition"] = None,
 ) -> None:
     """Raise :class:`VerificationError` if a run exceeded the theorem bounds.
 
-    ``diameter`` is the instance's hop-diameter fallback for results
-    that carry no BFS depth (see :func:`elkin_time_bound`).
-
-    ``condition`` enables the *degradation mode*: the theorem bounds
-    assume a perfectly reliable synchronous network, so a run under an
-    injected :class:`~repro.conditions.NetworkCondition` is audited
-    against the condition-stretched bounds instead -- rounds scaled by
-    ``condition.time_stretch()`` (deferred and retransmitted traffic
-    legitimately extends the schedule) and messages by
-    ``condition.message_stretch()`` (each loss adds at most
-    ``retransmit`` link-layer re-sends per message).  Without this the
-    checks would flag bound "violations" that are artifacts of the
-    fault model rather than of the algorithm.
+    The bounds are the run's row bounds
+    (:func:`~repro.analysis.bounds.elkin_bounds`), stretched by
+    ``condition`` when given: the diameter term is ``diameter`` (the
+    instance's ``D``) when given, else the result's BFS depth.  A result
+    with neither -- rehydrated from an old run store, or produced by a
+    runner that never builds a BFS tree -- is refused.  ``strict_bounds``
+    mode passes no ``diameter``; BFS depth <= D, so a run that passes
+    strict mode also passes the report's audit.
     """
-    time_stretch = message_stretch = 1.0
-    if condition is not None:
-        time_stretch = condition.time_stretch()
-        message_stretch = condition.message_stretch()
-    time_bound = elkin_time_bound(result, diameter=diameter) * time_stretch
-    if result.rounds > time_bound:
+    round_bound, message_bound = elkin_bounds(
+        result.n,
+        result.m,
+        result.bandwidth,
+        diameter=diameter,
+        bfs_depth=result.details.get("bfs_depth"),
+        condition=condition,
+    )
+    condition_note = "" if condition is None else f", condition={condition.label()}"
+    if round_bound is None:
         raise VerificationError(
-            f"round count {result.rounds} exceeds the Theorem 3.1/3.2 bound {time_bound:.0f} "
-            f"(n={result.n}, bfs_depth={result.details.get('bfs_depth')}, b={result.bandwidth}"
-            + (f", time_stretch={time_stretch:g}" if condition is not None else "")
-            + ")"
+            f"cannot evaluate the Theorem 3.2 round bound for {result.algorithm!r}: "
+            "the result records no 'bfs_depth' and no instance diameter was "
+            "supplied; pass diameter=D from the instance description"
         )
-    message_bound = elkin_message_bound(result) * message_stretch
+    if result.rounds > round_bound:
+        raise VerificationError(
+            f"round count {result.rounds} exceeds the Theorem 3.1/3.2 bound {round_bound:.0f} "
+            f"(n={result.n}, D={diameter}, bfs_depth={result.details.get('bfs_depth')}, "
+            f"b={result.bandwidth}{condition_note})"
+        )
     if result.messages > message_bound:
         raise VerificationError(
             f"message count {result.messages} exceeds the Theorem 3.1/3.2 bound "
-            f"{message_bound:.0f} (n={result.n}, m={result.m}"
-            + (f", message_stretch={message_stretch:g}" if condition is not None else "")
-            + ")"
+            f"{message_bound:.0f} (n={result.n}, m={result.m}{condition_note})"
         )
 
 

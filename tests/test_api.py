@@ -20,7 +20,7 @@ import pytest
 
 from repro import GraphSpec, RunConfig
 from repro.algorithms import algorithm_info, available_algorithms
-from repro.analysis.experiments import compare_algorithms, run_single
+from repro.analysis.experiments import run_single
 from repro.api import (
     ProgressReporter,
     Runner,
@@ -158,9 +158,10 @@ class TestRunner:
 
     def test_resume_answers_from_store(self, tmp_path):
         scenario = Scenario(graph=GraphSpec("random_connected", {"n": 20, "seed": 0}))
-        store = RunStore(tmp_path / "runs.jsonl")
-        first = Runner(store=store).run(scenario)
-        again = Runner(store=RunStore(tmp_path / "runs.jsonl")).run(scenario)
+        with Runner(store=str(tmp_path / "runs.jsonl")) as runner:
+            first = runner.run(scenario)
+        with RunStore(tmp_path / "runs.jsonl") as store:
+            again = Runner(store=store).run(scenario)
         assert again.reused is True
         assert _result_json(again.result) == _result_json(first.result)
 
@@ -279,13 +280,12 @@ class TestRegistryCapabilities:
             assert info.supports_bandwidth is False
             assert info.family == "sequential-baseline"
 
-    def test_distributed_only_filter(self):
-        assert "kruskal" not in available_algorithms(distributed_only=True)
-        assert "kruskal" in available_algorithms()
-
     def test_sequential_rows_report_zero_costs(self):
         graph = random_connected_graph(15, seed=4)
-        rows = compare_algorithms(graph, algorithms=("elkin", "kruskal", "prim"))
+        scenarios = [
+            Scenario(graph=graph, algorithm=name) for name in ("elkin", "kruskal", "prim")
+        ]
+        rows = [outcome.row for outcome in Runner().run_many(scenarios)]
         by_algorithm = {row["algorithm"]: row for row in rows}
         assert by_algorithm["kruskal"]["rounds"] == 0
         assert by_algorithm["kruskal"]["messages"] == 0

@@ -379,10 +379,10 @@ def _array_grid() -> Campaign:
 class TestBatchedArrayCampaign:
     def test_rows_and_store_records_byte_identical(self, tmp_path):
         campaign = _array_grid()
-        serial_store = RunStore(tmp_path / "serial.jsonl")
-        batched_store = RunStore(tmp_path / "batched.jsonl")
-        serial = execute_campaign(campaign, store=serial_store, batch=False)
-        batched = execute_campaign(campaign, store=batched_store, batch=True)
+        with RunStore(tmp_path / "serial.jsonl") as serial_store:
+            serial = execute_campaign(campaign, store=serial_store, batch=False)
+        with RunStore(tmp_path / "batched.jsonl") as batched_store:
+            batched = execute_campaign(campaign, store=batched_store, batch=True)
         assert serial.rows == batched.rows
         assert serial_store.run_keys() == batched_store.run_keys()
         for spec in campaign.specs:

@@ -62,14 +62,19 @@ def _sixteen_cell_grid() -> Campaign:
     )
 
 
+def _execute_into(path, campaign, **kwargs):
+    """``execute_campaign`` into the JSONL store at ``path``, then close it."""
+    with RunStore(path) as store:
+        return execute_campaign(campaign, store=store, **kwargs)
+
+
 class TestBatchedEquivalence:
     def test_rows_and_store_records_byte_identical(self, tmp_path):
         campaign = _sixteen_cell_grid()
         assert len(campaign) == 16
-        serial_store = RunStore(tmp_path / "serial.jsonl")
-        batched_store = RunStore(tmp_path / "batched.jsonl")
-        serial = execute_campaign(campaign, store=serial_store, batch=False)
-        batched = execute_campaign(campaign, store=batched_store, batch=True)
+        serial = _execute_into(tmp_path / "serial.jsonl", campaign, batch=False)
+        batched = _execute_into(tmp_path / "batched.jsonl", campaign, batch=True)
+        serial_store, batched_store = serial.store, batched.store
 
         assert serial.rows == batched.rows
         assert serial_store.run_keys() == batched_store.run_keys()
@@ -87,25 +92,23 @@ class TestBatchedEquivalence:
     def test_resume_across_execution_modes(self, tmp_path):
         campaign = _sixteen_cell_grid()
         store_path = tmp_path / "store.jsonl"
-        first = execute_campaign(campaign, store=RunStore(store_path), batch=False)
+        first = _execute_into(store_path, campaign, batch=False)
         assert first.executed == 16
         # A batched run resumes every per-cell record...
-        resumed = execute_campaign(campaign, store=RunStore(store_path), batch=True)
+        resumed = _execute_into(store_path, campaign, batch=True)
         assert resumed.executed == 0
         assert resumed.reused == 16
         assert resumed.rows == first.rows
         # ... and vice versa: per-cell execution resumes batched records.
         batched_path = tmp_path / "batched.jsonl"
-        second = execute_campaign(campaign, store=RunStore(batched_path), batch=True)
-        reresumed = execute_campaign(
-            campaign, store=RunStore(batched_path), batch=False
-        )
+        second = _execute_into(batched_path, campaign, batch=True)
+        reresumed = _execute_into(batched_path, campaign, batch=False)
         assert reresumed.executed == 0
         assert reresumed.rows == second.rows
 
     def test_default_in_process_execution_batches(self, tmp_path):
         campaign = _sixteen_cell_grid()
-        report = execute_campaign(campaign, store=RunStore(tmp_path / "s.jsonl"))
+        report = _execute_into(tmp_path / "s.jsonl", campaign)
         provenance = report.store.get_provenance(campaign.specs[0].run_key())
         assert provenance["executor"] == "batched"
         explicit = execute_campaign(campaign, batch=False)
@@ -263,10 +266,9 @@ class TestScheduledEquivalence:
     def test_scheduled_rows_and_store_records_byte_identical(self, tmp_path):
         campaign = _sixteen_cell_grid()
         assert len(campaign) == 16
-        serial_store = RunStore(tmp_path / "serial.jsonl")
-        sched_store = RunStore(tmp_path / "sched.jsonl")
-        serial = execute_campaign(campaign, store=serial_store, batch=False)
-        scheduled = execute_campaign(campaign, store=sched_store, jobs=2, batch=True)
+        serial = _execute_into(tmp_path / "serial.jsonl", campaign, batch=False)
+        scheduled = _execute_into(tmp_path / "sched.jsonl", campaign, jobs=2, batch=True)
+        serial_store, sched_store = serial.store, scheduled.store
 
         assert serial.rows == scheduled.rows
         assert sorted(serial_store.run_keys()) == sorted(sched_store.run_keys())
@@ -276,7 +278,7 @@ class TestScheduledEquivalence:
 
     def test_parallel_batching_is_the_default_and_tagged(self, tmp_path):
         campaign = _sixteen_cell_grid()
-        report = execute_campaign(campaign, store=RunStore(tmp_path / "s.jsonl"), jobs=2)
+        report = _execute_into(tmp_path / "s.jsonl", campaign, jobs=2)
         provenance = report.store.get_provenance(campaign.specs[0].run_key())
         assert provenance["executor"] == "batched-pool-2"
         assert report.workers == 2
@@ -290,16 +292,16 @@ class TestScheduledEquivalence:
         campaign = _sixteen_cell_grid()
         # Serial records satisfy a scheduled resume...
         serial_path = tmp_path / "serial.jsonl"
-        first = execute_campaign(campaign, store=RunStore(serial_path), batch=False)
-        resumed = execute_campaign(campaign, store=RunStore(serial_path), jobs=2)
+        first = _execute_into(serial_path, campaign, batch=False)
+        resumed = _execute_into(serial_path, campaign, jobs=2)
         assert resumed.executed == 0
         assert resumed.reused == 16
         assert resumed.rows == first.rows
         # ... and scheduled records satisfy serial and batched resumes.
         sched_path = tmp_path / "sched.jsonl"
-        second = execute_campaign(campaign, store=RunStore(sched_path), jobs=2)
+        second = _execute_into(sched_path, campaign, jobs=2)
         for kwargs in ({"batch": False}, {"batch": True}, {"jobs": 3}):
-            reresumed = execute_campaign(campaign, store=RunStore(sched_path), **kwargs)
+            reresumed = _execute_into(sched_path, campaign, **kwargs)
             assert reresumed.executed == 0
             assert reresumed.rows == second.rows
 
@@ -310,12 +312,12 @@ class TestScheduledEquivalence:
         later resume."""
         campaign = _sixteen_cell_grid()
         path = tmp_path / "s.jsonl"
-        execute_campaign(campaign, store=RunStore(path), verify=False, jobs=2)
-        upgraded = execute_campaign(campaign, store=RunStore(path), jobs=2)
+        _execute_into(path, campaign, verify=False, jobs=2)
+        upgraded = _execute_into(path, campaign, jobs=2)
         assert upgraded.executed == len(campaign)
-        store = RunStore(path)
-        assert all(store.get_provenance(key)["verified"] for key in campaign.run_keys())
-        assert execute_campaign(campaign, store=store, jobs=2).executed == 0
+        with RunStore(path) as store:
+            assert all(store.get_provenance(key)["verified"] for key in campaign.run_keys())
+            assert execute_campaign(campaign, store=store, jobs=2).executed == 0
 
     def test_scheduler_streams_observer_events(self):
         campaign = _sixteen_cell_grid()
@@ -414,14 +416,12 @@ class TestScheduledEquivalence:
             store_path = tmp_path / "kamikaze.jsonl"
             monkeypatch.setenv("REPRO_TEST_KAMIKAZE", "1")
             with pytest.raises(SimulationError, match="died with exit code 3"):
-                execute_campaign(campaign, store=RunStore(store_path), jobs=2)
+                _execute_into(store_path, campaign, jobs=2)
 
             # Every cell reported before the crash was committed: each
             # surviving record is byte-identical to serial output.
             monkeypatch.delenv("REPRO_TEST_KAMIKAZE")
-            reference = execute_campaign(
-                campaign, store=RunStore(tmp_path / "ref.jsonl"), batch=False
-            )
+            reference = _execute_into(tmp_path / "ref.jsonl", campaign, batch=False)
             survivor = RunStore(store_path)
             campaign_keys = set(campaign.run_keys())
             assert set(survivor.run_keys()) < campaign_keys
@@ -431,7 +431,8 @@ class TestScheduledEquivalence:
                 )
 
             # Resume completes exactly the missing cells, byte-identically.
-            resumed = execute_campaign(campaign, store=survivor, jobs=2)
+            with survivor:
+                resumed = execute_campaign(campaign, store=survivor, jobs=2)
             assert resumed.executed == len(campaign) - resumed.reused
             assert resumed.rows == reference.rows
         finally:
@@ -651,15 +652,9 @@ class TestConditionedExecutionEquivalence:
     def test_rows_byte_identical_across_execution_modes(self, tmp_path):
         campaign = self._conditioned_grid()
         assert len(campaign) == 12
-        serial = execute_campaign(
-            campaign, store=RunStore(tmp_path / "serial.jsonl"), batch=False
-        )
-        batched = execute_campaign(
-            campaign, store=RunStore(tmp_path / "batched.jsonl"), batch=True
-        )
-        pooled = execute_campaign(
-            campaign, store=RunStore(tmp_path / "pooled.jsonl"), jobs=2
-        )
+        serial = _execute_into(tmp_path / "serial.jsonl", campaign, batch=False)
+        batched = _execute_into(tmp_path / "batched.jsonl", campaign, batch=True)
+        pooled = _execute_into(tmp_path / "pooled.jsonl", campaign, jobs=2)
         assert serial.rows == batched.rows == pooled.rows
         statuses = {row["status"] for row in serial.rows if "status" in row}
         assert statuses == {"ok", "non-terminated"}
@@ -667,9 +662,9 @@ class TestConditionedExecutionEquivalence:
     def test_store_records_and_resume_with_conditions(self, tmp_path):
         campaign = self._conditioned_grid()
         store_path = tmp_path / "store.jsonl"
-        first = execute_campaign(campaign, store=RunStore(store_path), batch=False)
+        first = _execute_into(store_path, campaign, batch=False)
         for kwargs in ({"batch": True}, {"jobs": 2}):
-            resumed = execute_campaign(campaign, store=RunStore(store_path), **kwargs)
+            resumed = _execute_into(store_path, campaign, **kwargs)
             assert resumed.executed == 0
             assert resumed.reused == len(campaign)
             assert resumed.rows == first.rows

@@ -43,6 +43,12 @@ def _tiny_grid(cells_16: bool = True) -> Campaign:
     )
 
 
+def _execute_into(path, campaign, **kwargs):
+    """``execute_campaign`` into the JSONL store at ``path``, then close it."""
+    with RunStore(path) as store:
+        return execute_campaign(campaign, store=store, **kwargs)
+
+
 class TestRunSpec:
     def test_json_round_trip(self):
         spec = RunSpec(
@@ -94,15 +100,15 @@ class TestRunSpec:
         """Regression: 1-indexed graphs must not grow a spurious node 0."""
         import networkx as nx
 
-        from repro.analysis.experiments import compare_algorithms
+        from repro.api import Runner, Scenario
 
         graph = nx.Graph()
         graph.add_edge(1, 2, weight=1.0)
         graph.add_edge(2, 3, weight=2.0)
         rebuilt = inline_graph_spec(graph).build()
         assert sorted(rebuilt.nodes()) == [1, 2, 3]
-        rows = compare_algorithms(graph, algorithms=("elkin",), label="shifted")
-        assert rows[0]["n"] == 3
+        outcome = Runner().run(Scenario(graph=graph, label="shifted"))
+        assert outcome.row["n"] == 3
 
     def test_inline_spec_round_trips_the_graph(self):
         graph = random_connected_graph(18, seed=3)
@@ -221,10 +227,10 @@ class TestRunStore:
         """Acceptance: re-running the same campaign with resume is a no-op."""
         path = tmp_path / "store.jsonl"
         campaign = _tiny_grid()
-        first = execute_campaign(campaign, store=RunStore(path), jobs=4)
+        first = _execute_into(path, campaign, jobs=4)
         assert first.executed == len(campaign) and first.reused == 0
 
-        resumed = execute_campaign(campaign, store=RunStore(path), jobs=4)
+        resumed = _execute_into(path, campaign, jobs=4)
         assert resumed.executed == 0
         assert resumed.reused == len(campaign)
         assert resumed.described == 0  # graph descriptions cached too
@@ -237,17 +243,17 @@ class TestRunStore:
         """A --no-verify store must not satisfy a verifying resume."""
         path = tmp_path / "store.jsonl"
         campaign = _tiny_grid(cells_16=False)
-        execute_campaign(campaign, store=RunStore(path), verify=False)
-        verified = execute_campaign(campaign, store=RunStore(path), verify=True)
+        _execute_into(path, campaign, verify=False)
+        verified = _execute_into(path, campaign, verify=True)
         assert verified.executed == len(campaign) and verified.reused == 0
         # ... and once verified, a verifying resume reuses everything.
-        again = execute_campaign(campaign, store=RunStore(path), verify=True)
+        again = _execute_into(path, campaign, verify=True)
         assert again.executed == 0
 
     def test_stored_rows_are_isolated_from_caller_mutation(self, tmp_path):
         path = tmp_path / "store.jsonl"
         campaign = _tiny_grid(cells_16=False)
-        report = execute_campaign(campaign, store=RunStore(path))
+        report = _execute_into(path, campaign)
         report.rows[0]["presentation-only"] = 1.0
         key = campaign.specs[0].run_key()
         assert "presentation-only" not in report.store.get_row(key)
@@ -255,23 +261,23 @@ class TestRunStore:
     def test_resume_false_reexecutes(self, tmp_path):
         path = tmp_path / "store.jsonl"
         campaign = _tiny_grid(cells_16=False)
-        execute_campaign(campaign, store=RunStore(path))
-        fresh = execute_campaign(campaign, store=RunStore(path), resume=False)
+        _execute_into(path, campaign)
+        fresh = _execute_into(path, campaign, resume=False)
         assert fresh.executed == len(campaign)
 
     def test_partial_resume(self, tmp_path):
         path = tmp_path / "store.jsonl"
         campaign = _tiny_grid()
         half = Campaign("half", campaign.specs[:8])
-        execute_campaign(half, store=RunStore(path))
-        report = execute_campaign(campaign, store=RunStore(path))
+        _execute_into(path, half)
+        report = _execute_into(path, campaign)
         assert report.reused == 8
         assert report.executed == len(campaign) - 8
 
     def test_store_round_trip_of_rows_results_and_provenance(self, tmp_path):
         path = tmp_path / "store.jsonl"
         campaign = _tiny_grid(cells_16=False)
-        report = execute_campaign(campaign, store=RunStore(path))
+        report = _execute_into(path, campaign)
 
         reloaded = RunStore(path)
         assert len(reloaded) == len(campaign)
@@ -295,8 +301,8 @@ class TestRunStore:
         graphs = [graph_spec_for("random_connected", 20)]
         first = Campaign.from_grid("a", graphs, algorithms=("elkin",), seeds=(0,))
         second = Campaign.from_grid("b", graphs, algorithms=("ghs",), seeds=(0,))
-        one = execute_campaign(first, store=RunStore(path))
-        two = execute_campaign(second, store=RunStore(path))
+        one = _execute_into(path, first)
+        two = _execute_into(path, second)
         assert one.described == 1
         assert two.described == 0  # hop-diameter reused from the store
 
@@ -306,7 +312,7 @@ class TestRunStore:
         campaign = Campaign.from_grid(
             "seedless", [GraphSpec("random_connected", {"n": 20})], seeds=(None,)
         )
-        report = execute_campaign(campaign, store=RunStore(path))
+        report = _execute_into(path, campaign)
         assert report.described == 0
         assert RunStore(path).graph_keys() == []  # nothing cached
         (row,) = report.rows
@@ -319,9 +325,9 @@ class TestRunStore:
         path = tmp_path / "store.jsonl"
         graphs = [graph_spec_for("random_connected", 20)]
         first = Campaign.from_grid("a", graphs, algorithms=("elkin",), seeds=(0,))
-        execute_campaign(first, store=RunStore(path), compute_diameter=False)
+        _execute_into(path, first, compute_diameter=False)
         second = Campaign.from_grid("b", graphs, algorithms=("ghs",), seeds=(0,))
-        report = execute_campaign(second, store=RunStore(path), compute_diameter=True)
+        report = _execute_into(path, second, compute_diameter=True)
         assert report.described == 1  # recomputed with the hop-diameter
         assert "D" in report.rows[0]
 

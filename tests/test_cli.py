@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import warnings
 
 import pytest
@@ -63,6 +64,25 @@ class TestMain:
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert captured.count("\n") >= 4
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "compare --family grid --rows 4 --cols 4 --engine fast",
+                "8223a4f95f0a57c695a9b22f1b15e7374d910ff286b6186e1d34f07c44eb7d50",
+            ),
+            (
+                "sweep-bandwidth --family random_connected --n 40 --seed 2 --bandwidths 1 4",
+                "9561f9104143c37df8cd6c42e7d61f4b94761b3d8207982f4e1800ded38bd25d",
+            ),
+        ],
+    )
+    def test_grid_subcommands_print_their_pinned_table(self, capsys, argv, digest):
+        """The whole stdout (graph line and row table) is pinned by sha256."""
+        assert main(argv.split()) == 0
+        captured = capsys.readouterr().out
+        assert hashlib.sha256(captured.encode("utf-8")).hexdigest() == digest, captured
 
     def test_lollipop_family_arguments(self, capsys):
         exit_code = main(

@@ -52,6 +52,12 @@ except ImportError:
 ALL_ENGINES = ["reference", "fast"] + (["array"] if HAVE_NUMPY else [])
 
 
+def _execute_into(path, campaign, **kwargs):
+    """``execute_campaign`` into the JSONL store at ``path``, then close it."""
+    with RunStore(path) as store:
+        return execute_campaign(campaign, store=store, **kwargs)
+
+
 class TestConditionSpec:
     def test_presets_resolve_by_name(self):
         for name in available_conditions():
@@ -419,7 +425,7 @@ class TestConditionedCampaigns:
 
     def test_rows_carry_condition_and_status_columns(self, tmp_path):
         campaign = self._campaign()
-        report = execute_campaign(campaign, store=RunStore(tmp_path / "s.jsonl"))
+        report = _execute_into(tmp_path / "s.jsonl", campaign)
         by_condition = {row.get("condition"): row for row in report.rows}
         assert set(by_condition) == {None, "lossy", "crash-stop"}
 
@@ -439,8 +445,7 @@ class TestConditionedCampaigns:
 
     def test_non_terminated_cells_round_trip_through_the_store(self, tmp_path):
         campaign = self._campaign()
-        store = RunStore(tmp_path / "s.jsonl")
-        execute_campaign(campaign, store=store)
+        store = _execute_into(tmp_path / "s.jsonl", campaign).store
         crash_spec = next(
             spec for spec in campaign.specs if spec.condition is not None
             and spec.condition.crash is not None
@@ -449,7 +454,7 @@ class TestConditionedCampaigns:
         assert result.details["non_terminated"] is True
         assert result.edges == set()
         # Resume treats the recorded non-termination as a finished cell.
-        resumed = execute_campaign(campaign, store=RunStore(tmp_path / "s.jsonl"))
+        resumed = _execute_into(tmp_path / "s.jsonl", campaign)
         assert resumed.executed == 0 and resumed.reused == 3
 
     def test_non_termination_without_condition_still_propagates(self):
@@ -478,8 +483,8 @@ class TestConditionedCampaigns:
 
     def test_two_identical_faulty_sweeps_are_byte_identical(self, tmp_path):
         campaign = self._campaign()
-        first = execute_campaign(campaign, store=RunStore(tmp_path / "a.jsonl"))
-        second = execute_campaign(campaign, store=RunStore(tmp_path / "b.jsonl"))
+        first = _execute_into(tmp_path / "a.jsonl", campaign)
+        second = _execute_into(tmp_path / "b.jsonl", campaign)
         assert first.rows == second.rows
 
 
@@ -493,7 +498,7 @@ class TestDegradationReport:
             seeds=(0,),
             conditions=(None, "delayed", "crash-stop"),
         )
-        return execute_campaign(campaign, store=RunStore(tmp_path / "s.jsonl")).rows
+        return _execute_into(tmp_path / "s.jsonl", campaign).rows
 
     def test_conditioned_rows_are_excluded_from_fits_and_audit(self, tmp_path):
         analysis = analyze_rows(self._rows(tmp_path))

@@ -12,7 +12,8 @@ import math
 import pytest
 
 from repro.analysis.bounds import elkin_message_bound_formula, elkin_time_bound_formula
-from repro.analysis.experiments import compare_algorithms, run_single, sweep_bandwidth
+from repro.analysis.experiments import run_single
+from repro.api import Runner, Scenario
 from repro.baselines import gkp_mst, prs_style_mst
 from repro.config import RunConfig
 from repro.core.controlled_ghs import build_base_forest
@@ -70,7 +71,11 @@ class TestExperimentE6Bandwidth:
     def test_bandwidth_round_bounds_and_overall_gain(self):
         graph = random_connected_graph(100, seed=75)
         summary = graph_summary(graph)
-        rows = sweep_bandwidth(graph, bandwidths=(1, 2, 4, 8), label="e6")
+        scenarios = [
+            Scenario(graph=graph, config=RunConfig(bandwidth=b), label="e6")
+            for b in (1, 2, 4, 8)
+        ]
+        rows = [outcome.row for outcome in Runner().run_many(scenarios)]
         for row in rows:
             # Theorem 3.2: O((D + sqrt(n/b)) log n) rounds for every b.
             bound = elkin_time_bound_formula(
@@ -93,7 +98,10 @@ class TestExperimentE6Bandwidth:
 class TestExperimentE7E8E9Baselines:
     def test_three_way_comparison_on_one_instance(self):
         graph = random_connected_graph(60, seed=76)
-        rows = compare_algorithms(graph, algorithms=("elkin", "ghs", "gkp"), label="e7")
+        scenarios = [
+            Scenario(graph=graph, algorithm=name, label="e7") for name in ("elkin", "ghs", "gkp")
+        ]
+        rows = [outcome.row for outcome in Runner().run_many(scenarios)]
         weights = {row["weight"] for row in rows}
         assert len(weights) == 1
 

@@ -1,16 +1,17 @@
 """Public-API snapshot: surface changes must be deliberate.
 
 ``tests/public_api_manifest.json`` is the checked-in record of what
-``repro``, ``repro.api``, ``repro.simulator`` and
-``repro.simulator.primitives`` export (the last two are what protocol
-and engine authors import).  If this test fails you either removed
-something users import (a breaking change -- update the README's
-Migration section) or added a new export (fine -- regenerate the
-manifest and include it in the same commit)::
+``repro``, ``repro.api``, ``repro.analysis``, ``repro.verify``,
+``repro.simulator`` and ``repro.simulator.primitives`` export (the last
+two are what protocol and engine authors import).  If this test fails
+you either removed something users import (a breaking change -- update
+the README's Migration section) or added a new export (fine --
+regenerate the manifest and include it in the same commit)::
 
     PYTHONPATH=src python - <<'EOF'
     import importlib, json
-    names = ["repro", "repro.api", "repro.simulator", "repro.simulator.primitives"]
+    names = ["repro", "repro.analysis", "repro.api", "repro.simulator",
+             "repro.simulator.primitives", "repro.verify"]
     manifest = {name: sorted(importlib.import_module(name).__all__) for name in names}
     with open("tests/public_api_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -28,14 +29,23 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.analysis
 import repro.api
 import repro.simulator
 import repro.simulator.primitives
+import repro.verify
 
 MANIFEST_PATH = Path(__file__).parent / "public_api_manifest.json"
 
 #: Every module whose ``__all__`` the manifest pins.
-MODULES = (repro, repro.api, repro.simulator, repro.simulator.primitives)
+MODULES = (
+    repro,
+    repro.analysis,
+    repro.api,
+    repro.simulator,
+    repro.simulator.primitives,
+    repro.verify,
+)
 
 
 def _manifest() -> dict:

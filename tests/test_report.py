@@ -9,6 +9,7 @@ run-row fixture.  Regenerate (only when an output change is intended)::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -89,30 +90,47 @@ class TestElkinTimeBoundFallbackRegression:
         return result
 
     def test_missing_depth_and_diameter_raises_clearly(self, stripped_result):
-        from repro.verify.complexity_checks import elkin_time_bound
+        from repro.analysis.bounds import elkin_bounds
+        from repro.verify.complexity_checks import assert_elkin_bounds
 
+        assert elkin_bounds(stripped_result.n, stripped_result.m)[0] is None
         with pytest.raises(VerificationError, match="bfs_depth"):
-            elkin_time_bound(stripped_result)
+            assert_elkin_bounds(stripped_result)
 
     def test_instance_diameter_fallback(self, small_random_graph, stripped_result):
-        from repro.analysis.bounds import elkin_time_bound_formula
+        from repro.analysis.bounds import elkin_bounds, elkin_time_bound_formula
         from repro.graphs.properties import hop_diameter
-        from repro.verify.complexity_checks import assert_elkin_bounds, elkin_time_bound
+        from repro.verify.complexity_checks import assert_elkin_bounds
 
         diameter = hop_diameter(small_random_graph)
-        bound = elkin_time_bound(stripped_result, diameter=diameter)
-        assert bound == elkin_time_bound_formula(
-            stripped_result.n, diameter, stripped_result.bandwidth, constant=24.0
+        round_bound, _ = elkin_bounds(
+            stripped_result.n, stripped_result.m, stripped_result.bandwidth, diameter=diameter
+        )
+        assert round_bound == elkin_time_bound_formula(
+            stripped_result.n, diameter, stripped_result.bandwidth
         )
         assert_elkin_bounds(stripped_result, diameter=diameter)
 
-    def test_recorded_depth_still_preferred(self, small_random_graph):
+    def test_caller_diameter_is_preferred_to_recorded_depth(self, small_random_graph):
+        from repro.analysis.bounds import elkin_bounds
         from repro.core.elkin_mst import compute_mst
-        from repro.verify.complexity_checks import elkin_time_bound
+        from repro.verify.complexity_checks import assert_elkin_bounds
 
         result = compute_mst(small_random_graph)
-        # An absurd fallback diameter must not override the recorded depth.
-        assert elkin_time_bound(result, diameter=10**6) == elkin_time_bound(result)
+        depth = result.details["bfs_depth"]
+        # The row rule: D when known, else the recorded BFS depth.
+        assert elkin_bounds(result.n, result.m, diameter=10**6, bfs_depth=depth) == (
+            elkin_bounds(result.n, result.m, diameter=10**6)
+        )
+        # A run just over its BFS-depth bound passes once the caller
+        # supplies a larger D: the caller's D wins over the depth.
+        depth_bound, _ = elkin_bounds(result.n, result.m, bfs_depth=depth)
+        inflated = dataclasses.replace(
+            result, cost=dataclasses.replace(result.cost, rounds=int(depth_bound) + 1)
+        )
+        with pytest.raises(VerificationError, match="round count"):
+            assert_elkin_bounds(inflated)
+        assert_elkin_bounds(inflated, diameter=10**6)
 
 
 class TestAnalyzeRows:
@@ -250,10 +268,10 @@ class TestWriteReport:
         campaign = Campaign.from_grid(
             "report", [graph_spec_for("random_connected", 16)], seeds=(0,)
         )
-        store = RunStore(tmp_path / "store")
-        execute_campaign(campaign, store=store)
         output = tmp_path / "EXPERIMENTS.md"
-        document = write_report(store, output=str(output))
+        with RunStore(tmp_path / "store") as store:
+            execute_campaign(campaign, store=store)
+            document = write_report(store, output=str(output))
         assert output.read_text(encoding="utf-8") == document
         assert "bound-violation count: **0**" in document
 
@@ -261,9 +279,9 @@ class TestWriteReport:
         from repro.api import Runner, Scenario
         from repro.graphs import GraphSpec
 
-        runner = Runner(store=str(tmp_path / "store.jsonl"))
-        runner.run(Scenario(graph=GraphSpec("random_connected", {"n": 16, "seed": 0})))
-        document = runner.report(output=str(tmp_path / "EXPERIMENTS.md"))
+        with Runner(store=str(tmp_path / "store.jsonl")) as runner:
+            runner.run(Scenario(graph=GraphSpec("random_connected", {"n": 16, "seed": 0})))
+            document = runner.report(output=str(tmp_path / "EXPERIMENTS.md"))
         assert (tmp_path / "EXPERIMENTS.md").exists()
         assert "rows: 1" in document
 

@@ -60,7 +60,7 @@ class TestDurabilityMatrix:
         batch = RunStore(tmp_path / "batch.jsonl", durability="batch")
         execute_campaign(_campaign(), store=record)
         execute_campaign(_campaign(), store=batch)
-        batch.close()
+        record.close(), batch.close()
         assert record.stats["fsyncs"] == record.stats["appends"]
         assert batch.stats["fsyncs"] < record.stats["fsyncs"]
         assert batch.stats["fsyncs"] == batch.stats["commits"]
@@ -99,20 +99,20 @@ class TestDurabilityMatrix:
 class TestGroupCommit:
     def test_appends_are_buffered_until_flush(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        store = RunStore(path, durability="batch", batch_size=1000)
-        store.record_graph("g1", {"n": 4, "m": 3})
-        assert not path.exists() or path.read_text() == ""
-        store.flush()
-        assert path.read_text().count("\n") == 1
+        with RunStore(path, durability="batch", batch_size=1000) as store:
+            store.record_graph("g1", {"n": 4, "m": 3})
+            assert not path.exists() or path.read_text() == ""
+            store.flush()
+            assert path.read_text().count("\n") == 1
 
     def test_batch_size_triggers_automatic_commit(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        store = RunStore(path, durability="batch", batch_size=2)
-        store.record_graph("g1", {"n": 4, "m": 3})
-        assert not path.exists()
-        store.record_graph("g2", {"n": 5, "m": 4})
-        assert path.read_text().count("\n") == 2
-        assert store.stats["commits"] == 1
+        with RunStore(path, durability="batch", batch_size=2) as store:
+            store.record_graph("g1", {"n": 4, "m": 3})
+            assert not path.exists()
+            store.record_graph("g2", {"n": 5, "m": 4})
+            assert path.read_text().count("\n") == 2
+            assert store.stats["commits"] == 1
 
     def test_context_manager_flushes_on_exit(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -121,10 +121,10 @@ class TestGroupCommit:
         assert path.read_text().count("\n") == 1
 
     def test_campaign_execution_flushes_before_returning(self, tmp_path):
-        store = RunStore(tmp_path / "store.jsonl", durability="batch", batch_size=1000)
-        execute_campaign(_campaign(), store=store)
-        # Without an explicit close: everything already on disk.
-        assert len(RunStore(tmp_path / "store.jsonl")) == len(_campaign())
+        with RunStore(tmp_path / "store.jsonl", durability="batch", batch_size=1000) as store:
+            execute_campaign(_campaign(), store=store)
+            # Before the store closes: everything already on disk.
+            assert len(RunStore(tmp_path / "store.jsonl")) == len(_campaign())
 
     def test_interrupted_campaign_still_persists_completed_cells(self, tmp_path):
         """An exception mid-campaign must not discard the buffered tail."""
@@ -146,11 +146,12 @@ class TestGroupCommit:
         with patch.object(executor_module, "run_single", explode_on_third):
             with pytest.raises(KeyboardInterrupt):
                 execute_campaign(campaign, store=store, batch=False)
+        store.close()
         # The two completed cells reached disk despite the interrupt...
-        reloaded = RunStore(tmp_path / "store.jsonl")
-        assert len(reloaded) == 2
-        # ... so resume re-runs only the remaining cells.
-        resumed = execute_campaign(campaign, store=reloaded)
+        with RunStore(tmp_path / "store.jsonl") as reloaded:
+            assert len(reloaded) == 2
+            # ... so resume re-runs only the remaining cells.
+            resumed = execute_campaign(campaign, store=reloaded)
         assert resumed.reused == 2
         assert resumed.executed == len(campaign) - 2
 
@@ -198,7 +199,8 @@ class TestCrashRecovery:
         # torn half-line, as an interrupted group commit would leave.
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:-1]) + '{"kind": "ru')
-        resumed = execute_campaign(campaign, store=RunStore(path))
+        with RunStore(path) as recovered:
+            resumed = execute_campaign(campaign, store=recovered)
         assert resumed.executed == 1
         assert resumed.reused == len(campaign) - 1
         # The re-run row matches the one the crash destroyed.
@@ -427,15 +429,16 @@ class TestMerge:
         store = RunStore(tmp_path / "src.jsonl")
         execute_campaign(_campaign(), store=store)
         store.close()
-        destination = RunStore(tmp_path / "dest")
-        first = destination.merge_from(tmp_path / "src.jsonl")
-        second = destination.merge_from(tmp_path / "src.jsonl")
+        with RunStore(tmp_path / "dest") as destination:
+            first = destination.merge_from(tmp_path / "src.jsonl")
+            second = destination.merge_from(tmp_path / "src.jsonl")
         assert first["runs"] == len(_campaign())
         assert second == {"runs": 0, "graphs": 0, "skipped": first["runs"] + first["graphs"]}
 
     def test_merge_accepts_store_instances(self, tmp_path):
         source = RunStore(tmp_path / "src.jsonl")
         execute_campaign(_campaign(), store=source)
+        source.close()
         destination = RunStore(None)
         stats = destination.merge_from(source)
         assert stats["runs"] == len(_campaign())

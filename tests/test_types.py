@@ -49,14 +49,6 @@ class TestCostReport:
         total = CostReport(rounds=2, messages=5, words=7) + CostReport(rounds=3, messages=1, words=2)
         assert (total.rounds, total.messages, total.words) == (5, 6, 9)
 
-    def test_parallel_merge_takes_max_rounds(self):
-        merged = CostReport(rounds=10, messages=5, words=5).merged_parallel(
-            CostReport(rounds=4, messages=7, words=7)
-        )
-        assert merged.rounds == 10
-        assert merged.messages == 12
-        assert merged.words == 12
-
     def test_default_is_zero(self):
         report = CostReport()
         assert report.rounds == 0 and report.messages == 0 and report.words == 0

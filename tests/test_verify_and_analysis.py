@@ -8,38 +8,29 @@ import multiprocessing
 import networkx as nx
 import pytest
 
-from repro.analysis import fitting
+from repro import RunConfig
+from repro.algorithms import algorithm_info, available_algorithms
 from repro.analysis.bounds import (
     controlled_ghs_message_bound,
     controlled_ghs_time_bound,
+    elkin_bounds,
     elkin_message_bound_formula,
     elkin_time_bound_formula,
-    ghs_time_bound,
     gkp_message_bound,
     log2_ceil,
     log_star,
-    pipeline_phase_time_bound,
 )
-from repro.analysis.experiments import (
-    available_algorithms,
-    compare_algorithms,
-    run_single,
-    sweep_bandwidth,
-    sweep_graphs,
-)
-from repro.analysis.fitting import fit_power_law, ratio_series
+from repro.analysis.experiments import run_single
+from repro.analysis.fitting import fit_power_law
 from repro.analysis.tables import format_table
+from repro.api import Runner, Scenario
 from repro.baselines.kruskal import kruskal_mst
 from repro.campaign import Campaign, execute_campaign, graph_spec_for
 from repro.core.elkin_mst import compute_mst
 from repro.core.fragments import MSTForest
 from repro.exceptions import ConfigurationError, ReproError, VerificationError
 from repro.graphs import GraphSpec, make_graph, random_connected_graph
-from repro.verify.complexity_checks import (
-    assert_elkin_bounds,
-    elkin_message_bound,
-    elkin_time_bound,
-)
+from repro.verify.complexity_checks import assert_elkin_bounds
 from repro.verify.forest_checks import assert_alpha_beta_forest, assert_forest_coarsens
 from repro.verify.mst_checks import MSTOracle, reference_mst, verify_mst_result
 from repro.verify.planted_checks import planted_mst_edges
@@ -203,8 +194,61 @@ class TestComplexityChecks:
 
     def test_bound_helpers_return_positive_values(self, small_random_graph):
         result = compute_mst(small_random_graph)
-        assert elkin_time_bound(result) > 0
-        assert elkin_message_bound(result) > 0
+        round_bound, message_bound = elkin_bounds(
+            result.n, result.m, result.bandwidth, bfs_depth=result.details["bfs_depth"]
+        )
+        assert round_bound > 0
+        assert message_bound > 0
+
+    def test_strict_mode_rejects_a_run_over_its_rows_round_bound(self):
+        graph = random_connected_graph(30, seed=1)
+        [outcome] = Runner().run_many([Scenario(graph=graph)])
+        row, result = outcome.row, outcome.result
+        assert (row["D"], result.details["bfs_depth"], row["round_bound"]) == (4, 3, 649)
+        inflated = dataclasses.replace(
+            result, cost=dataclasses.replace(result.cost, rounds=650)
+        )
+        # 650 rounds is over the row's bound, so its round_ratio would
+        # exceed 1; strict mode must refuse the run too, whether it
+        # evaluates the bound on the BFS depth or on D.
+        with pytest.raises(VerificationError, match="round count 650"):
+            assert_elkin_bounds(inflated)
+        with pytest.raises(VerificationError, match="round count 650"):
+            assert_elkin_bounds(inflated, diameter=row["D"])
+
+    @pytest.mark.parametrize("preset", ["zoo", "zoo-faulty"])
+    def test_strict_mode_applies_exactly_the_rows_bounds(self, preset, monkeypatch):
+        from repro.campaign.presets import preset_campaign
+        from repro.verify import complexity_checks
+
+        report = execute_campaign(preset_campaign(preset))
+        applied = []
+
+        def recording(*args, **kwargs):
+            applied.append(elkin_bounds(*args, **kwargs))
+            return applied[-1]
+
+        monkeypatch.setattr(complexity_checks, "elkin_bounds", recording)
+        audited = 0
+        for spec, row in zip(report.campaign.specs, report.rows):
+            if row["algorithm"] != "elkin" or row.get("status") == "non-terminated":
+                continue
+            result = report.store.get_result(spec.run_key())
+            assert_elkin_bounds(result, diameter=row["D"], condition=spec.condition)
+            round_bound, message_bound = applied.pop()
+            # Before rounding: the bounds strict mode applied are the
+            # row's formula on D under the cell's condition ...
+            assert (round_bound, message_bound) == elkin_bounds(
+                row["n"], row["m"], row["bandwidth"], diameter=row["D"],
+                condition=spec.condition,
+            )
+            # ... and they round to exactly the recorded columns.
+            assert round(round_bound) == row["round_bound"]
+            assert round(result.rounds / round_bound, 3) == row["round_ratio"]
+            assert round(message_bound) == row["message_bound"]
+            assert round(result.messages / message_bound, 3) == row["message_ratio"]
+            audited += 1
+        assert audited > 0 and not applied
 
 
 class TestBoundFormulas:
@@ -223,8 +267,6 @@ class TestBoundFormulas:
         assert controlled_ghs_time_bound(100, 16) > controlled_ghs_time_bound(100, 4)
         assert controlled_ghs_message_bound(100, 500, 16) > controlled_ghs_message_bound(100, 500, 4)
         assert gkp_message_bound(400, 1200) > gkp_message_bound(100, 300)
-        assert ghs_time_bound(400) > ghs_time_bound(100)
-        assert pipeline_phase_time_bound(400, 20, 20) > 0
 
     def test_bandwidth_reduces_the_time_bound(self):
         assert elkin_time_bound_formula(400, 5, bandwidth=16) < elkin_time_bound_formula(400, 5)
@@ -247,29 +289,20 @@ class TestFitting:
         with pytest.raises(ReproError):
             fit_power_law([1, -2], [1, 2])
 
-    @pytest.mark.parametrize("path", ["numpy", "pure-python"])
-    def test_both_least_squares_paths_reject_vertical_and_agree(self, path, monkeypatch):
-        if path == "numpy":
-            pytest.importorskip("numpy")
-        xs, ys = [10, 20, 40, 80, 160], [31.0, 90.0, 240.0, 800.0, 2100.0]
-        with monkeypatch.context() as patch:
-            patch.setattr(fitting, "np", None)
-            pure = fit_power_law(xs, ys)
-        if path == "pure-python":
-            monkeypatch.setattr(fitting, "np", None)
-        # Every x equal: there is no slope to fit, on either path.
+    def test_least_squares_rejects_vertical_and_matches_lstsq(self):
+        # Every x equal: there is no slope to fit.
         with pytest.raises(ReproError, match="two distinct x values"):
             fit_power_law([2, 2, 2], [1, 2, 3])
+        np = pytest.importorskip("numpy")
+        xs, ys = [10, 20, 40, 80, 160], [31.0, 90.0, 240.0, 800.0, 2100.0]
         fit = fit_power_law(xs, ys)
-        for field in ("exponent", "scale", "residual"):
-            assert getattr(fit, field) == pytest.approx(getattr(pure, field), rel=1e-9, abs=1e-9)
-
-    def test_ratio_series(self):
-        assert ratio_series([2, 9], [1, 3]) == [2.0, 3.0]
-        with pytest.raises(ReproError):
-            ratio_series([1], [1, 2])
-        with pytest.raises(ReproError):
-            ratio_series([1], [0])
+        # The closed form is the least-squares solution numpy computes.
+        log_x, log_y = np.log(xs), np.log(ys)
+        design = np.vstack([log_x, np.ones_like(log_x)]).T
+        (slope, intercept), residuals, _, _ = np.linalg.lstsq(design, log_y, rcond=None)
+        assert fit.exponent == pytest.approx(slope, rel=1e-9)
+        assert fit.scale == pytest.approx(np.exp(intercept), rel=1e-9)
+        assert fit.residual == pytest.approx(residuals[0] / len(xs), rel=1e-9)
 
 
 class TestTables:
@@ -289,11 +322,16 @@ class TestTables:
         assert "0.5" in text
 
 
+def _rows(scenarios):
+    return [outcome.row for outcome in Runner().run_many(scenarios)]
+
+
 class TestExperimentRunners:
     def test_available_algorithms(self):
-        assert set(available_algorithms(distributed_only=True)) == {
-            "elkin", "ghs", "gkp", "prs",
+        distributed = {
+            name for name in available_algorithms() if algorithm_info(name).is_distributed
         }
+        assert distributed == {"elkin", "ghs", "gkp", "prs"}
         # The sequential references are registered too (via the adapter).
         assert {"kruskal", "prim", "boruvka_seq"} <= set(available_algorithms())
 
@@ -303,18 +341,28 @@ class TestExperimentRunners:
 
     def test_sweep_graphs_produces_bound_ratios(self):
         specs = [GraphSpec("random_connected", {"n": 30, "seed": 1})]
-        rows = sweep_graphs(specs, algorithm="elkin")
+        rows = _rows([Scenario(graph=spec, algorithm="elkin") for spec in specs])
         assert len(rows) == 1
         assert rows[0]["round_ratio"] <= 1.0
         assert rows[0]["message_ratio"] <= 1.0
 
     def test_compare_algorithms_rows(self, small_random_graph):
-        rows = compare_algorithms(small_random_graph, algorithms=("elkin", "ghs"), label="t")
+        rows = _rows(
+            [
+                Scenario(graph=small_random_graph, algorithm=name, label="t")
+                for name in ("elkin", "ghs")
+            ]
+        )
         assert [row["algorithm"] for row in rows] == ["elkin", "ghs"]
         assert rows[0]["weight"] == rows[1]["weight"]
 
     def test_sweep_bandwidth_rows(self):
         graph = random_connected_graph(40, seed=2)
-        rows = sweep_bandwidth(graph, bandwidths=(1, 4), label="bw")
+        rows = _rows(
+            [
+                Scenario(graph=graph, config=RunConfig(bandwidth=b), label="bw")
+                for b in (1, 4)
+            ]
+        )
         assert [row["bandwidth"] for row in rows] == [1, 4]
         assert rows[1]["rounds"] <= rows[0]["rounds"]
