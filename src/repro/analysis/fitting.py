@@ -26,9 +26,6 @@ class PowerLawFit:
     scale: float
     residual: float
 
-    def predict(self, x: float) -> float:
-        return self.scale * (x**self.exponent)
-
 
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
     """Fit ``y = scale * x^exponent`` by linear regression in log-log space.

@@ -195,10 +195,3 @@ class Scenario:
 
     def display_label(self) -> str:
         return self.to_run_spec().display_label()
-
-    def with_config(self, **changes: object) -> "Scenario":
-        """A copy with the given :class:`RunConfig` fields replaced."""
-        assert isinstance(self.config, RunConfig)
-        return dataclasses.replace(
-            self, config=dataclasses.replace(self.config, **changes)
-        )

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
+from ..conditions.proxy import require_condition_applied
 from ..config import normalize_config, RunConfig
 from ..core.boruvka_merge import merge_fragment_graph
 from ..core.fragments import MSTForest
@@ -54,6 +55,7 @@ def ghs_style_mst(graph: nx.Graph, config: Optional[RunConfig] = None) -> MSTRun
     network = create_engine(
         graph, bandwidth=config.bandwidth, validate=False, engine=config.engine
     )
+    require_condition_applied(network, config.condition)
     forest = MSTForest.singletons(network.vertices())
     mst_edges: Set[Edge] = set()
     phases: List[PhaseTelemetry] = []

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Set
 
 import networkx as nx
 
+from ..conditions.proxy import require_condition_applied
 from ..config import normalize_config, RunConfig
 from ..core.controlled_ghs import build_base_forest
 from ..core.results import MSTRunResult
@@ -55,6 +56,7 @@ def gkp_mst(
     network = create_engine(
         graph, bandwidth=config.bandwidth, validate=False, engine=config.engine
     )
+    require_condition_applied(network, config.condition)
     stage_costs: Dict[str, CostReport] = {}
 
     # Auxiliary BFS tree (needed by the pipeline).

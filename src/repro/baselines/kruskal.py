@@ -3,9 +3,9 @@
 Used as ground truth by the verification layer (together with networkx's
 own MST) and as the local computation the GKP root performs on the edges
 the Pipeline-MST procedure delivers.  Ties are broken by the
-``(weight, u, v)`` order of :class:`repro.types.EdgeKey`, the same rule
-the distributed algorithms use, so all implementations agree even when
-the caller did not make the weights unique.
+``(weight, u, v)`` tuple order over sorted endpoints, the same rule the
+distributed algorithms use, so all implementations agree even when the
+caller did not make the weights unique.
 """
 
 from __future__ import annotations

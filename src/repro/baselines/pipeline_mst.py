@@ -34,18 +34,6 @@ from .kruskal import UnionFind
 CandidateEdge = Tuple[float, VertexId, VertexId, FragmentId, FragmentId]
 
 
-class _CycleFilter:
-    """Per-vertex Kruskal-style filter over fragment identities."""
-
-    def __init__(self, fragment_ids) -> None:
-        self._union_find = UnionFind(fragment_ids)
-
-    def admits(self, edge: CandidateEdge) -> bool:
-        """True (and record the edge) iff it joins two separate fragment groups."""
-        _, _, _, fragment_u, fragment_v = edge
-        return self._union_find.union(fragment_u, fragment_v)
-
-
 class _PipelineMSTProtocol(NodeProtocol):
     """Weight-ordered, cycle-filtered pipelined upcast of candidate edges."""
 
@@ -66,8 +54,9 @@ class _PipelineMSTProtocol(NodeProtocol):
         self._pending: Dict[VertexId, List[CandidateEdge]] = {
             v: sorted(set(items.get(v, []))) for v in self.participants
         }
-        self._filters: Dict[VertexId, _CycleFilter] = {
-            v: _CycleFilter(self._fragment_ids) for v in self.participants
+        #: per-vertex cycle filter over the fragments its forwarded edges join
+        self._filters: Dict[VertexId, UnionFind] = {
+            v: UnionFind(self._fragment_ids) for v in self.participants
         }
         self._child_last: Dict[VertexId, Dict[VertexId, CandidateEdge]] = {
             v: {} for v in self.participants
@@ -110,7 +99,8 @@ class _PipelineMSTProtocol(NodeProtocol):
             if not self._eligible(vertex, edge):
                 break
             pending.pop(0)
-            if not self._filters[vertex].admits(edge):
+            _, _, _, fragment_u, fragment_v = edge
+            if not self._filters[vertex].union(fragment_u, fragment_v):
                 # Heaviest in a cycle among already-forwarded edges: by the
                 # cycle property it cannot be an MST edge, so it is dropped
                 # locally (no message is spent on it).

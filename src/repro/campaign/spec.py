@@ -27,7 +27,7 @@ import networkx as nx
 
 from ..conditions.spec import NetworkCondition, normalize_condition
 from ..exceptions import ConfigurationError
-from ..graphs.generators import ensure_zoo_families, FAMILIES, GraphSpec, SHAPE_RULES
+from ..graphs.generators import FAMILIES, GraphSpec, SHAPE_RULES
 from ..simulator.engine import DEFAULT_ENGINE
 
 
@@ -55,7 +55,6 @@ def graph_spec_for(family: str, n: int, seed: Optional[int] = None) -> GraphSpec
     ``n`` so the CLI and the presets can sweep every family on one
     ``--sizes`` axis.
     """
-    ensure_zoo_families()
     if family not in FAMILIES:
         known = ", ".join(sorted(FAMILIES))
         raise ConfigurationError(f"unknown graph family '{family}'; known families: {known}")
@@ -68,7 +67,7 @@ def graph_spec_for(family: str, n: int, seed: Optional[int] = None) -> GraphSpec
     return GraphSpec(family, params)
 
 
-def inline_graph_spec(graph: nx.Graph, require_int_nodes: bool = True) -> GraphSpec:
+def inline_graph_spec(graph: nx.Graph) -> GraphSpec:
     """Serialize a prebuilt weighted graph into an ``edge_list`` spec.
 
     This is how a :class:`~repro.api.Scenario` over an already-built
@@ -77,7 +76,7 @@ def inline_graph_spec(graph: nx.Graph, require_int_nodes: bool = True) -> GraphS
     layer: the graph is flattened into a sorted ``(u, v, weight)`` list
     so the resulting spec hashes and round-trips like any other.
     """
-    if require_int_nodes and any(not isinstance(node, int) for node in graph.nodes()):
+    if any(not isinstance(node, int) for node in graph.nodes()):
         raise ConfigurationError("inline graphs must have integer node labels")
     edges = sorted(
         (min(int(u), int(v)), max(int(u), int(v)), float(data["weight"]))

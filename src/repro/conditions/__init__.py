@@ -21,7 +21,6 @@ from .spec import (
     NetworkCondition,
     normalize_condition,
     parse_condition,
-    with_name,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "condition_scope",
     "normalize_condition",
     "parse_condition",
-    "with_name",
 ]

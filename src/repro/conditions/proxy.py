@@ -42,16 +42,33 @@ import contextlib
 import hashlib
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..exceptions import NonTerminationError
+from ..exceptions import ConfigurationError, NonTerminationError
 from ..simulator.engine import Engine, engine_wrapper
 from ..simulator.message import Message
 from ..types import CostReport, normalize_edge, VertexId
 from .spec import NetworkCondition
 
-__all__ = ["ConditionedEngine", "ConditionScope", "condition_scope"]
+__all__ = [
+    "ConditionedEngine",
+    "ConditionScope",
+    "condition_scope",
+    "require_condition_applied",
+]
 
 #: 2^64, the denominator turning an 8-byte hash prefix into a uniform [0, 1).
 _HASH_DENOMINATOR = float(1 << 64)
+
+#: The fault counters each :class:`ConditionedEngine` keeps and
+#: :meth:`ConditionScope.telemetry` sums, in the order rows report them.
+_TELEMETRY_COUNTERS = (
+    "delivered",
+    "dropped",
+    "delayed",
+    "retransmits",
+    "crash_omissions",
+    "adversary_dropped",
+    "adversary_delayed",
+)
 
 
 class ConditionedEngine(Engine):
@@ -87,22 +104,14 @@ class ConditionedEngine(Engine):
         self._round_cap = condition.effective_round_cap(inner.n, inner.m)
         #: protocol drivers multiply their round limits by this factor
         self.round_limit_stretch = condition.round_stretch
-        self.telemetry: Dict[str, int] = {
-            "delivered": 0,
-            "dropped": 0,
-            "delayed": 0,
-            "retransmits": 0,
-            "crash_omissions": 0,
-            "adversary_dropped": 0,
-            "adversary_delayed": 0,
-        }
+        self.telemetry: Dict[str, int] = dict.fromkeys(_TELEMETRY_COUNTERS, 0)
         self._crash_windows = self._resolve_crash_windows()
         self._heavy_edges = self._resolve_heavy_edges()
         # Send-side calls are pure delegation under every condition --
         # injection is delivery-side -- so bind the inner kernel's bound
         # methods as instance attributes: the protocols' hot loops skip
         # the proxy frame entirely.  (The class-level defs below remain
-        # as the documented contract and for subclasses.)
+        # because the Engine contract declares them abstract.)
         self.send = inner.send
         self.send_to_neighbors = inner.send_to_neighbors
         self.has_edge = inner.has_edge
@@ -244,9 +253,6 @@ class ConditionedEngine(Engine):
     def node(self, vertex: VertexId):
         return self._inner.node(vertex)
 
-    def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        return self._inner.has_edge(u, v)
-
     def send(
         self,
         sender: VertexId,
@@ -256,16 +262,6 @@ class ConditionedEngine(Engine):
         words: int = 1,
     ) -> None:
         self._inner.send(sender, receiver, kind, payload, words)
-
-    def send_to_neighbors(
-        self,
-        sender: VertexId,
-        kind: str,
-        payload: Tuple[Any, ...] = (),
-        words: int = 1,
-        exclude: Optional[VertexId] = None,
-    ) -> int:
-        return self._inner.send_to_neighbors(sender, kind, payload, words, exclude)
 
     def pending_count(self) -> int:
         # Held messages are in flight: protocol drivers must keep
@@ -336,15 +332,7 @@ class ConditionScope:
 
     def telemetry(self) -> Dict[str, object]:
         """JSON-safe observed-fault telemetry for result details / rows."""
-        counters: Dict[str, int] = {
-            "delivered": 0,
-            "dropped": 0,
-            "delayed": 0,
-            "retransmits": 0,
-            "crash_omissions": 0,
-            "adversary_dropped": 0,
-            "adversary_delayed": 0,
-        }
+        counters: Dict[str, int] = dict.fromkeys(_TELEMETRY_COUNTERS, 0)
         crash_events = 0
         for engine in self.engines:
             for key in counters:
@@ -384,3 +372,24 @@ def condition_scope(
 
     with engine_wrapper(wrapper):
         yield scope
+
+
+def require_condition_applied(
+    engine: Engine, condition: Optional[NetworkCondition]
+) -> None:
+    """Raise :class:`ConfigurationError` unless ``engine`` applies ``condition``.
+
+    A runner that builds a kernel calls this before round 1.  Only
+    :func:`condition_scope` wraps a kernel in a :class:`ConditionedEngine`,
+    and only :func:`repro.algorithms.run_algorithm` installs it, so a
+    runner called directly with ``RunConfig(condition=...)`` would
+    otherwise run on a clean network and report clean costs.
+    """
+    if condition is None or isinstance(engine, ConditionedEngine):
+        return
+    raise ConfigurationError(
+        f"condition {condition.label()!r} is set, but a runner called directly "
+        "runs on a clean network; run it through run_single(graph, algorithm=..., "
+        "condition=...) or Runner().run(Scenario(..., config=RunConfig(condition=...))), "
+        "which apply the condition"
+    )

@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..exceptions import ConfigurationError
@@ -624,8 +624,3 @@ def normalize_condition(value: object) -> Optional[NetworkCondition]:
         f"condition must be None, a NetworkCondition, a preset/clause string "
         f"or a JSON dict, got {type(value).__name__}: {value!r}"
     )
-
-
-def with_name(condition: NetworkCondition, name: Optional[str]) -> NetworkCondition:
-    """A copy of ``condition`` relabelled (identity hash unchanged)."""
-    return replace(condition, name=name)

@@ -48,10 +48,17 @@ class RunConfig:
             serialization into the run store.
         condition: optional :class:`~repro.conditions.NetworkCondition`
             (or preset name / clause string / JSON dict -- anything
-            :func:`~repro.conditions.normalize_condition` accepts)
-            applied to the run by wrapping the engine in a
-            condition-applying proxy.  ``None`` (the default) keeps the
-            perfectly synchronous, perfectly reliable CONGEST model.
+            :func:`~repro.conditions.normalize_condition` accepts).
+            :func:`~repro.algorithms.run_algorithm` -- behind
+            ``run_single``, :class:`~repro.api.Runner` and every sweep --
+            applies it by wrapping the engine in a condition-applying
+            proxy.  A distributed runner called directly
+            (``compute_mst``, ``ghs_style_mst``, ``gkp_mst``,
+            ``prs_style_mst``) cannot apply it and raises
+            :class:`~repro.exceptions.ConfigurationError` before round 1;
+            the sequential references build no network and ignore it.
+            ``None`` (the default) keeps the perfectly synchronous,
+            perfectly reliable CONGEST model.
     """
 
     bandwidth: int = 1
@@ -104,6 +111,3 @@ def normalize_config(config: Optional[RunConfig]) -> RunConfig:
             f"config must be a RunConfig or None, got {type(config).__name__}: {config!r}"
         )
     return config
-
-
-DEFAULT_CONFIG = RunConfig()

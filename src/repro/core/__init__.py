@@ -20,7 +20,7 @@ Modules:
 from .boruvka_merge import FragmentGraphMerge, merge_fragment_graph
 from .cole_vishkin import cole_vishkin_coloring, validate_coloring
 from .controlled_ghs import build_base_forest, ControlledGHSResult
-from .elkin_mst import compute_mst, ElkinMSTResult
+from .elkin_mst import compute_mst
 from .fragments import Fragment, MSTForest
 from .maximal_matching import maximal_matching_from_coloring
 from .parameters import choose_base_forest_parameter
@@ -35,7 +35,6 @@ __all__ = [
     "build_base_forest",
     "FragmentGraphMerge",
     "merge_fragment_graph",
-    "ElkinMSTResult",
     "compute_mst",
     "choose_base_forest_parameter",
 ]

@@ -55,16 +55,10 @@ class FragmentGraphMerge:
             minimum identity of its component, a deterministic choice).
         mst_edges_added: the MWOE edges selected in this phase; they are
             MST edges by the cut property and are added to the output.
-        new_fragment_ids: the identities of the merged fragments.
     """
 
     new_fragment_of: Dict[FragmentId, FragmentId]
     mst_edges_added: Set[Edge]
-    new_fragment_ids: Set[FragmentId]
-
-    @property
-    def fragment_count(self) -> int:
-        return len(self.new_fragment_ids)
 
 
 def merge_fragment_graph(
@@ -122,8 +116,4 @@ def merge_fragment_graph(
                 raise FragmentError(
                     f"fragment merge did not reduce the fragment count ({before} -> {after})"
                 )
-    return FragmentGraphMerge(
-        new_fragment_of=new_fragment_of,
-        mst_edges_added=mst_edges,
-        new_fragment_ids=set(new_fragment_of.values()),
-    )
+    return FragmentGraphMerge(new_fragment_of=new_fragment_of, mst_edges_added=mst_edges)

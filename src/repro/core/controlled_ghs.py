@@ -62,18 +62,6 @@ class ControlledGHSResult:
     phases: List[PhaseTelemetry] = field(default_factory=list)
     cost: CostReport = field(default_factory=CostReport)
 
-    @property
-    def mst_edges(self) -> Set[Edge]:
-        """MST edges selected so far (the union of all fragment trees)."""
-        return self.forest.tree_edges()
-
-    @property
-    def fragment_count(self) -> int:
-        return self.forest.count
-
-    def max_fragment_diameter(self) -> int:
-        return self.forest.max_diameter()
-
 
 def _first_non_none(first, second):
     """Convergecast combiner used by the cost-charging exchanges."""

@@ -32,6 +32,7 @@ from typing import Dict, Optional, Set
 
 import networkx as nx
 
+from ..conditions.proxy import require_condition_applied
 from ..config import normalize_config, RunConfig
 from ..exceptions import FragmentError
 from ..graphs.properties import validate_weighted_graph
@@ -47,10 +48,6 @@ from .controlled_ghs import build_base_forest
 from .mwoe import Candidate, fragment_outgoing_edges
 from .parameters import choose_base_forest_parameter
 from .results import MSTRunResult
-
-#: Re-exported result type so callers can ``from repro.core.elkin_mst import ElkinMSTResult``.
-ElkinMSTResult = MSTRunResult
-
 
 def compute_mst(
     graph: nx.Graph,
@@ -88,6 +85,7 @@ def compute_mst(
     network = create_engine(
         graph, bandwidth=config.bandwidth, validate=False, engine=config.engine
     )
+    require_condition_applied(network, config.condition)
     stage_costs: Dict[str, CostReport] = {}
 
     # Stage 1: auxiliary BFS tree tau.

@@ -287,12 +287,6 @@ class MSTForest:
                 f"forest cover mismatch: missing {len(missing)} vertices, {len(extra)} extraneous"
             )
 
-    def is_alpha_beta_forest(self, alpha: float, beta: float) -> bool:
-        """True when the forest has at most ``alpha`` fragments, each of diameter <= ``beta``."""
-        if self.count > alpha:
-            return False
-        return all(fragment.diameter() <= beta for fragment in self.fragments.values())
-
     def coarsens(self, finer: "MSTForest") -> bool:
         """True when every fragment of ``finer`` is contained in one fragment of ``self``."""
         for fragment in finer.fragments.values():

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
-import networkx as nx
-
 from ..types import CostReport, Edge, PhaseTelemetry
 
 
@@ -77,15 +75,6 @@ class MSTRunResult:
     def edge_count(self) -> int:
         """Number of selected edges (``n - 1`` for a correct run)."""
         return len(self.edges)
-
-    def spans(self, graph: nx.Graph) -> bool:
-        """True when the selected edges form a spanning tree of ``graph``."""
-        if self.edge_count != graph.number_of_nodes() - 1:
-            return False
-        tree = nx.Graph()
-        tree.add_nodes_from(graph.nodes())
-        tree.add_edges_from(self.edges)
-        return nx.is_connected(tree)
 
     def summary_row(self) -> Dict[str, object]:
         """Flat dictionary used by the benchmark tables."""

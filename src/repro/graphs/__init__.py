@@ -1,4 +1,4 @@
-"""Weighted-graph substrate: generators, weight schemes, properties, IO.
+"""Weighted-graph substrate: generators, weight schemes, properties.
 
 All graphs in this package are undirected, connected
 :class:`networkx.Graph` instances whose edges carry a ``weight``
@@ -28,12 +28,10 @@ from .generators import (
     torus_graph,
     wheel_graph,
 )
-from .io import read_edge_list, write_edge_list
 from .properties import (
     graph_summary,
     GraphSummary,
     hop_diameter,
-    is_connected_weighted,
     validate_weighted_graph,
 )
 from .weights import (
@@ -70,8 +68,5 @@ __all__ = [
     "GraphSummary",
     "graph_summary",
     "hop_diameter",
-    "is_connected_weighted",
     "validate_weighted_graph",
-    "read_edge_list",
-    "write_edge_list",
 ]

@@ -387,21 +387,6 @@ SHAPE_RULES: Dict[str, Callable[[int], Dict[str, object]]] = {
     },
 }
 
-_ZOO_LOADED = False
-
-
-def ensure_zoo_families() -> None:
-    """Import :mod:`repro.workloads` so its families self-register.
-
-    Idempotent and cycle-safe: the flag is flipped before the import so a
-    re-entrant call (workloads itself imports this module) is a no-op.
-    """
-    global _ZOO_LOADED
-    if not _ZOO_LOADED:
-        _ZOO_LOADED = True
-        from .. import workloads as _workloads  # noqa: F401
-
-
 def register_family(
     name: str,
     generator: Callable[..., nx.Graph],
@@ -432,7 +417,6 @@ def available_families(include_edge_list: bool = False) -> list:
     edges rather than generator parameters, so it is not a family a user
     can ask for by name and size.
     """
-    ensure_zoo_families()
     return sorted(
         family for family in FAMILIES if include_edge_list or family != "edge_list"
     )
@@ -444,7 +428,6 @@ def make_graph(family: str, **params: object) -> nx.Graph:
     Raises :class:`GraphError` for unknown family names; the error lists
     the available families to make sweep typos easy to diagnose.
     """
-    ensure_zoo_families()
     if family not in FAMILIES:
         known = ", ".join(sorted(FAMILIES))
         raise GraphError(f"unknown graph family '{family}'; known families: {known}")

@@ -18,19 +18,11 @@ from ..exceptions import DisconnectedGraphError, GraphError, WeightError
 from .weights import weights_are_unique
 
 
-def is_connected_weighted(graph: nx.Graph) -> bool:
-    """Return True when ``graph`` is non-empty, connected, and fully weighted."""
-    if graph.number_of_nodes() == 0:
-        return False
-    if not nx.is_connected(graph):
-        return False
-    return all("weight" in data for _, _, data in graph.edges(data=True))
-
-
 def validate_weighted_graph(graph: nx.Graph, require_unique_weights: bool = True) -> None:
     """Raise a descriptive error unless ``graph`` is a valid algorithm input.
 
-    A valid input is a non-empty, connected, undirected graph whose edges
+    A valid input is a non-empty, connected, undirected graph without
+    self-loops (CONGEST has no link from a vertex to itself) whose edges
     all carry a ``weight`` that is a finite real number > 0; when
     ``require_unique_weights`` the weights must also be pairwise distinct
     (the paper's uniqueness assumption).
@@ -44,6 +36,8 @@ def validate_weighted_graph(graph: nx.Graph, require_unique_weights: bool = True
             f"graph is disconnected ({nx.number_connected_components(graph)} components)"
         )
     for u, v, data in graph.edges(data=True):
+        if u == v:
+            raise GraphError(f"edge ({u}, {v}) is a self-loop; CONGEST links join two vertices")
         if "weight" not in data:
             raise WeightError(f"edge ({u}, {v}) has no 'weight' attribute")
         weight = data["weight"]

@@ -4,8 +4,8 @@ The paper assumes (w.l.o.g.) that the MST is unique, which holds when all
 edge weights are distinct.  The helpers here assign distinct weights in a
 reproducible way and can repair an arbitrary weighting by breaking ties
 deterministically with the lexicographic edge order, mirroring the
-``(weight, id(u), id(v))`` total order used by the algorithms
-(:class:`repro.types.EdgeKey`).
+``(weight, u, v)`` tuple order over sorted endpoints that the algorithms
+use (see :mod:`repro.types`).
 """
 
 from __future__ import annotations

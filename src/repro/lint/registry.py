@@ -89,11 +89,6 @@ def known_rule_ids() -> List[str]:
     return sorted([*_RULES, *FRAMEWORK_RULE_IDS])
 
 
-def get_rule(rule_id: str) -> Optional[Rule]:
-    _ensure_builtin_rules()
-    return _RULES.get(rule_id)
-
-
 def select_rules(
     select: Optional[Iterable[str]] = None, ignore: Optional[Iterable[str]] = None
 ) -> Iterator[Rule]:

@@ -91,11 +91,6 @@ class RootedForest:
         return tuple(v for v in self.vertices if not self.children[v])
 
     @property
-    def size(self) -> int:
-        """Number of vertices in the forest."""
-        return len(self.parent)
-
-    @property
     def height(self) -> int:
         """Maximum depth over all vertices (0 for a forest of singletons)."""
         return max(self.depth.values())
@@ -103,13 +98,6 @@ class RootedForest:
     def is_root(self, vertex: VertexId) -> bool:
         """True when ``vertex`` is a root of its tree."""
         return self.parent[vertex] is None
-
-    def root_of(self, vertex: VertexId) -> VertexId:
-        """Root of the tree containing ``vertex``."""
-        current = vertex
-        while self.parent[current] is not None:
-            current = self.parent[current]
-        return current
 
     def edges(self) -> List[Tuple[VertexId, VertexId]]:
         """Tree edges as (child, parent) pairs."""

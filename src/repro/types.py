@@ -1,10 +1,11 @@
 """Shared type aliases and small value objects used across the package.
 
 The simulator and the algorithms exchange only a handful of primitive
-shapes: vertex identifiers, undirected edges, weighted edges, and cost
-summaries.  Centralising their definitions keeps signatures consistent
-and documents the conventions (e.g. an undirected edge is always stored
-with its endpoints sorted).
+shapes: vertex identifiers, undirected edges and cost summaries.
+Centralising their definitions keeps signatures consistent and documents
+the conventions: an undirected edge is always stored with its endpoints
+sorted, and edges are ordered by the plain tuple ``(weight, u, v)`` over
+those sorted endpoints, which makes the MST unique.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Iterable, Tuple
 VertexId = int
 FragmentId = int
 Edge = Tuple[int, int]
-WeightedEdge = Tuple[int, int, float]
 
 
 def normalize_edge(u: VertexId, v: VertexId) -> Edge:
@@ -28,29 +28,6 @@ def normalize_edge(u: VertexId, v: VertexId) -> Edge:
 def normalize_edges(edges: Iterable[Edge]) -> set[Edge]:
     """Return the canonical edge set for an iterable of (possibly unordered) edges."""
     return {normalize_edge(u, v) for u, v in edges}
-
-
-@dataclass(frozen=True, order=True)
-class EdgeKey:
-    """Total order on edges used to make the MST unique.
-
-    The order is (weight, endpoint min, endpoint max): ties in weight are
-    broken lexicographically by the canonical endpoints, which is the
-    standard symmetry-breaking rule for distributed MST (Peleg, Ch. 5).
-    """
-
-    weight: float
-    u: VertexId
-    v: VertexId
-
-    @staticmethod
-    def of(u: VertexId, v: VertexId, weight: float) -> "EdgeKey":
-        a, b = normalize_edge(u, v)
-        return EdgeKey(weight=weight, u=a, v=b)
-
-    @property
-    def edge(self) -> Edge:
-        return (self.u, self.v)
 
 
 @dataclass

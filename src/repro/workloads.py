@@ -12,10 +12,9 @@ patterns that stress near-ties.
 Every family registers itself through
 :func:`repro.graphs.generators.register_family`, so it is a legal
 ``GraphSpec.family`` everywhere: campaign grids, scenarios, the CLI and
-the ``zoo`` preset.  The module is imported lazily by
-:func:`repro.graphs.generators.ensure_zoo_families` (and eagerly by the
-``repro`` package), so the registration happens before any family
-lookup.
+the ``zoo`` preset.  The ``repro`` package imports this module from its
+``__init__``, which Python runs before any submodule, so the
+registration happens before any family lookup.
 
 Planted families additionally record the spanning tree they plant in
 ``graph.graph["planted_mst"]``; the verifier

@@ -10,6 +10,7 @@ every registered algorithm on every engine.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import io
 import json
@@ -84,7 +85,7 @@ class TestScenarioNormalization:
 
     def test_with_config_changes_identity(self):
         base = Scenario(graph=GraphSpec("path", {"n": 10, "seed": 0}))
-        widened = base.with_config(bandwidth=4)
+        widened = dataclasses.replace(base, config=RunConfig(bandwidth=4))
         assert widened.config.bandwidth == 4
         assert widened.key() != base.key()
 
@@ -312,6 +313,26 @@ class TestFacadeEquivalence:
             )
         )
         assert _result_json(outcome.result) == _result_json(legacy)
+
+    @pytest.mark.parametrize("condition", ["lossy", "delayed", "heavy-delay"])
+    @pytest.mark.parametrize(
+        "algorithm",
+        [name for name in available_algorithms() if algorithm_info(name).is_distributed],
+    )
+    def test_byte_identical_result_json_under_a_condition(self, algorithm, condition):
+        graph = random_connected_graph(16, seed=9)
+        legacy = run_single(
+            graph, algorithm=algorithm, bandwidth=2, engine="fast", condition=condition
+        )
+        outcome = Runner().run(
+            Scenario(
+                graph=graph,
+                algorithm=algorithm,
+                config=RunConfig(bandwidth=2, engine="fast", condition=condition),
+            )
+        )
+        assert _result_json(outcome.result) == _result_json(legacy)
+        assert legacy.details["condition"]["engines_wrapped"] >= 1
 
     def test_seeded_generator_scenario_matches_run_single(self):
         spec = GraphSpec("random_connected", {"n": 20})

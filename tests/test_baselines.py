@@ -18,6 +18,7 @@ from repro.config import RunConfig
 from repro.exceptions import DisconnectedGraphError, GraphError
 from repro.graphs import complete_graph, grid_graph, path_graph, random_connected_graph, star_graph
 from repro.types import normalize_edges
+from repro.verify import MSTOracle
 from repro.verify.mst_checks import verify_mst_result
 
 
@@ -123,7 +124,7 @@ class TestDistributedBaselines:
         row = result.summary_row()
         assert row["algorithm"] == "ghs"
         assert row["n"] == small_random_graph.number_of_nodes()
-        assert result.spans(small_random_graph)
+        MSTOracle(small_random_graph).verify(result)
 
 
 class TestBaselineShapes:

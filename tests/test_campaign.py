@@ -26,6 +26,7 @@ from repro.campaign.spec import graph_spec_for, inline_graph_spec
 from repro.core.results import MSTRunResult
 from repro.exceptions import ConfigurationError
 from repro.graphs import GraphSpec, random_connected_graph
+from repro.verify import MSTOracle
 
 
 def _tiny_grid(cells_16: bool = True) -> Campaign:
@@ -379,7 +380,7 @@ class TestRunSingleThreading:
 
     def test_strict_bounds_passes_on_a_conforming_run(self, small_random_graph):
         result = run_single(small_random_graph, strict_bounds=True)
-        assert result.spans(small_random_graph)
+        MSTOracle(small_random_graph).verify(result)
 
     def test_unknown_algorithm_still_rejected(self, small_random_graph):
         with pytest.raises(ConfigurationError):

@@ -11,11 +11,14 @@ mode.  Crash schedules that prevent termination surface as the typed
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.algorithms import run_algorithm
 from repro.analysis.experiments import run_single
 from repro.analysis.report import analyze_rows, render_markdown
+from repro.baselines import ghs_style_mst, gkp_mst, prs_style_mst
 from repro.campaign import Campaign, execute_campaign, RunStore
 from repro.campaign.spec import graph_spec_for, RunSpec
 from repro.conditions import (
@@ -29,9 +32,9 @@ from repro.conditions import (
     NetworkCondition,
     normalize_condition,
     parse_condition,
-    with_name,
 )
 from repro.config import RunConfig
+from repro.core import compute_mst
 from repro.exceptions import (
     ConfigurationError,
     NonTerminationError,
@@ -127,7 +130,7 @@ class TestConditionSpec:
 
     def test_name_is_excluded_from_the_identity_hash(self):
         condition = parse_condition("loss(rate=0.1)+seed=3")
-        renamed = with_name(condition, "my-lossy")
+        renamed = dataclasses.replace(condition, name="my-lossy")
         assert renamed.key() == condition.key()
         assert renamed.label() == "my-lossy"
         assert condition.label() == condition.describe()
@@ -185,7 +188,7 @@ class TestRunSpecIntegration:
             graph=graph,
             algorithm="elkin",
             seed=0,
-            condition=with_name(CONDITION_PRESETS["lossy"], "other"),
+            condition=dataclasses.replace(CONDITION_PRESETS["lossy"], name="other"),
         )
         assert renamed.run_key() == lossy.run_key()
 
@@ -375,6 +378,16 @@ class TestConditionedRuns:
         result = run_algorithm(graph, "kruskal", RunConfig(condition="lossy"))
         assert result.cost.rounds == 0
         assert "condition" not in result.details
+
+    @pytest.mark.parametrize(
+        "runner", [compute_mst, ghs_style_mst, gkp_mst, prs_style_mst], ids=lambda f: f.__name__
+    )
+    def test_a_runner_called_directly_refuses_a_condition(self, runner):
+        # Only run_algorithm installs the condition scope.  A direct call
+        # used to run on a clean network and report the clean costs.
+        graph = make_graph("random_connected", n=20, seed=1)
+        with pytest.raises(ConfigurationError, match=r"run_single.*Runner"):
+            runner(graph, RunConfig(engine="fast", condition="lossy"))
 
     def test_crash_stop_raises_non_termination(self):
         graph = make_graph("random_connected", n=24, seed=3)

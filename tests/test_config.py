@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG, RunConfig
+from repro.config import RunConfig
 from repro.exceptions import ConfigurationError
 
 
@@ -28,6 +28,3 @@ class TestRunConfig:
 
     def test_accepts_explicit_k(self):
         assert RunConfig(base_forest_k=17).base_forest_k == 17
-
-    def test_default_config_singleton_is_valid(self):
-        assert DEFAULT_CONFIG.bandwidth == 1

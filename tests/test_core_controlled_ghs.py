@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.analysis.bounds import controlled_ghs_message_bound, controlled_ghs_time_bound
+from repro.baselines import kruskal_mst
 from repro.core.controlled_ghs import build_base_forest
 from repro.graphs import (
     complete_graph,
@@ -96,9 +97,9 @@ class TestCostGuarantees:
 
     def test_mst_edges_match_tree_edges(self, small_grid_graph):
         _, result = _build(small_grid_graph, 4)
-        assert result.mst_edges == result.forest.tree_edges()
-        assert result.fragment_count == result.forest.count
-        assert result.max_fragment_diameter() == result.forest.max_diameter()
+        tree_edges = result.forest.tree_edges()
+        assert tree_edges <= kruskal_mst(small_grid_graph)
+        assert len(tree_edges) == small_grid_graph.number_of_nodes() - result.forest.count
 
 
 class TestBandwidthVariant:

@@ -110,11 +110,6 @@ class TestMSTForest:
         assert forest.roots()[1] == 1
         assert forest.root_of(1) == 1
 
-    def test_alpha_beta_predicate(self):
-        forest = MSTForest.singletons(range(10))
-        assert forest.is_alpha_beta_forest(alpha=10, beta=0)
-        assert not forest.is_alpha_beta_forest(alpha=5, beta=10)
-
     def test_coarsens(self):
         fine = MSTForest.singletons(range(4))
         coarse = fine.merge_groups([([0, 1], [(0, 1)], 0), ([2, 3], [(2, 3)], 2)])

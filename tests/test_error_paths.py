@@ -125,3 +125,30 @@ class TestNonFiniteWeightsNeverReachTheStore:
         with pytest.raises(WeightError, match=r"edge \(1, 2\) has weight inf"):
             Runner(store=path).run(Scenario(graph=edges, algorithm=algorithm))
         assert not path.exists() or "Infinity" not in path.read_text(encoding="utf-8")
+
+
+class TestSelfLoopsAreRejected:
+    """CONGEST has no link from a vertex to itself, so validation rejects a loop."""
+
+    @staticmethod
+    def _looped_graph():
+        graph = random_connected_graph(40, seed=2)
+        graph.add_edge(5, 5, weight=1e-3)
+        return graph
+
+    @pytest.mark.parametrize("engine", sorted(available_engines()))
+    @pytest.mark.parametrize(
+        "algorithm",
+        [name for name in available_algorithms() if algorithm_info(name).is_distributed],
+    )
+    def test_every_distributed_runner_refuses_a_loop(self, algorithm, engine):
+        # A loop used to pass validation: compute_mst sent five extra
+        # messages over it, and run_single failed later with a bare
+        # ValueError from normalize_edge.
+        with pytest.raises(GraphError, match=r"edge \(5, 5\) is a self-loop"):
+            run_algorithm(self._looped_graph(), algorithm, RunConfig(engine=engine))
+
+    @pytest.mark.parametrize("algorithm", ["elkin", "kruskal"])
+    def test_a_scenario_over_a_looped_graph_fails_its_build(self, algorithm):
+        with pytest.raises(GraphError, match=r"edge \(5, 5\) is a self-loop"):
+            Runner().run(Scenario(graph=self._looped_graph(), algorithm=algorithm))

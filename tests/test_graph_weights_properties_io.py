@@ -1,4 +1,4 @@
-"""Tests for weight assignment, graph properties and edge-list IO."""
+"""Tests for weight assignment and graph properties."""
 
 from __future__ import annotations
 
@@ -15,13 +15,10 @@ from repro.graphs import (
     ensure_unique_weights,
     graph_summary,
     hop_diameter,
-    is_connected_weighted,
     path_graph,
     random_connected_graph,
-    read_edge_list,
     validate_weighted_graph,
     weights_are_unique,
-    write_edge_list,
 )
 
 
@@ -96,6 +93,10 @@ class TestProperties:
     def test_validate_accepts_generated_graph(self):
         validate_weighted_graph(random_connected_graph(20, seed=1))
 
+    def test_validate_rejects_empty_graph(self):
+        with pytest.raises(GraphError, match="no vertices"):
+            validate_weighted_graph(nx.Graph())
+
     def test_validate_rejects_missing_weight(self):
         with pytest.raises(WeightError):
             validate_weighted_graph(_unweighted_triangle())
@@ -126,16 +127,17 @@ class TestProperties:
             validate_weighted_graph(graph, require_unique_weights=True)
         validate_weighted_graph(graph, require_unique_weights=False)
 
+    def test_validate_rejects_self_loop(self):
+        graph = random_connected_graph(12, seed=2)
+        graph.add_edge(5, 5, weight=1e-3)
+        with pytest.raises(GraphError, match=r"edge \(5, 5\) is a self-loop"):
+            validate_weighted_graph(graph, require_unique_weights=False)
+
     def test_validate_rejects_directed(self):
         graph = nx.DiGraph()
         graph.add_edge(0, 1, weight=1.0)
         with pytest.raises(GraphError):
             validate_weighted_graph(graph)
-
-    def test_is_connected_weighted(self):
-        assert is_connected_weighted(path_graph(5, seed=0))
-        assert not is_connected_weighted(nx.Graph())
-        assert not is_connected_weighted(_unweighted_triangle())
 
     def test_graph_summary_fields(self):
         graph = path_graph(8, seed=0, random_weights=False)
@@ -150,44 +152,3 @@ class TestProperties:
 
     def test_graph_summary_low_diameter_flag(self):
         assert graph_summary(random_connected_graph(50, seed=2)).is_low_diameter
-
-
-class TestEdgeListIO:
-    def test_round_trip(self, tmp_path):
-        graph = random_connected_graph(15, seed=8)
-        path = tmp_path / "graph.edges"
-        write_edge_list(graph, path)
-        loaded = read_edge_list(path)
-        from repro.types import normalize_edges
-
-        assert normalize_edges(loaded.edges()) == normalize_edges(graph.edges())
-        for u, v in graph.edges():
-            assert loaded[u][v]["weight"] == pytest.approx(graph[u][v]["weight"])
-
-    def test_write_requires_weights(self, tmp_path):
-        with pytest.raises(GraphError):
-            write_edge_list(_unweighted_triangle(), tmp_path / "bad.edges")
-
-    def test_read_rejects_malformed_line(self, tmp_path):
-        path = tmp_path / "broken.edges"
-        path.write_text("0 1 2.0\n0 garbage\n", encoding="utf-8")
-        with pytest.raises(GraphError):
-            read_edge_list(path)
-
-    def test_read_rejects_non_numeric(self, tmp_path):
-        path = tmp_path / "broken.edges"
-        path.write_text("a b c\n", encoding="utf-8")
-        with pytest.raises(GraphError):
-            read_edge_list(path)
-
-    def test_read_rejects_empty_file(self, tmp_path):
-        path = tmp_path / "empty.edges"
-        path.write_text("# nothing here\n", encoding="utf-8")
-        with pytest.raises(GraphError):
-            read_edge_list(path)
-
-    def test_comments_and_blank_lines_are_ignored(self, tmp_path):
-        path = tmp_path / "ok.edges"
-        path.write_text("# header\n\n0 1 1.5\n1 2 2.5\n", encoding="utf-8")
-        graph = read_edge_list(path)
-        assert graph.number_of_edges() == 2

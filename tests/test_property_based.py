@@ -35,6 +35,7 @@ from repro.simulator.network import SyncNetwork
 from repro.simulator.primitives.bfs import build_bfs_tree
 from repro.simulator.primitives.intervals import assign_intervals
 from repro.simulator.primitives.pipeline import pipelined_upcast
+from repro.verify import MSTOracle
 from repro.verify.forest_checks import assert_alpha_beta_forest
 from repro.verify.planted_checks import assert_matches_planted_mst, planted_mst_edges
 
@@ -155,7 +156,8 @@ class TestZooDifferential:
         # verify=True runs the full oracle stack (networkx + Kruskal +
         # Prim + planted checks) on the distributed result.
         elkin = run_single(graph, "elkin", engine="fast", verify=True, seed=seed)
-        assert elkin.spans(graph)
+        oracle = MSTOracle(graph)
+        oracle.verify(elkin)
         assert elkin.edge_count == graph.number_of_nodes() - 1
         for reference in SEQUENTIAL_REFERENCES:
             result = run_single(graph, reference, verify=True, seed=seed)
@@ -163,7 +165,7 @@ class TestZooDifferential:
                 f"{reference} disagrees with elkin on {family} (seed {seed})"
             )
             assert result.total_weight == pytest.approx(elkin.total_weight)
-            assert result.spans(graph)
+            oracle.verify(result)
             assert result.rounds == 0 and result.messages == 0
 
     @pytest.mark.parametrize("family", workloads.PLANTED_FAMILIES)

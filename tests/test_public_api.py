@@ -1,17 +1,21 @@
 """Public-API snapshot: surface changes must be deliberate.
 
 ``tests/public_api_manifest.json`` is the checked-in record of what
-``repro``, ``repro.api``, ``repro.analysis``, ``repro.verify``,
-``repro.simulator`` and ``repro.simulator.primitives`` export (the last
-two are what protocol and engine authors import).  If this test fails
-you either removed something users import (a breaking change -- update
-the README's Migration section) or added a new export (fine --
-regenerate the manifest and include it in the same commit)::
+the library packages export: ``repro`` and ``repro.api`` (the
+scenario-first surface), ``repro.core`` and ``repro.baselines`` (the
+algorithms), ``repro.graphs``, ``repro.conditions``, ``repro.campaign``,
+``repro.analysis``, ``repro.verify``, and ``repro.simulator`` with
+``repro.simulator.primitives`` (what protocol and engine authors
+import).  If this test fails you either removed something users import
+(a breaking change -- update the README's Migration section) or added a
+new export (fine -- regenerate the manifest and include it in the same
+commit)::
 
     PYTHONPATH=src python - <<'EOF'
     import importlib, json
-    names = ["repro", "repro.analysis", "repro.api", "repro.simulator",
-             "repro.simulator.primitives", "repro.verify"]
+    names = ["repro", "repro.analysis", "repro.api", "repro.baselines",
+             "repro.campaign", "repro.conditions", "repro.core", "repro.graphs",
+             "repro.simulator", "repro.simulator.primitives", "repro.verify"]
     manifest = {name: sorted(importlib.import_module(name).__all__) for name in names}
     with open("tests/public_api_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -31,6 +35,11 @@ import pytest
 import repro
 import repro.analysis
 import repro.api
+import repro.baselines
+import repro.campaign
+import repro.conditions
+import repro.core
+import repro.graphs
 import repro.simulator
 import repro.simulator.primitives
 import repro.verify
@@ -42,6 +51,11 @@ MODULES = (
     repro,
     repro.analysis,
     repro.api,
+    repro.baselines,
+    repro.campaign,
+    repro.conditions,
+    repro.core,
+    repro.graphs,
     repro.simulator,
     repro.simulator.primitives,
     repro.verify,

@@ -345,13 +345,8 @@ class TestRootedForest:
         assert forest.children[0] == (1, 2)
         assert forest.depth[3] == 2
         assert forest.height == 2
-        assert forest.size == 6
+        assert len(forest.vertices) == 6
         assert forest.is_root(4) and not forest.is_root(5)
-
-    def test_root_of_and_path_to_root(self):
-        forest = RootedForest(parent={0: None, 1: 0, 2: 1, 3: 2})
-        assert forest.root_of(3) == 0
-        assert forest.root_of(0) == 0
 
     def test_edges_are_child_parent_pairs(self):
         forest = RootedForest(parent={0: None, 1: 0})

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
-from repro.types import CostReport, EdgeKey, normalize_edge, normalize_edges
+from repro.exceptions import GraphError
+from repro.simulator import create_engine
+from repro.types import CostReport, normalize_edge, normalize_edges
 
 
 class TestNormalizeEdge:
@@ -24,24 +27,30 @@ class TestNormalizeEdge:
         assert normalize_edges(edges) == {(1, 2), (3, 4)}
 
 
+def _sorted_edge_keys(*edges):
+    graph = nx.Graph()
+    for u, v, weight in edges:
+        graph.add_edge(u, v, weight=weight)
+    return create_engine(graph).sorted_edges()
+
+
 class TestEdgeKey:
+    """The unique-MST order is the plain tuple ``(weight, u, v)`` with ``u < v``."""
+
     def test_orders_by_weight_first(self):
-        light = EdgeKey.of(9, 8, 1.0)
-        heavy = EdgeKey.of(0, 1, 2.0)
-        assert light < heavy
+        keys = _sorted_edge_keys((0, 1, 2.0), (9, 8, 1.0), (1, 8, 3.0))
+        assert keys == [(1.0, 8, 9), (2.0, 0, 1), (3.0, 1, 8)]
 
     def test_breaks_ties_lexicographically(self):
-        first = EdgeKey.of(0, 5, 1.0)
-        second = EdgeKey.of(1, 2, 1.0)
-        assert first < second
+        keys = _sorted_edge_keys((1, 2, 1.0), (0, 5, 1.0), (0, 1, 2.0))
+        assert keys == [(1.0, 0, 5), (1.0, 1, 2), (2.0, 0, 1)]
 
     def test_edge_property_is_canonical(self):
-        key = EdgeKey.of(7, 3, 1.5)
-        assert key.edge == (3, 7)
+        assert _sorted_edge_keys((7, 3, 1.5)) == [(1.5, 3, 7)]
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            EdgeKey.of(2, 2, 1.0)
+        with pytest.raises(GraphError, match="self-loop"):
+            _sorted_edge_keys((1, 2, 1.0), (2, 2, 0.5))
 
 
 class TestCostReport:

@@ -10,9 +10,16 @@ itself (>= 100 deterministic fast-engine cells spanning every family).
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
+import repro
 from repro import workloads
 from repro.baselines import kruskal_mst
 from repro.campaign import preset_campaign
@@ -34,6 +41,22 @@ ZOO_FAMILIES = workloads.zoo_family_names()
 class TestRegistration:
     def test_every_zoo_family_is_registered(self):
         assert set(ZOO_FAMILIES) <= set(FAMILIES)
+
+    def test_a_submodule_import_sees_every_family(self):
+        # Importing any submodule runs repro/__init__ first, and that
+        # imports repro.workloads, so no lookup needs a lazy import.
+        script = (
+            "import json\n"
+            "from repro.graphs.generators import available_families\n"
+            "print(json.dumps(available_families()))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        families = json.loads(completed.stdout)
+        assert len(families) == 26
+        assert families == sorted(ZOO_FAMILIES)
 
     def test_available_families_covers_the_zoo_and_hides_edge_list(self):
         families = available_families()
