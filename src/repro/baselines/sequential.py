@@ -20,6 +20,7 @@ import networkx as nx
 
 from ..config import normalize_config, RunConfig
 from ..core.results import MSTRunResult
+from ..graphs.properties import reject_self_loops
 from ..types import CostReport, Edge
 
 #: A sequential MST: graph -> canonical edge set.
@@ -35,11 +36,16 @@ def sequential_runner(name: str, edge_fn: EdgeSetFn) -> SequentialRunner:
     The returned runner accepts ``config: Optional[RunConfig] = None``
     exactly like the distributed runners (same normalization), records
     the configured bandwidth for provenance even though no message ever
-    crosses an edge, and reports zero rounds/messages/words.
+    crosses an edge, and reports zero rounds/messages/words.  A
+    self-loop raises the distributed runners'
+    :class:`~repro.exceptions.GraphError`.
     """
 
     def runner(graph: nx.Graph, config: Optional[RunConfig] = None) -> MSTRunResult:
         config = normalize_config(config)
+        # The O(n) loop check, not the O(n + m) validator: a sweep runs
+        # this once per cell.
+        reject_self_loops(graph)
         edges = edge_fn(graph)
         total_weight = sum(graph[u][v]["weight"] for u, v in edges)
         return MSTRunResult(

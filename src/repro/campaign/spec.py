@@ -20,13 +20,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import networkx as nx
 
 from ..conditions.spec import NetworkCondition, normalize_condition
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, WeightError
 from ..graphs.generators import FAMILIES, GraphSpec, SHAPE_RULES
 from ..simulator.engine import DEFAULT_ENGINE
 
@@ -74,10 +75,15 @@ def inline_graph_spec(graph: nx.Graph) -> GraphSpec:
     :class:`networkx.Graph` (the ``repro-mst compare`` and
     ``sweep-bandwidth`` subcommands build one) rides on the campaign
     layer: the graph is flattened into a sorted ``(u, v, weight)`` list
-    so the resulting spec hashes and round-trips like any other.
+    so the resulting spec hashes and round-trips like any other.  Any
+    integer labels (``numpy.int64`` too) become ``int``, so the spec
+    and its run key equal those of the same graph labelled with ``int``.
     """
-    if any(not isinstance(node, int) for node in graph.nodes()):
+    if any(not isinstance(node, numbers.Integral) for node in graph.nodes()):
         raise ConfigurationError("inline graphs must have integer node labels")
+    for u, v, data in graph.edges(data=True):
+        if "weight" not in data:  # the validator's message, before any weight is read
+            raise WeightError(f"edge ({u}, {v}) has no 'weight' attribute")
     edges = sorted(
         (min(int(u), int(v)), max(int(u), int(v)), float(data["weight"]))
         for u, v, data in graph.edges(data=True)

@@ -47,10 +47,11 @@ one-off runs stay side-effect free.
 from __future__ import annotations
 
 import copy
+import io
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.results import MSTRunResult
 from ..exceptions import ConfigurationError
@@ -92,12 +93,17 @@ class RunStore:
     records).
 
     Per live run the store holds only the flat ``row`` (all a report
-    reads), the ``provenance`` (what resume checks) and the record's
-    JSON text: loading parses every line but drops the parsed ``spec``
-    and ``result`` trees, which :meth:`get_spec`, :meth:`get_result`
-    and :meth:`iter_run_records` re-parse from the text.  Held trees
-    made every garbage collection re-walk the whole store (DESIGN.md,
-    Section 11).  :meth:`compact` writes the held text as is.
+    reads), the ``provenance`` (what resume checks) and the byte offset
+    where the record's line starts in the file: loading parses every
+    line but drops the parsed ``spec`` and ``result`` trees, which
+    :meth:`get_spec`, :meth:`get_result`, :meth:`iter_run_records` and
+    :meth:`compact` read back from the file (a record still in the
+    group-commit buffer is served from the buffer).  The rows and
+    provenance parsed at open share one copy of each key and string
+    value.  An in-memory store has no file and holds each record's
+    JSON text instead.  Held trees made every garbage collection
+    re-walk the whole store, and held texts made an open hold more than
+    twice the file (DESIGN.md, Section 11).
 
     Args:
         path: ``None`` for a purely in-memory store, else the store's
@@ -151,21 +157,31 @@ class RunStore:
             "fsyncs": 0,
             "recovered_lines": 0,
         }
-        #: Per live run, by run key in first-seen order: the record's
-        #: JSON text, its row and its provenance.  Strings and dicts of
-        #: scalars are not tracked by the garbage collector, so unlike
-        #: parsed records (or a tuple per run) they add nothing to what
-        #: a collection walks.
-        self._texts: Dict[str, str] = {}
+        #: Per live run, by run key in first-seen order: where its record
+        #: line starts in the file (for an in-memory store, the record's
+        #: JSON text), its row and its provenance.  Ints, strings and
+        #: dicts of scalars are not tracked by the garbage collector, so
+        #: unlike parsed records (or a tuple per run) they add nothing to
+        #: what a collection walks.
+        self._lines: Dict[str, Union[int, str]] = {}
         self._rows: Dict[str, Dict[str, object]] = {}
         self._provenance: Dict[str, Dict[str, object]] = {}
         self._graphs: Dict[str, GraphDescription] = {}
-        self._buffer: List[str] = []
-        self._handle = None
+        #: One copy of each key tuple and string value of the rows and
+        #: provenance parsed at open (see :meth:`_share`).
+        self._memo: Dict[object, object] = {}
+        #: Buffered record lines awaiting commit, by the offset each takes.
+        self._pending: Dict[int, bytes] = {}
+        #: Where the next record line starts: the file's size once the
+        #: buffer is committed.
+        self._end = 0
+        self._handle: Optional[BinaryIO] = None
         #: Physical records in the file (>= logical ones).
         self._physical_records = 0
         if self.path is not None and self.path.exists():
             self._load()
+            # The real size, after any repair _load made.
+            self._end = self.path.stat().st_size
 
     # -- context manager / lifecycle -------------------------------------
 
@@ -181,19 +197,20 @@ class RunStore:
         A no-op for in-memory stores and when the buffer is empty.
         Under ``durability="none"`` the data is written but not fsynced.
         """
-        if self.path is None or not self._buffer:
+        if self.path is None or not self._pending:
             return
         self._require_writable()
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-        self._handle.write("".join(self._buffer))
+            # Binary: the bytes on disk are exactly the bytes the offsets count.
+            self._handle = self.path.open("ab")
+        self._handle.write(b"".join(self._pending.values()))
         self._handle.flush()
         if self.durability != "none":
             os.fsync(self._handle.fileno())
             self.stats["fsyncs"] += 1
-        self._physical_records += len(self._buffer)
-        self._buffer.clear()
+        self._physical_records += len(self._pending)
+        self._pending.clear()
         self.stats["commits"] += 1
 
     def close(self) -> None:
@@ -275,7 +292,7 @@ class RunStore:
                     ) from error
                 kind = record.get("kind")
                 if kind == "run":
-                    self._hold_run(record, text)
+                    self._hold_run(record, line_start)
                 elif kind == "graph":
                     self._graphs[str(record["key"])] = dict(record["description"])
                 else:
@@ -307,35 +324,106 @@ class RunStore:
                 f"store at {self.path} is opened read_only; writes are not allowed"
             )
 
-    def _append(self, text: str) -> None:
-        """Buffer one record line; callers check writability first."""
+    def _append(self, text: str) -> Union[int, str]:
+        """Buffer one record line and return what the index holds for it.
+
+        That is the offset the line takes in the file, or for an
+        in-memory store the text itself.  Callers check writability
+        first, and call :meth:`_commit_if_due` once they have indexed
+        the record.
+        """
         if self.path is None:
-            return
-        self._buffer.append(text + "\n")
+            return text
+        data = text.encode("utf-8") + b"\n"
+        offset = self._end
+        self._pending[offset] = data
+        self._end += len(data)
         self.stats["appends"] += 1
-        if self.durability == "record" or len(self._buffer) >= self.batch_size:
+        return offset
+
+    def _commit_if_due(self) -> None:
+        if self.durability == "record" or len(self._pending) >= self.batch_size:
             self.flush()
 
-    def _hold_run(self, record: Dict[str, object], text: str) -> None:
-        """Keep one run record's text, row and provenance (last wins)."""
+    def _share(self, mapping: Dict[str, object]) -> Dict[str, object]:
+        """``mapping`` rebuilt over the store's one copy of its keys and string values.
+
+        A parsed record brings its own copy of every key and string; the
+        30k rows of a big store repeat the same few dozen.  Key order
+        and values are unchanged.
+        """
+        memo = self._memo
+        keys = tuple(mapping)
+        shared = memo.setdefault(keys, keys)
+        values = [
+            memo.setdefault(value, value) if value.__class__ is str else value
+            for value in mapping.values()
+        ]
+        return dict(zip(shared, values))
+
+    def _hold_run(self, record: Dict[str, object], line: Union[int, str]) -> None:
+        """Index one parsed run record, keeping its row and provenance shared (last wins)."""
         key = str(record["key"])
-        self._texts[key] = text
-        self._rows[key] = record["row"]
-        self._provenance[key] = record["provenance"]
+        self._lines[key] = line
+        self._rows[key] = self._share(record["row"])
+        self._provenance[key] = self._share(record["provenance"])
+
+    def _read(
+        self, key: str, handle: Optional[BinaryIO] = None
+    ) -> Tuple[str, Dict[str, object]]:
+        """The live record of ``key`` (KeyError if absent): its text and a fresh parse.
+
+        A committed record is read back at its offset through ``handle``
+        (or a handle of its own), the way :meth:`_load` reads it.  A
+        record that no longer parses as run ``key`` there -- the file
+        was truncated or rewritten under the open store -- raises
+        :class:`~repro.exceptions.ConfigurationError`; another record is
+        never returned.
+        """
+        offset = self._lines[key]
+        if isinstance(offset, str):  # an in-memory store holds the text itself
+            text = offset
+            return text, json.loads(text)
+        data = self._pending.get(offset)
+        if data is None:
+            if handle is None:
+                with self._reader() as own:
+                    return self._read(key, own)
+            handle.seek(offset)
+            data = handle.readline()
+        try:
+            text = data.strip().decode("utf-8-sig")
+            record = json.loads(text)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            record = None
+        if not isinstance(record, dict) or record.get("kind") != "run" or (
+            str(record.get("key")) != key
+        ):
+            raise ConfigurationError(
+                f"{self.path}: no record of run {key} at byte {offset}; the file "
+                f"was truncated or rewritten under the open store"
+            )
+        return text, record
+
+    def _reader(self) -> BinaryIO:
+        """A binary handle on the store file (an empty one while there is no file)."""
+        if self.path is None or not self.path.exists():
+            return io.BytesIO()
+        return self.path.open("rb")
 
     # -- run records -----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._texts)
+        return len(self._lines)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._texts
+        return key in self._lines
 
     def has_run(self, key: str) -> bool:
-        return key in self._texts
+        return key in self._lines
 
     def run_keys(self) -> List[str]:
-        return list(self._texts)
+        return list(self._lines)
 
     def get_row(self, key: str) -> Dict[str, object]:
         """The flat output row recorded for ``key`` (KeyError if absent).
@@ -348,10 +436,10 @@ class RunStore:
 
     def get_result(self, key: str) -> MSTRunResult:
         """The full deserialized result recorded for ``key``."""
-        return MSTRunResult.from_json_dict(json.loads(self._texts[key])["result"])
+        return MSTRunResult.from_json_dict(self._read(key)[1]["result"])
 
     def get_spec(self, key: str) -> RunSpec:
-        return RunSpec.from_json_dict(json.loads(self._texts[key])["spec"])
+        return RunSpec.from_json_dict(self._read(key)[1]["spec"])
 
     def get_provenance(self, key: str) -> Dict[str, object]:
         return copy.deepcopy(self._provenance[key])
@@ -373,9 +461,12 @@ class RunStore:
         # No sort_keys: records are built in deterministic order, and
         # preserving row insertion order keeps table columns stable
         # when rows are reloaded on resume.
-        text = json.dumps(record)
-        self._hold_run(record, text)
-        self._append(text)
+        key = str(record["key"])
+        self._lines[key] = self._append(json.dumps(record))
+        # The caller's row and provenance already share their keys.
+        self._rows[key] = record["row"]
+        self._provenance[key] = record["provenance"]
+        self._commit_if_due()
 
     def iter_rows(self) -> Iterator[Dict[str, object]]:
         """All recorded rows, in insertion (file) order (deep copies)."""
@@ -386,11 +477,14 @@ class RunStore:
         """Every live run record, in insertion order.
 
         Backend-agnostic iteration surface used by :func:`merge_stores`.
-        Each yielded dict is a fresh parse of the record's stored text,
-        not the store's own state: mutating it changes nothing stored.
+        Each yielded dict is a fresh parse of the record's line, read
+        back from the file through one handle (closed when the
+        iteration ends or is abandoned), not the store's own state:
+        mutating it changes nothing stored.
         """
-        for text in self._texts.values():
-            yield json.loads(text)
+        with self._reader() as handle:
+            for key in self._lines:
+                yield self._read(key, handle)[1]
 
     # -- graph description cache ----------------------------------------
 
@@ -410,17 +504,17 @@ class RunStore:
         self._require_writable()
         self._graphs[key] = dict(description)
         self._append(json.dumps({"kind": "graph", "key": key, "description": dict(description)}))
+        self._commit_if_due()
 
     def graph_keys(self) -> List[str]:
         return list(self._graphs)
 
     # -- maintenance -----------------------------------------------------
 
-    def _live_lines(self) -> Iterator[str]:
-        """Every live (non-superseded) record's JSON text: graphs first, then runs."""
+    def _graph_lines(self) -> Iterator[str]:
+        """Every live graph description's record text, in insertion order."""
         for key, description in self._graphs.items():
             yield json.dumps({"kind": "graph", "key": key, "description": description})
-        yield from self._texts.values()
 
     def compact(self) -> Dict[str, int]:
         """Rewrite the store keeping only the last record per key.
@@ -437,19 +531,29 @@ class RunStore:
             return {"before": 0, "after": 0, "dropped": 0}
         self._require_writable()
         self.close()
-        live = list(self._live_lines())
         before = self._physical_records
         tmp = self.path.with_name(self.path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            for line in live:
-                handle.write(line + "\n")
-            handle.flush()
-            # Always fsynced, whatever the durability level: the rename
-            # deletes the only other copy of committed records.
-            os.fsync(handle.fileno())
+        # The index of the file being written: each run's new offset.
+        lines: Dict[str, Union[int, str]] = {}
+        try:
+            with self._reader() as source, tmp.open("wb") as handle:
+                for text in self._graph_lines():
+                    handle.write(text.encode("utf-8") + b"\n")
+                for key in self._lines:
+                    lines[key] = handle.tell()
+                    handle.write(self._read(key, source)[0].encode("utf-8") + b"\n")
+                handle.flush()
+                # Always fsynced, whatever the durability level: the rename
+                # deletes the only other copy of committed records.
+                os.fsync(handle.fileno())
+                end = handle.tell()
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         os.replace(tmp, self.path)
-        self._physical_records = len(live)
-        return {"before": before, "after": len(live), "dropped": before - len(live)}
+        self._lines, self._end = lines, end
+        after = self._physical_records = len(self._graphs) + len(lines)
+        return {"before": before, "after": after, "dropped": before - after}
 
     def merge_from(self, source: Union["RunStore", str, Path]) -> Dict[str, int]:
         """Fold ``source`` (a store of any backend, or a path) into this one.
@@ -475,7 +579,9 @@ class RunStore:
         Used by :func:`convert_store` for byte-identical migration.
         """
         if self.path is None:
-            yield from self._live_lines()
+            yield from self._graph_lines()
+            for key in self._lines:
+                yield self._read(key)[0]
             return
         self.flush()
         if not self.path.exists():
@@ -513,13 +619,14 @@ class RunStore:
         except json.JSONDecodeError as error:
             raise ConfigurationError(f"invalid store record line ({error})") from error
         kind = record.get("kind")
-        if kind == "run":
-            self._hold_run(record, text)
-        elif kind == "graph":
-            self._graphs[str(record["key"])] = dict(record["description"])
-        else:
+        if kind not in ("run", "graph"):
             raise ConfigurationError(f"unknown record kind {kind!r}")
-        self._append(text)
+        line = self._append(text)
+        if kind == "run":
+            self._hold_run(record, line)
+        else:
+            self._graphs[str(record["key"])] = dict(record["description"])
+        self._commit_if_due()
 
 
 # -- backend seam ---------------------------------------------------------

@@ -339,6 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
         "store", help="run-store maintenance (compact / merge)"
     )
     store_commands = store_parser.add_subparsers(dest="store_command", required=True)
+    info_parser = store_commands.add_parser(
+        "info",
+        help="print a store's backend, size and record counts, and the torn "
+        "lines an open recovers (read-only: repairs nothing)",
+    )
+    info_parser.add_argument(
+        "--store", required=True, metavar="PATH", help="run store to describe, any backend"
+    )
     compact_parser = store_commands.add_parser(
         "compact", help="rewrite a store dropping superseded (last-record-wins) duplicates"
     )
@@ -482,9 +490,26 @@ def _run_lint(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
+def _print_store_info(path: str) -> None:
+    """Handle ``store info``: what a read-only open of ``path`` finds."""
+    with open_store(path, read_only=True) as store:
+        physical, runs = store._physical_records, len(store)
+        graphs = len(store.graph_keys())
+        print(f"store: {path}")
+        print(f"backend: {store.backend_name}")
+        print(f"file size: {Path(path).stat().st_size} bytes")
+        print(f"physical records: {physical}")
+        print(f"live runs: {runs}")
+        print(f"graph descriptions: {graphs}")
+        print(f"superseded records: {physical - runs - graphs}")
+        print(f"recovered lines: {store.stats['recovered_lines']}")
+
+
 def _run_store_maintenance(args: argparse.Namespace) -> int:
-    """Handle the ``store compact`` / ``store merge`` subcommands."""
-    if args.store_command == "compact":
+    """Handle the ``store info`` / ``compact`` / ``merge`` / ``convert`` subcommands."""
+    if args.store_command == "info":
+        _print_store_info(args.store)
+    elif args.store_command == "compact":
         store_path = Path(args.store)
         if not store_path.exists():
             raise ConfigurationError(f"no run store at {store_path}")

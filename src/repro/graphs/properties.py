@@ -18,6 +18,19 @@ from ..exceptions import DisconnectedGraphError, GraphError, WeightError
 from .weights import weights_are_unique
 
 
+def reject_self_loops(graph: nx.Graph) -> None:
+    """Raise :class:`GraphError` naming the first self-loop of ``graph``.
+
+    One membership test per vertex, O(n): cheap enough for a check on
+    every run that skips the full validation.
+    """
+    for node, neighbours in graph.adjacency():
+        if node in neighbours:
+            raise GraphError(
+                f"edge ({node}, {node}) is a self-loop; CONGEST links join two vertices"
+            )
+
+
 def validate_weighted_graph(graph: nx.Graph, require_unique_weights: bool = True) -> None:
     """Raise a descriptive error unless ``graph`` is a valid algorithm input.
 
@@ -35,9 +48,8 @@ def validate_weighted_graph(graph: nx.Graph, require_unique_weights: bool = True
         raise DisconnectedGraphError(
             f"graph is disconnected ({nx.number_connected_components(graph)} components)"
         )
+    reject_self_loops(graph)
     for u, v, data in graph.edges(data=True):
-        if u == v:
-            raise GraphError(f"edge ({u}, {v}) is a self-loop; CONGEST links join two vertices")
         if "weight" not in data:
             raise WeightError(f"edge ({u}, {v}) has no 'weight' attribute")
         weight = data["weight"]

@@ -29,8 +29,9 @@ from repro.api import (
     TelemetryCollector,
 )
 from repro.campaign.store import RunStore
-from repro.exceptions import ConfigurationError, DisconnectedGraphError
+from repro.exceptions import ConfigurationError, DisconnectedGraphError, WeightError
 from repro.graphs.generators import random_connected_graph
+from repro.graphs.properties import validate_weighted_graph
 from repro.simulator.engine import available_engines
 
 
@@ -98,6 +99,19 @@ class TestScenarioNormalization:
         assert scenario.key() == key
         assert scenario.config.bandwidth == 1
 
+    def test_numpy_integer_labels_give_the_int_labelled_spec(self):
+        numpy = pytest.importorskip("numpy")
+        graph = random_connected_graph(12, seed=2)
+        relabelled = nx.relabel_nodes(graph, {node: numpy.int64(node) for node in graph})
+        assert Scenario(graph=relabelled).graph == Scenario(graph=graph).graph
+        assert Scenario(graph=relabelled).key() == Scenario(graph=graph).key()
+
+    def test_bool_labels_stay_accepted(self):
+        labelled, plain = nx.Graph(), nx.Graph()
+        labelled.add_edge(False, True, weight=1.5)
+        plain.add_edge(0, 1, weight=1.5)
+        assert Scenario(graph=labelled).key() == Scenario(graph=plain).key()
+
     def test_truthy_verify_values_are_coerced_to_bool(self):
         scenario = Scenario(graph=GraphSpec("path", {"n": 8, "seed": 0}), verify=1)
         assert scenario.verify is True
@@ -112,6 +126,15 @@ class TestScenarioValidation:
         graph.add_edge(2, 3, weight=2.0)
         with pytest.raises(DisconnectedGraphError, match="2 components"):
             Scenario(graph=graph)
+
+    def test_rejects_an_unweighted_edge_with_the_validators_message(self):
+        graph = nx.path_graph(3)
+        with pytest.raises(WeightError) as raised:
+            Scenario(graph=graph)
+        with pytest.raises(WeightError) as validated:
+            validate_weighted_graph(graph, require_unique_weights=False)
+        assert str(raised.value) == str(validated.value)
+        assert str(raised.value) == "edge (0, 1) has no 'weight' attribute"
 
     def test_rejects_bandwidth_below_one(self):
         config = RunConfig()

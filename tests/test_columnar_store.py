@@ -514,6 +514,24 @@ class TestColumnarCLI:
         with open_store(store_path, read_only=True) as store:
             assert store.backend_name == "columnar" and len(store) == 2
 
+    def test_store_info_counts_a_columnar_store(self, tmp_path, capsys):
+        store_path = tmp_path / "runs.sqlite"
+        argv = self.SWEEP + ["--output", str(store_path), "--store-backend", "columnar"]
+        assert main(argv) == 0
+        assert main(argv) == 0  # no --resume: every cell superseded
+        capsys.readouterr()
+        assert main(["store", "info", "--store", str(store_path)]) == 0
+        assert capsys.readouterr().out == (
+            f"store: {store_path}\n"
+            "backend: columnar\n"
+            f"file size: {store_path.stat().st_size} bytes\n"
+            "physical records: 6\n"
+            "live runs: 2\n"
+            "graph descriptions: 2\n"
+            "superseded records: 2\n"
+            "recovered lines: 0\n"
+        )
+
     def test_store_compact_handles_columnar(self, tmp_path, capsys):
         store_path = tmp_path / "runs.sqlite"
         argv = self.SWEEP + ["--output", str(store_path), "--store-backend", "columnar"]

@@ -16,6 +16,7 @@ import pytest
 
 from repro import GraphSpec, RunConfig, Runner
 from repro.algorithms import algorithm_info, available_algorithms, run_algorithm
+from repro.analysis.experiments import run_single
 from repro.api import Scenario
 from repro.campaign.presets import available_presets, preset_campaign
 from repro.campaign.spec import graph_spec_for
@@ -147,6 +148,17 @@ class TestSelfLoopsAreRejected:
         # ValueError from normalize_edge.
         with pytest.raises(GraphError, match=r"edge \(5, 5\) is a self-loop"):
             run_algorithm(self._looped_graph(), algorithm, RunConfig(engine=engine))
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [name for name in available_algorithms() if not algorithm_info(name).is_distributed],
+    )
+    def test_every_sequential_runner_refuses_a_loop(self, algorithm):
+        # run_single used to fail here with a bare ValueError from
+        # normalize_edge, while elkin raised this GraphError.
+        message = r"^edge \(5, 5\) is a self-loop; CONGEST links join two vertices$"
+        with pytest.raises(GraphError, match=message):
+            run_single(self._looped_graph(), algorithm=algorithm)
 
     @pytest.mark.parametrize("algorithm", ["elkin", "kruskal"])
     def test_a_scenario_over_a_looped_graph_fails_its_build(self, algorithm):

@@ -330,6 +330,29 @@ class TestReportCLI:
         assert main(["store", "compact", "--store", populated_store]) == 0
         assert "compacted" in capsys.readouterr().out
 
+    def test_store_info_counts_a_torn_tail_and_leaves_the_file_as_is(
+        self, populated_store, capsys
+    ):
+        from repro.cli import main
+
+        path = Path(populated_store)
+        with path.open("ab") as handle:
+            handle.write(b'{"kind": "run", "key": "torn", "sp')
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert main(["store", "info", "--store", populated_store]) == 0
+        assert capsys.readouterr().out == (
+            f"store: {populated_store}\n"
+            "backend: jsonl\n"
+            f"file size: {len(before)} bytes\n"
+            "physical records: 3\n"
+            "live runs: 2\n"
+            "graph descriptions: 1\n"
+            "superseded records: 0\n"
+            "recovered lines: 1\n"
+        )
+        assert path.read_bytes() == before
+
     def test_store_merge_subcommand(self, populated_store, tmp_path, capsys):
         from repro.cli import main
 

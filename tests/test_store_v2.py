@@ -8,8 +8,14 @@ to the original per-record-fsync store.
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
 import logging
+import os
+import re
+import tracemalloc
+import warnings
 
 import pytest
 
@@ -21,8 +27,9 @@ from repro.campaign import (
     open_store,
     RunStore,
 )
+from repro.campaign.presets import preset_campaign
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import DURABILITY_LEVELS, merge_stores
+from repro.campaign.store import DURABILITY_LEVELS, make_run_record, merge_stores
 from repro.exceptions import ConfigurationError
 
 
@@ -668,6 +675,185 @@ class TestLeanRunRecords:
                 assert reopened.get_spec(key) == spec
                 assert reopened.get_result(key).to_json_dict() == runs[key]["result"]
                 assert reopened.get_provenance(key) == runs[key]["provenance"]
+
+
+def _pool_records():
+    """Four real run records, built in memory: (spec, row, result, provenance)."""
+    memory = RunStore(None)
+    execute_campaign(_campaign(), store=memory)
+    return [
+        (
+            RunSpec.from_json_dict(record["spec"]),
+            record["row"],
+            record["result"],
+            record["provenance"],
+        )
+        for record in memory.iter_run_records()
+    ]
+
+
+def _reads(store) -> tuple:
+    """Everything a caller can read back of each live run's record."""
+    keys = store.run_keys()
+    return (
+        [store.get_spec(key) for key in keys],
+        [store.get_result(key).to_json_dict() for key in keys],
+        list(store.iter_run_records()),
+    )
+
+
+@pytest.fixture(scope="module")
+def zoo_store(tmp_path_factory):
+    """A fresh JSONL store holding an in-process zoo then zoo-faulty sweep."""
+    path = tmp_path_factory.mktemp("zoo") / "zoo.jsonl"
+    with RunStore(path) as store:
+        for name in ("zoo", "zoo-faulty"):
+            execute_campaign(preset_campaign(name), store=store)
+    return path
+
+
+class TestOffsetIndex:
+    """An on-disk store indexes each live run by the byte offset of its
+    line and reads the record back from the file, or from the commit
+    buffer while it is there (DESIGN.md, Section 11)."""
+
+    def test_reads_after_compact_match_the_reads_before(self, tmp_path):
+        with RunStore(tmp_path / "store.jsonl") as store:
+            execute_campaign(_campaign(), store=store)
+            execute_campaign(_campaign(), store=store, resume=False)  # supersedes every run
+            before = _reads(store)
+            assert store.compact()["dropped"] == len(_campaign())
+            assert _reads(store) == before
+
+    def test_old_and_new_records_read_back_after_a_torn_tail_is_dropped(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        first, *_, last = _pool_records()
+        with RunStore(path) as store:
+            store.record_run(*first)
+            old = _reads(store)
+        with path.open("ab") as handle:
+            handle.write(b'{"kind": "run", "key": "torn", "sp')
+        with RunStore(path) as store:
+            assert store.stats["recovered_lines"] == 1
+            store.record_run(*last)
+            store.flush()
+            both = _reads(store)
+        specs, results, records = both
+        assert specs == [first[0], last[0]]
+        assert (specs[:1], results[:1], records[:1]) == old
+        with RunStore(path, read_only=True) as reopened:
+            assert _reads(reopened) == both
+
+    def test_the_first_record_of_a_bom_prefixed_file_reads_back(self, tmp_path):
+        plain, bom = tmp_path / "plain.jsonl", tmp_path / "bom.jsonl"
+        with RunStore(plain) as store:
+            for record in _pool_records():  # runs only: the first line is a run
+                store.record_run(*record)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        with RunStore(plain, read_only=True) as expected, RunStore(bom, read_only=True) as store:
+            assert _reads(store) == _reads(expected)
+
+    def test_a_non_ascii_line_reads_back_before_and_after_flush_and_reopen(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        first, second = _pool_records()[:2]
+        record = json.loads(json.dumps(make_run_record(*first)))
+        record["row"]["graph"] = "größer-graph-∑"
+        with RunStore(path, batch_size=1000) as store:
+            store.append_record_line(json.dumps(record, ensure_ascii=False))
+            # The next line starts after the first one's bytes, not its characters.
+            store.append_record_line(json.dumps(make_run_record(*second)))
+            buffered = _reads(store)
+            store.flush()
+            assert _reads(store) == buffered
+        with RunStore(path, read_only=True) as reopened:
+            assert _reads(reopened) == buffered
+        specs, _, records = buffered
+        assert specs == [first[0], second[0]]
+        assert records[0] == record
+
+    def test_a_buffered_record_reads_back_without_a_commit(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        pool = _pool_records()
+        with RunStore(path, batch_size=1000) as store:
+            store.record_run(*pool[0])
+            store.flush()
+            fsyncs, commits = store.stats["fsyncs"], store.stats["commits"]
+            for record in pool[1:]:
+                store.record_run(*record)
+            reads = _reads(store)
+            assert (store.stats["fsyncs"], store.stats["commits"]) == (fsyncs, commits)
+        assert reads[0] == [spec for spec, *_ in pool]
+        with RunStore(path, read_only=True) as reopened:
+            assert _reads(reopened) == reads
+
+    def test_a_file_truncated_under_an_open_store_raises(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        with RunStore(path) as store:
+            execute_campaign(_campaign(), store=store)
+            last = store.run_keys()[-1]
+            os.truncate(path, path.stat().st_size - 10)
+            message = re.escape(f"{path}: no record of run {last}")
+            with pytest.raises(ConfigurationError, match=message):
+                store.get_result(last)
+            truncated = path.read_bytes()
+            with pytest.raises(ConfigurationError, match=message):
+                store.compact()
+        # The failed rewrite left the file as it was and no temporary.
+        assert path.read_bytes() == truncated
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_a_file_rewritten_under_an_open_store_never_serves_another_record(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        with RunStore(path) as store:
+            execute_campaign(_campaign(), store=store)
+            first = store.run_keys()[0]
+            lines = path.read_bytes().splitlines(keepends=True)
+            # Drop the first run's line: the second run's now starts at its offset.
+            path.write_bytes(b"".join(line for line in lines if first.encode() not in line))
+            with pytest.raises(ConfigurationError, match="truncated or rewritten"):
+                store.get_spec(first)
+            with pytest.raises(ConfigurationError, match="truncated or rewritten"):
+                list(store.iter_run_records())
+
+    def test_an_abandoned_iteration_closes_its_handle(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        with RunStore(path) as store:
+            execute_campaign(_campaign(), store=store)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            store = RunStore(path, read_only=True)
+            records = store.iter_run_records()
+            next(records)
+            del records
+            gc.collect()
+            store.close()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_a_read_only_open_holds_less_than_the_file(self, zoo_store):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            store = RunStore(zoo_store, read_only=True)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        store.close()
+        # It held 2.5x the file while each run kept its record text.
+        assert held < zoo_store.stat().st_size
+
+    def test_a_zoo_store_has_the_pinned_bytes(self, zoo_store):
+        """How records are held in memory changes no byte on disk.
+
+        The provenance stamps the package version, so a release bump
+        moves this pin.
+        """
+        data = zoo_store.read_bytes()
+        assert (data.count(b"\n"), len(data), hashlib.sha256(data).hexdigest()) == (
+            471,
+            578_313,
+            "9264472aae73be934898a6e5c5427265949e07abb4189548215394c8423c8676",
+        )
 
 
 class TestConvertRobustness:
