@@ -44,6 +44,7 @@ from .store import (
     GraphDescription,
     make_run_record,
     merge_stores,
+    parse_record_line,
     refuse_directory,
 )
 
@@ -458,10 +459,7 @@ class ColumnarStore:
         text = line.strip()
         if not text:
             return
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(f"invalid store record line ({error})") from error
+        record = parse_record_line(text)
         kind = record.get("kind")
         if kind == "run":
             self._adopt_run_record(record, text)

@@ -27,8 +27,9 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import networkx as nx
 
 from ..conditions.spec import NetworkCondition, normalize_condition
-from ..exceptions import ConfigurationError, WeightError
+from ..exceptions import ConfigurationError
 from ..graphs.generators import FAMILIES, GraphSpec, SHAPE_RULES
+from ..graphs.properties import reject_bad_weights
 from ..simulator.engine import DEFAULT_ENGINE
 
 
@@ -81,9 +82,7 @@ def inline_graph_spec(graph: nx.Graph) -> GraphSpec:
     """
     if any(not isinstance(node, numbers.Integral) for node in graph.nodes()):
         raise ConfigurationError("inline graphs must have integer node labels")
-    for u, v, data in graph.edges(data=True):
-        if "weight" not in data:  # the validator's message, before any weight is read
-            raise WeightError(f"edge ({u}, {v}) has no 'weight' attribute")
+    reject_bad_weights(graph)  # the validator's rule, before float() sees a weight
     edges = sorted(
         (min(int(u), int(v)), max(int(u), int(v)), float(data["weight"]))
         for u, v, data in graph.edges(data=True)
@@ -135,6 +134,10 @@ class RunSpec:
     strict_bounds: bool = False
     label: Optional[str] = None
     condition: Optional[NetworkCondition] = None
+    # Memos of run_key() and graph_key(): outside __init__, repr and
+    # ==/hash, and reset by replace().
+    _run_key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _graph_key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.graph.family == "edge_list" and self.seed is not None:
@@ -144,6 +147,12 @@ class RunSpec:
             )
         if self.condition is not None and not isinstance(self.condition, NetworkCondition):
             object.__setattr__(self, "condition", normalize_condition(self.condition))
+        # dataclasses leave an init=False default on the class.  Setting
+        # the memos here gives them a place in every instance's attribute
+        # layout, so filling one later stores a pointer: set first in
+        # run_key(), CPython would give the instance a whole __dict__.
+        object.__setattr__(self, "_run_key", None)
+        object.__setattr__(self, "_graph_key", None)
 
     def is_deterministic(self) -> bool:
         """True when building this spec twice yields the identical instance.
@@ -174,53 +183,46 @@ class RunSpec:
         return self.label or self.effective_graph_spec().label()
 
     def _identity(self) -> Dict[str, object]:
-        # Cached: the store's group-commit path calls run_key() /
-        # to_json_dict() once per record, and the identity (a frozen
-        # spec's pure function) dominated append cost before caching.
-        # Frozen dataclasses still own a __dict__, so the cache rides
-        # there via object.__setattr__; equality ignores it.
-        cached = self.__dict__.get("_identity_cache")
-        if cached is None:
-            spec = self.effective_graph_spec()
-            cached = {
-                "graph": {"family": spec.family, "params": spec.params},
-                "algorithm": self.algorithm,
-                "bandwidth": self.bandwidth,
-                "engine": self.engine,
-                "seed": self.seed,
-                "base_forest_k": self.base_forest_k,
-            }
-            # Non-default execution switches extend the identity; the
-            # default combination hashes exactly as it did before these
-            # fields existed, keeping old run stores resumable.
-            if not self.collect_telemetry:
-                cached["collect_telemetry"] = False
-            if self.strict_bounds:
-                cached["strict_bounds"] = True
-            if self.condition is not None:
-                cached["condition"] = self.condition.identity()
-            # repro: allow[CON303] memo cache, excluded from eq/hash identity
-            object.__setattr__(self, "_identity_cache", cached)
-        # Shallow copy: to_json_dict decorates the top level in place.
-        return dict(cached)
+        # Built on each call, not cached: run_key() keeps only its hash,
+        # and a cached dict per spec cost more memory than the rebuild
+        # costs time.  to_json_dict() decorates the fresh dict in place.
+        spec = self.effective_graph_spec()
+        identity: Dict[str, object] = {
+            "graph": {"family": spec.family, "params": spec.params},
+            "algorithm": self.algorithm,
+            "bandwidth": self.bandwidth,
+            "engine": self.engine,
+            "seed": self.seed,
+            "base_forest_k": self.base_forest_k,
+        }
+        # Non-default execution switches extend the identity; the
+        # default combination hashes exactly as it did before these
+        # fields existed, keeping old run stores resumable.
+        if not self.collect_telemetry:
+            identity["collect_telemetry"] = False
+        if self.strict_bounds:
+            identity["strict_bounds"] = True
+        if self.condition is not None:
+            identity["condition"] = self.condition.identity()
+        return identity
 
     def run_key(self) -> str:
         """Content hash identifying this cell in the run store (cached)."""
-        key = self.__dict__.get("_run_key_cache")
+        key = self._run_key
         if key is None:
             key = content_hash(self._identity())
             # repro: allow[CON303] memo cache, excluded from eq/hash identity
-            object.__setattr__(self, "_run_key_cache", key)
+            object.__setattr__(self, "_run_key", key)
         return key
 
     def graph_key(self) -> str:
         """Content hash of the (seed-resolved) graph instance description (cached)."""
-        key = self.__dict__.get("_graph_key_cache")
+        key = self._graph_key
         if key is None:
             spec = self.effective_graph_spec()
             key = content_hash({"family": spec.family, "params": spec.params})
             # repro: allow[CON303] memo cache, excluded from eq/hash identity
-            object.__setattr__(self, "_graph_key_cache", key)
+            object.__setattr__(self, "_graph_key", key)
         return key
 
     def to_json_dict(self) -> Dict[str, object]:

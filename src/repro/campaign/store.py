@@ -67,6 +67,21 @@ DURABILITY_LEVELS = ("record", "batch", "none")
 _LOG = get_logger(__name__)
 
 
+def parse_record_line(text: str) -> Dict[str, object]:
+    """The record object one store line holds, for ``append_record_line``.
+
+    Raises :class:`ConfigurationError` when the text is not JSON, or is
+    JSON but not an object (``5``, ``[1]``): either way it is no record.
+    """
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ConfigurationError(f"invalid store record line ({error})") from error
+    if not isinstance(record, dict):
+        raise ConfigurationError(f"invalid store record line (not a JSON object: {text[:40]})")
+    return record
+
+
 def refuse_directory(path: Path) -> None:
     """Raise if ``path`` is a directory: a store of either backend is one file."""
     if path.is_dir():
@@ -290,6 +305,10 @@ class RunStore:
                     raise ConfigurationError(
                         f"{path}:{line_number}: corrupt run-store line ({error})"
                     ) from error
+                if not isinstance(record, dict):
+                    raise ConfigurationError(
+                        f"{path}:{line_number}: corrupt run-store line (not a JSON object)"
+                    )
                 kind = record.get("kind")
                 if kind == "run":
                     self._hold_run(record, line_start)
@@ -614,10 +633,7 @@ class RunStore:
         text = line.strip()
         if not text:
             return
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(f"invalid store record line ({error})") from error
+        record = parse_record_line(text)
         kind = record.get("kind")
         if kind not in ("run", "graph"):
             raise ConfigurationError(f"unknown record kind {kind!r}")

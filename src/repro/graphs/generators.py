@@ -14,10 +14,11 @@ regimes the paper distinguishes:
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import networkx as nx
 
@@ -167,6 +168,27 @@ def random_regular_connected_graph(
     raise GraphError(f"failed to sample a connected {degree}-regular graph on {n} vertices")
 
 
+def _geometric_edges(n: int, radius: float, seed: int) -> List[Tuple[int, int]]:
+    """Pairs ``(u, v)``, ``u < v``, of ``n`` random unit-square points within ``radius``.
+
+    The same edges, in the same order, as
+    ``nx.random_geometric_graph(n, radius, seed=seed)``, which imports
+    scipy for a k-d tree when it can: the points are drawn as networkx
+    draws them (two ``random()`` calls per vertex, in vertex order) and
+    joined by its no-scipy loop's test, ``dx**2 + dy**2 <= radius**2``.
+    """
+    rng = random.Random(seed)
+    points = [(rng.random(), rng.random()) for _ in range(n)]
+    # Unit-square points lie under sqrt(2) apart: any radius above 2
+    # joins every pair, as 2 does, and squaring it could overflow.
+    limit = min(radius, 2.0) ** 2
+    return [
+        (u, v)
+        for (u, (xu, yu)), (v, (xv, yv)) in itertools.combinations(enumerate(points), 2)
+        if abs(xu - xv) ** 2 + abs(yu - yv) ** 2 <= limit
+    ]
+
+
 def random_geometric_connected_graph(
     n: int, radius: Optional[float] = None, seed: Optional[int] = None, random_weights: bool = True
 ) -> nx.Graph:
@@ -174,17 +196,18 @@ def random_geometric_connected_graph(
 
     Geometric graphs have hop-diameter roughly ``1 / radius``, giving a
     family with intermediate diameter between expanders and paths.
+    Each candidate is :func:`_geometric_edges` at a fresh seed; a failed
+    candidate retries at 1.3 times the radius.
     """
     if n < 2:
         raise GraphError(f"need n >= 2, got {n}")
+    if radius is not None and not radius > 0:
+        raise GraphError(f"need radius > 0, got {radius}")
     rng = random.Random(seed)
-    base_radius = radius if radius is not None else 1.5 * math.sqrt(math.log(max(n, 2)) / n)
-    current = base_radius
+    current = radius if radius is not None else 1.5 * math.sqrt(math.log(n) / n)
     for attempt in range(20):
-        candidate = nx.random_geometric_graph(n, current, seed=rng.randrange(2**31))
-        if nx.is_connected(candidate):
-            candidate = nx.Graph(candidate.edges())
-            candidate.add_nodes_from(range(n))
+        candidate = nx.Graph(_geometric_edges(n, current, rng.randrange(2**31)))
+        if candidate.number_of_nodes() == n and nx.is_connected(candidate):
             return _finalize(candidate, seed, random_weights)
         current *= 1.3
     raise GraphError(f"failed to sample a connected geometric graph on {n} vertices")

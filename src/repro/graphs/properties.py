@@ -31,6 +31,20 @@ def reject_self_loops(graph: nx.Graph) -> None:
             )
 
 
+def reject_bad_weights(graph: nx.Graph) -> None:
+    """Raise :class:`WeightError` at the first edge without a finite real weight > 0."""
+    for u, v, data in graph.edges(data=True):
+        if "weight" not in data:
+            raise WeightError(f"edge ({u}, {v}) has no 'weight' attribute")
+        weight = data["weight"]
+        # NaN fails both comparisons; a huge int compares exactly.
+        if not (isinstance(weight, Real) and 0 < weight < math.inf):
+            raise WeightError(
+                f"edge ({u}, {v}) has weight {weight!r}; "
+                "every weight must be a finite real number > 0"
+            )
+
+
 def validate_weighted_graph(graph: nx.Graph, require_unique_weights: bool = True) -> None:
     """Raise a descriptive error unless ``graph`` is a valid algorithm input.
 
@@ -49,16 +63,7 @@ def validate_weighted_graph(graph: nx.Graph, require_unique_weights: bool = True
             f"graph is disconnected ({nx.number_connected_components(graph)} components)"
         )
     reject_self_loops(graph)
-    for u, v, data in graph.edges(data=True):
-        if "weight" not in data:
-            raise WeightError(f"edge ({u}, {v}) has no 'weight' attribute")
-        weight = data["weight"]
-        # NaN fails both comparisons; a huge int compares exactly.
-        if not (isinstance(weight, Real) and 0 < weight < math.inf):
-            raise WeightError(
-                f"edge ({u}, {v}) has weight {weight!r}; "
-                "every weight must be a finite real number > 0"
-            )
+    reject_bad_weights(graph)
     if require_unique_weights and not weights_are_unique(graph):
         raise WeightError(
             "edge weights are not pairwise distinct; call ensure_unique_weights() first"

@@ -17,8 +17,10 @@ ship with the package:
 * ``"array"`` -- :class:`~repro.simulator.array_network.ArrayNetwork`,
   a numpy structure-of-arrays kernel (CSR adjacency as arrays,
   vectorized neighbourhood broadcasts, array-reduction accounting);
-  registered only when numpy is importable, otherwise selecting it
-  raises an actionable :class:`~repro.exceptions.ConfigurationError`.
+  listed when numpy is installed, but imported -- numpy with it -- only
+  when a caller names it, so ``reference`` and ``fast`` runs never load
+  numpy.  Without numpy, selecting it raises an actionable
+  :class:`~repro.exceptions.ConfigurationError`.
 
 All engines implement the same model, round for round and message for
 message: switching engines changes wall-clock time only, never the
@@ -35,6 +37,8 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import functools
+import importlib.util
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import networkx as nx
@@ -232,17 +236,38 @@ def register_unavailable_engine(name: str, reason: str) -> None:
     _UNAVAILABLE[name] = reason
 
 
-def _ensure_builtin_engines() -> None:
-    """Import the built-in kernels so they self-register (idempotent)."""
-    from . import array_network as _array_network  # noqa: F401
+def _ensure_builtin_engines(name: str = "") -> None:
+    """Import the built-in kernels so they self-register (idempotent).
+
+    The pure-Python kernels always load.  The numpy ``array`` kernel
+    loads only when ``name`` asks for it and nothing is registered or
+    recorded under that name yet, so a run on another engine never
+    imports numpy and a test's substitute is never overwritten.
+    """
     from . import fast_network as _fast_network  # noqa: F401
     from . import network as _network  # noqa: F401
 
+    if name == "array" and name not in _REGISTRY and name not in _UNAVAILABLE:
+        from . import array_network as _array_network  # noqa: F401
+
+
+@functools.lru_cache(maxsize=None)
+def _numpy_installed() -> bool:
+    """True when numpy can be imported here; finds it without importing it."""
+    return importlib.util.find_spec("numpy") is not None
+
 
 def available_engines() -> List[str]:
-    """Names accepted by :func:`create_engine` (and the CLI's ``--engine``)."""
+    """Names accepted by :func:`create_engine` (and the CLI's ``--engine``).
+
+    ``array`` is listed when numpy is installed and nothing has recorded
+    the engine as unavailable; listing it does not import it.
+    """
     _ensure_builtin_engines()
-    return sorted(_REGISTRY)
+    names = set(_REGISTRY)
+    if "array" not in _UNAVAILABLE and _numpy_installed():
+        names.add("array")
+    return sorted(names)
 
 
 def unavailable_engines() -> Dict[str, str]:
@@ -251,8 +276,10 @@ def unavailable_engines() -> Dict[str, str]:
     The ``array`` kernel without numpy is the canonical entry; the CLI's
     ``engines`` subcommand surfaces this mapping so a missing optional
     dependency is diagnosable without triggering the selection error.
+    The kernel is imported here only when numpy is missing, to record
+    that reason.
     """
-    _ensure_builtin_engines()
+    _ensure_builtin_engines("" if _numpy_installed() else "array")
     return dict(_UNAVAILABLE)
 
 
@@ -262,7 +289,7 @@ def registered_factory(name: str) -> Optional[EngineFactory]:
     Lets callers that special-case a kernel detect when a test or
     plugin has re-registered the name with something else.
     """
-    _ensure_builtin_engines()
+    _ensure_builtin_engines(name)
     return _REGISTRY.get(name)
 
 
@@ -363,7 +390,7 @@ def create_engine(
             provided = provider(graph, bandwidth, engine)
             if provided is not None:
                 return _apply_wrappers(provided, graph, bandwidth, engine)
-    _ensure_builtin_engines()
+    _ensure_builtin_engines(engine)
     try:
         factory = _REGISTRY[engine]
     except KeyError:
@@ -373,7 +400,7 @@ def create_engine(
                 f"engine {engine!r} is not available: {reason}"
             ) from None
         raise ConfigurationError(
-            f"unknown engine {engine!r}; available: {', '.join(sorted(_REGISTRY))}"
+            f"unknown engine {engine!r}; available: {', '.join(available_engines())}"
         ) from None
     built = factory(graph, bandwidth=bandwidth, validate=validate)
     if _WRAPPERS:

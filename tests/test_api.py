@@ -14,6 +14,7 @@ import dataclasses
 import gc
 import io
 import json
+import math
 import warnings
 
 import networkx as nx
@@ -135,6 +136,17 @@ class TestScenarioValidation:
             validate_weighted_graph(graph, require_unique_weights=False)
         assert str(raised.value) == str(validated.value)
         assert str(raised.value) == "edge (0, 1) has no 'weight' attribute"
+
+    @pytest.mark.parametrize("weight", ["abc", None, math.nan, -1], ids=repr)
+    def test_rejects_a_bad_weight_with_the_validators_message(self, weight):
+        graph = nx.Graph()
+        graph.add_edge(0, 1, weight=weight)
+        with pytest.raises(WeightError) as raised:
+            Scenario(graph=graph)
+        with pytest.raises(WeightError) as validated:
+            validate_weighted_graph(graph, require_unique_weights=False)
+        assert str(raised.value) == str(validated.value)
+        assert "every weight must be a finite real number > 0" in str(raised.value)
 
     def test_rejects_bandwidth_below_one(self):
         config = RunConfig()

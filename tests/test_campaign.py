@@ -9,7 +9,11 @@ round-tripping and config threading through ``run_single``.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import json
+import pickle
+import tracemalloc
 
 import pytest
 
@@ -120,6 +124,57 @@ class TestRunSpec:
         assert normalize(rebuilt.edges()) == normalize(graph.edges())
         for u, v, data in graph.edges(data=True):
             assert rebuilt[u][v]["weight"] == data["weight"]
+
+
+class TestRunSpecMemo:
+    """A spec remembers its two key hashes and nothing else."""
+
+    @staticmethod
+    def _spec(index: int) -> RunSpec:
+        return RunSpec(
+            graph=GraphSpec("random_connected", {"n": 20, "seed": index}),
+            engine="fast",
+            seed=index % 3,
+            label=f"cell {index}",
+        )
+
+    def test_keys_and_json_retain_under_256_bytes_per_spec(self):
+        specs = [self._spec(index) for index in range(2000)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for spec in specs:
+                spec.run_key()
+                spec.graph_key()
+                spec.to_json_dict()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / len(specs) < 256
+
+    def test_replace_computes_a_fresh_key(self):
+        spec = self._spec(1)
+        key, graph_key = spec.run_key(), spec.graph_key()
+        moved = dataclasses.replace(spec, engine="reference", seed=2)
+        rebuilt = RunSpec(graph=spec.graph, engine="reference", seed=2, label=spec.label)
+        assert (moved.run_key(), moved.graph_key()) == (rebuilt.run_key(), rebuilt.graph_key())
+        assert moved.run_key() != key and moved.graph_key() != graph_key
+        assert dataclasses.replace(spec, label="renamed").run_key() == key
+
+    def test_equality_repr_hash_and_pickle_ignore_the_memo(self):
+        fresh, keyed = self._spec(4), self._spec(4)
+        key, graph_key = keyed.run_key(), keyed.graph_key()
+        assert fresh == keyed
+        assert repr(fresh) == repr(keyed) and key not in repr(keyed)
+        memo = [field for field in dataclasses.fields(RunSpec) if field.name.startswith("_")]
+        assert len(memo) == 2
+        assert all(not (f.init or f.repr or f.compare or f.hash) for f in memo)
+        clone = pickle.loads(pickle.dumps(keyed))
+        assert clone == fresh == keyed
+        assert (clone.run_key(), clone.graph_key()) == (key, graph_key)
+        assert json.dumps(keyed.to_json_dict()) == json.dumps(fresh.to_json_dict())
 
 
 class TestCampaignGrid:

@@ -154,6 +154,13 @@ class TestRejectedOpens:
 
 
 class TestColumnarContract:
+    @pytest.mark.parametrize("line", ["[1]", "5"])
+    def test_appending_a_line_that_is_not_an_object_raises(self, tmp_path, line):
+        with ColumnarStore(tmp_path / "runs.sqlite") as store:
+            with pytest.raises(ConfigurationError, match="not a JSON object"):
+                store.append_record_line(line)
+            assert len(store) == 0 and store.graph_keys() == []
+
     @pytest.mark.parametrize("durability", ("record", "batch", "none"))
     def test_sweep_persists_and_reloads_under_every_level(self, tmp_path, durability):
         path = tmp_path / "runs.sqlite"

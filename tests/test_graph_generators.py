@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+import random
+
 import networkx as nx
 import pytest
 
@@ -28,6 +32,7 @@ from repro.graphs import (
     weights_are_unique,
     wheel_graph,
 )
+from repro.graphs.generators import _finalize, _geometric_edges
 
 
 ALL_GENERATOR_CALLS = [
@@ -154,6 +159,68 @@ class TestValidationErrors:
     def test_edge_probability_out_of_range(self):
         with pytest.raises(GraphError):
             random_connected_graph(10, edge_probability=1.5)
+
+
+def _networkx_geometric_graph(n, radius, seed):
+    """The geometric family as built on ``nx.random_geometric_graph``."""
+    rng = random.Random(seed)
+    current = radius if radius is not None else 1.5 * math.sqrt(math.log(n) / n)
+    for _ in range(20):
+        candidate = nx.random_geometric_graph(n, current, seed=rng.randrange(2**31))
+        if nx.is_connected(candidate):
+            candidate = nx.Graph(candidate.edges())
+            candidate.add_nodes_from(range(n))
+            return _finalize(candidate, seed, True)
+        current *= 1.3
+    raise AssertionError("no connected candidate")
+
+
+GEOMETRIC_PANEL = [
+    (n, radius, seed)
+    for n in (2, 3, 16, 27, 120)
+    for radius in (0.02, 0.1, 1 / 3, 0.75, 2.0)
+    for seed in (0, 1, 2)
+]
+
+
+class TestGeometricGraph:
+    @pytest.mark.parametrize("n,radius,seed", GEOMETRIC_PANEL)
+    def test_candidate_edges_match_networkx_in_order(self, n, radius, seed):
+        reference = nx.random_geometric_graph(n, radius, seed=seed)
+        edges = _geometric_edges(n, radius, seed)
+        assert list(reference.nodes()) == list(range(n))
+        assert edges == list(reference.edges())
+
+    @pytest.mark.parametrize("n,radius,seed", GEOMETRIC_PANEL)
+    def test_candidate_edges_match_an_exhaustive_check(self, n, radius, seed):
+        rng = random.Random(seed)
+        points = [(rng.random(), rng.random()) for _ in range(n)]
+        expected = [
+            (u, v)
+            for u, v in itertools.combinations(range(n), 2)
+            if abs(points[u][0] - points[v][0]) ** 2 + abs(points[u][1] - points[v][1]) ** 2
+            <= radius**2
+        ]
+        assert _geometric_edges(n, radius, seed) == expected
+
+    @pytest.mark.parametrize("radius", (2.5, 1e200, math.inf))
+    def test_a_radius_beyond_the_square_joins_every_pair(self, radius):
+        assert _geometric_edges(12, radius, 0) == list(itertools.combinations(range(12), 2))
+        assert random_geometric_connected_graph(12, radius=radius, seed=0).number_of_edges() == 66
+
+    @pytest.mark.parametrize("n", (2, 16, 27, 60))
+    @pytest.mark.parametrize("radius", (None, 0.25))
+    @pytest.mark.parametrize("seed", (0, 1, 2, 3))
+    def test_graph_matches_the_networkx_built_family(self, n, radius, seed):
+        ours = random_geometric_connected_graph(n, radius=radius, seed=seed)
+        theirs = _networkx_geometric_graph(n, radius, seed)
+        assert list(ours.nodes()) == list(theirs.nodes())
+        assert list(ours.edges(data="weight")) == list(theirs.edges(data="weight"))
+
+    @pytest.mark.parametrize("radius", (0, -0.5, math.nan))
+    def test_non_positive_radius_is_rejected_up_front(self, radius):
+        with pytest.raises(GraphError, match="radius"):
+            random_geometric_connected_graph(10, radius=radius, seed=0)
 
 
 class TestNewFamilies:

@@ -242,6 +242,23 @@ class TestCrashRecovery:
         with pytest.raises(ConfigurationError, match="corrupt"):
             RunStore(path)
 
+    @pytest.mark.parametrize("line", ["5", "[1]", "null"])
+    def test_a_json_line_that_is_not_an_object_is_corruption(self, tmp_path, line):
+        path = tmp_path / "store.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigurationError, match=rf"store\.jsonl:1: corrupt.*not a JSON object"):
+            RunStore(path, read_only=True)
+        assert path.read_text() == line + "\n"
+
+    @pytest.mark.parametrize("line", ["5", "[1]"])
+    def test_appending_a_line_that_is_not_an_object_raises(self, tmp_path, line):
+        path = tmp_path / "store.jsonl"
+        with RunStore(path) as store:
+            with pytest.raises(ConfigurationError, match="not a JSON object"):
+                store.append_record_line(line)
+            assert len(store) == 0 and store.graph_keys() == []
+        assert not path.exists() or path.read_bytes() == b""
+
     def test_mid_file_corruption_raises_even_without_final_newline(self, tmp_path):
         path = tmp_path / "store.jsonl"
         path.write_text('garbage\n{"kind": "graph", "key": "g", "description"')
