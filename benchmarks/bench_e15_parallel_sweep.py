@@ -2,14 +2,14 @@
 
 Like E11/E12, this benchmark measures the harness rather than the
 paper: a zoo-scale sweep (the ``zoo`` preset, several hundred cells)
-run through the batched-parallel scheduler
-(:mod:`repro.campaign.scheduler`: graph-affine work units leased to
-persistent workers, each batching locally) must be at least 2x faster
-than the legacy per-cell process pool at the *same* job count, while
-the rows stay byte-identical to a serial sweep.  The speedup is pure overhead
-amortization -- per-unit graph builds, oracles and descriptions, plus
-one worker lifecycle per campaign instead of one pool per phase -- so
-the simulations themselves are identical executions.
+run through the scheduler (:mod:`repro.campaign.scheduler`:
+graph-affine work units leased to persistent workers) with the batch
+runner must be at least 2x faster than with the per-cell runner
+(``batch=False``) at the *same* job count, while the rows stay
+byte-identical to a serial sweep.  Both legs run on the same
+scheduler, so the ratio isolates batching: per-unit graph builds,
+oracles and descriptions.  The simulations themselves are identical
+executions.
 
 Set ``REPRO_E15_WRITE_JSON=path`` to also dump the measured rows as
 JSON (the checked-in ``BENCH_E15.json`` is produced this way).

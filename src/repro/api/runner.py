@@ -1,7 +1,7 @@
 """The :class:`Runner` facade: the one execution path for every scenario.
 
 ``Runner.run`` (one scenario), ``Runner.run_many`` (a batch, optionally
-on a worker pool) and ``Runner.stream`` (lazy iteration) all route
+on worker processes) and ``Runner.stream`` (lazy iteration) all route
 through the campaign executor, so a one-off call gets exactly the
 services a 10k-cell sweep gets: verification against the sequential
 oracles, provenance stamping, run-store persistence with resume, the
@@ -121,7 +121,7 @@ class Runner:
         the graph-affine scheduler of
         :mod:`repro.campaign.scheduler` at ``jobs > 1``, where each
         persistent worker batches the work units it leases.  ``False``
-        forces the per-cell paths (serial, or the legacy process pool).
+        runs every cell on its own, in-process or on the same scheduler.
         """
         scenarios = list(scenarios)
         for position, scenario in enumerate(scenarios):

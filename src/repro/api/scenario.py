@@ -135,6 +135,11 @@ class Scenario:
 
     # -- identity --------------------------------------------------------
 
+    def __hash__(self) -> int:
+        # The generated hash would hash the mutable RunConfig and raise;
+        # equal scenarios have equal run specs.
+        return hash((self.to_run_spec(), self.verify))
+
     def to_run_spec(self) -> RunSpec:
         """The campaign-layer cell equivalent to this scenario."""
         config = self.config

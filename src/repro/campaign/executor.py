@@ -1,33 +1,32 @@
-"""Execution layer: serial, multiprocessing and batched campaign executors.
+"""Execution layer: two cell runners, each in-process or on the scheduler.
 
 Every execution mode drives each cell through the same single-cell
 contract (:func:`repro.analysis.experiments.run_single`), so all of them
 produce *row-for-row identical* output -- the mode only changes
-wall-clock time:
+wall-clock time.  A mode is two independent choices:
 
-* serial (``jobs=1, batch=False``): one cell at a time, in-process;
-* legacy pool (``jobs>1, batch=False``): a process pool created once
-  per campaign and shared by the describe and run passes; graphs are
-  constructed inside the worker that runs the cell (specs are data, so
-  nothing heavyweight crosses process boundaries);
-* batched (``jobs=1``, the default): the in-process
-  :class:`_BatchRunner` builds, describes and verifies against each
-  distinct deterministic graph of the sweep once instead of once per
-  cell; every cell still builds its own kernel, like a standalone run;
-* batched-parallel (``jobs>1``, the default): the
-  :mod:`~repro.campaign.scheduler` leases graph-affine work units to
-  persistent worker processes, each running the batch runner locally
-  and reporting finished cells to the parent, which commits them.
+* ``batch`` picks the cell runner.  :class:`_BatchRunner` (the default)
+  builds, describes and verifies against each distinct deterministic
+  graph of the sweep once instead of once per cell.
+  :class:`_CellRunner` (``batch=False``) is the per-cell oracle: it
+  wraps :func:`run_spec`, so each cell builds its own graph and
+  verifies inside ``run_single``.  Every cell builds its own kernel
+  either way, like a standalone run.
+* ``jobs`` picks where the runner runs: one cell at a time in-process
+  (``jobs=1``), or on the :mod:`~repro.campaign.scheduler`'s persistent
+  worker processes (``jobs>1``), which lease graph-affine work units,
+  run the runner the parent names over them and report each finished
+  cell to the parent.
 
-Only the calling process writes the run store: in campaign order, or
-in completion order on the scheduler.  Instance descriptions (n, m,
-hop-diameter) are computed once per distinct graph and cached in the
-store.
+Only the calling process writes the run store: in campaign order
+in-process, in completion order on the scheduler.  Instance
+descriptions (n, m, hop-diameter) are computed once per distinct
+deterministic graph and cached in the store.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -45,6 +44,10 @@ from .store import GraphDescription, RunStore
 #: One flat output row (column name -> JSON-safe value).
 Row = Dict[str, object]
 
+#: A cell runner's report of one cell: its row, its result as JSON and
+#: the instance description the row used.
+Outcome = Tuple[Row, Dict[str, object], GraphDescription]
+
 
 def _describe_graph(graph, compute_diameter: bool) -> GraphDescription:
     description: GraphDescription = {
@@ -54,11 +57,6 @@ def _describe_graph(graph, compute_diameter: bool) -> GraphDescription:
     if compute_diameter:
         description["D"] = hop_diameter(graph)
     return description
-
-
-def describe_instance(spec: RunSpec, compute_diameter: bool = True) -> GraphDescription:
-    """Instance description (n, m and optionally hop-diameter) for a spec."""
-    return _describe_graph(spec.build_graph(), compute_diameter)
 
 
 def _build_row(spec: RunSpec, description: GraphDescription, result: MSTRunResult) -> Row:
@@ -194,14 +192,39 @@ def _simulate(spec: RunSpec, graph: nx.Graph, verify: bool) -> MSTRunResult:
         return _non_terminated_result(spec, graph, error)
 
 
+def _outcome(row: Row, result: MSTRunResult) -> Outcome:
+    return row, result.to_json_dict(), {key: row[key] for key in ("n", "m", "D") if key in row}
+
+
+class _CellRunner:
+    """Per-cell runner (``batch=False``): :func:`run_spec` for every cell.
+
+    Each cell builds its own graph, describes it unless it is handed a
+    cached description, and verifies inside ``run_single`` -- the
+    reference the batch runner's rows must match byte for byte.  It
+    takes the batch runner's arguments, so the scheduler builds either
+    one the same way; it needs no ``specs`` up front.
+    """
+
+    def __init__(
+        self, specs: Sequence[RunSpec], do_verify: bool, compute_diameter: bool
+    ) -> None:
+        self._do_verify = do_verify
+        self._compute_diameter = compute_diameter
+
+    def run(self, spec: RunSpec, description: Optional[GraphDescription]) -> Outcome:
+        """Run one cell; return its row, result JSON and the description it used."""
+        return _outcome(*run_spec(spec, description, self._do_verify, self._compute_diameter))
+
+
 class _BatchRunner:
-    """In-process batched cell runner (the ``batch=True`` execution path).
+    """Batched cell runner (the default, ``batch`` not ``False``).
 
-    Serial per-cell execution rebuilds the graph, its description and
-    the verification references for every cell.  The batch runner
-    hoists all of that to per-distinct-graph cost:
+    Per-cell execution rebuilds the graph, its description and the
+    verification references for every cell.  The batch runner hoists
+    all of that to per-distinct-graph cost:
 
-    * every distinct *deterministic* graph of the pending cells is built
+    * every distinct *deterministic* graph of its cells is built
       exactly once, up front;
     * verification runs against one cached
       :class:`~repro.verify.mst_checks.MSTOracle` per graph (planted
@@ -212,34 +235,26 @@ class _BatchRunner:
     :func:`~repro.simulator.engine.create_engine`, exactly as a
     standalone run does: construction is O(n + m), under 1% of a zoo
     sweep (DESIGN.md, Section 10).  Non-deterministic cells (no pinned
-    seed) keep the serial contract: a fresh graph per cell, described
+    seed) keep the per-cell contract: a fresh graph per cell, described
     and verified individually, so their rows remain self-consistent
     samples.
     """
 
     def __init__(
-        self,
-        pending: Sequence[Tuple[int, RunSpec, str]],
-        do_verify: bool,
-        compute_diameter: bool,
+        self, specs: Sequence[RunSpec], do_verify: bool, compute_diameter: bool
     ) -> None:
         self._do_verify = do_verify
         self._compute_diameter = compute_diameter
         self._graphs: Dict[str, nx.Graph] = {}
         self._oracles: Dict[str, object] = {}
         self._descriptions: Dict[str, GraphDescription] = {}
-        for _, spec, _ in pending:
+        for spec in specs:
             graph_key = spec.graph_key()
             if spec.is_deterministic() and graph_key not in self._graphs:
                 self._graphs[graph_key] = spec.build_graph()
 
-    def run(
-        self,
-        index: int,
-        spec: RunSpec,
-        description: Optional[GraphDescription],
-    ) -> Tuple[int, Row, Dict[str, object], GraphDescription]:
-        """Run one cell; same outcome contract as :func:`_run_worker`."""
+    def run(self, spec: RunSpec, description: Optional[GraphDescription]) -> Outcome:
+        """Run one cell; same outcome contract as :meth:`_CellRunner.run`."""
         deterministic = spec.is_deterministic()
         graph_key = spec.graph_key()
         graph = self._graphs.get(graph_key) if deterministic else None
@@ -263,47 +278,7 @@ class _BatchRunner:
                 if deterministic:
                     self._oracles[graph_key] = oracle
             oracle.verify(result)
-        row = _build_row(spec, description, result)
-        used = {key: row[key] for key in ("n", "m", "D") if key in row}
-        return index, row, result.to_json_dict(), used
-
-
-# -- picklable worker entry points (top level for multiprocessing) -------
-
-
-def _describe_worker(
-    payload: Tuple[str, Dict[str, object], bool],
-) -> Tuple[str, GraphDescription]:
-    graph_key, spec_json, compute_diameter = payload
-    spec = RunSpec.from_json_dict(spec_json)
-    return graph_key, describe_instance(spec, compute_diameter=compute_diameter)
-
-
-def _run_worker(
-    payload: Tuple[int, Dict[str, object], Optional[GraphDescription], bool, bool],
-) -> Tuple[int, Row, Dict[str, object], GraphDescription]:
-    index, spec_json, description, verify, compute_diameter = payload
-    spec = RunSpec.from_json_dict(spec_json)
-    row, result = run_spec(
-        spec, description=description, verify=verify, compute_diameter=compute_diameter
-    )
-    used = {key: row[key] for key in ("n", "m", "D") if key in row}
-    return index, row, result.to_json_dict(), used
-
-
-def _map_payloads(worker, payloads: Sequence[object], jobs: int, pool=None) -> List[object]:
-    """Run ``worker`` over payloads, serially or on the campaign's pool.
-
-    The pool, when one is passed, was created once by
-    :func:`execute_campaign` and is shared by the describe and run
-    passes -- one worker lifecycle per campaign, not one per phase.
-    ``chunksize=1`` keeps scheduling deterministic-agnostic: results are
-    returned in payload order either way, so output never depends on
-    which worker finished first.
-    """
-    if pool is None or jobs <= 1 or len(payloads) <= 1:
-        return [worker(payload) for payload in payloads]
-    return pool.map(worker, payloads, chunksize=1)
+        return _outcome(_build_row(spec, description, result), result)
 
 
 def _notify(observers: Sequence[object], method: str, *args: object) -> None:
@@ -376,8 +351,8 @@ class CampaignReport:
         reused_indexes: campaign indexes of the cells answered from the
             store (sorted); ``reused == len(reused_indexes)``.
         store: the run store the campaign was executed against.
-        workers: persistent worker processes used by the batched-parallel
-            scheduler (``0`` for in-process and legacy pool execution).
+        workers: persistent worker processes used by the scheduler
+            (``0`` for in-process execution).
         worker_stats: one dict per scheduler worker -- ``worker``,
             ``units`` and ``cells`` executed, ``busy_seconds``, and
             ``utilization`` (busy time over campaign wall time).
@@ -435,21 +410,18 @@ def execute_campaign(
             descriptions (the one expensive description field).
         observers: lifecycle hooks (see
             :class:`repro.api.hooks.RunObserver`).  In-process execution
-            interleaves events with the cells; the batched-parallel
-            scheduler streams every event live, in completion order; the
-            legacy pool fires every ``on_run_start`` at dispatch time
-            and the ``on_phase`` / ``on_result`` events in campaign
-            order once the pool drains.  Resumed cells fire no events.
-        batch: batched execution (see :class:`_BatchRunner`): distinct
-            graphs are built, described and verified against one cached
-            oracle each -- several times faster on many-small-cell
-            sweeps, with rows byte-identical to the per-cell path.  With
-            ``jobs > 1`` batching composes with multiprocessing: the
-            :mod:`~repro.campaign.scheduler` leases graph-affine work
-            units to persistent workers, each batching its units
-            locally.  ``None`` (the default) batches everywhere;
-            ``False`` forces the per-cell paths (serial, or the legacy
-            process pool when ``jobs > 1``).
+            interleaves events with the cells; the scheduler streams
+            every event live, in completion order.  Resumed cells fire
+            no events.
+        batch: picks the cell runner.  ``None`` (the default) batches
+            (see :class:`_BatchRunner`): distinct graphs are built,
+            described and verified against one cached oracle each --
+            several times faster on many-small-cell sweeps, with rows
+            byte-identical to the per-cell path.  ``False`` runs every
+            cell on its own (see :class:`_CellRunner`).  Either runner
+            runs in-process at ``jobs == 1`` and on the
+            :mod:`~repro.campaign.scheduler`'s persistent workers at
+            ``jobs > 1``.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -474,46 +446,22 @@ def execute_campaign(
         else:
             pending.append((index, spec, key))
 
-    # Instance descriptions, computed once per distinct graph.  Only
-    # deterministic specs (pinned seed or verbatim edge list) may share
-    # a description across cells or reuse the store cache; every other
-    # cell derives its description inside the run worker from the very
-    # graph it simulates, so rows are always self-consistent.  A cached
-    # description computed without the hop-diameter does not satisfy a
-    # compute_diameter=True sweep -- it is recomputed and overwritten.
+    # Instance descriptions, one per distinct graph.  Only deterministic
+    # specs (pinned seed or verbatim edge list) may share a description
+    # across cells or reuse the store cache; every other cell describes
+    # the very graph it simulates, so rows are always self-consistent.
+    # A cached description computed without the hop-diameter does not
+    # satisfy a compute_diameter=True sweep -- it is recomputed and
+    # overwritten.
     def _usable(cached: Optional[GraphDescription]) -> bool:
         return cached is not None and (not compute_diameter or "D" in cached)
 
-    # Pending cells run in-process (one at a time) unless a pool is both
-    # requested and worthwhile; execution batches by default, composing
-    # with multiprocessing through the graph-affine scheduler.
-    in_process = jobs <= 1 or len(pending) <= 1
-    use_batch = in_process and batch is not False and bool(pending)
-    use_scheduler = not in_process and batch is not False
-
-    described = 0
     descriptions: Dict[str, GraphDescription] = {}
-    describe_payloads: List[Tuple[str, Dict[str, object], bool]] = []
-    if pending:
-        groups: Dict[str, List[RunSpec]] = {}
-        for _, spec, _ in pending:
-            groups.setdefault(spec.graph_key(), []).append(spec)
-        for graph_key, members in groups.items():
-            if not members[0].is_deterministic():
-                continue
+    for graph_key, spec in {spec.graph_key(): spec for _, spec, _ in pending}.items():
+        if spec.is_deterministic():
             cached = store.graph_description(graph_key)
             if _usable(cached):
                 descriptions[graph_key] = cached
-            elif len(members) > 1 and not use_batch and not use_scheduler:
-                # Worth a dedicated pass: one description serves many
-                # cells.  The batch runner -- in-process or inside a
-                # scheduler worker -- instead describes the graph it
-                # already built, so those paths never take this pass.
-                describe_payloads.append(
-                    (graph_key, members[0].to_json_dict(), compute_diameter)
-                )
-            # Single-cell graphs: the run worker describes the graph it
-            # builds anyway; the result is recorded into the cache below.
 
     def _record_description(spec: RunSpec, used: GraphDescription) -> bool:
         """Cache a description a run produced; True when it was news."""
@@ -528,89 +476,48 @@ def execute_campaign(
             return True
         return False
 
-    # Simulate the pending cells (graphs are built inside each worker).
-    if use_batch:
-        executor_name = "batched"
-    elif use_scheduler:
-        executor_name = f"batched-pool-{jobs}"
+    per_cell = batch is False
+    make_runner = functools.partial(
+        _CellRunner if per_cell else _BatchRunner,
+        do_verify=do_verify,
+        compute_diameter=compute_diameter,
+    )
+    scheduled = jobs > 1 and len(pending) > 1
+    if scheduled:
+        executor_name = f"pool-{jobs}" if per_cell else f"batched-pool-{jobs}"
     else:
-        executor_name = "serial" if jobs <= 1 else f"pool-{jobs}"
+        executor_name = "serial" if per_cell else "batched"
     fresh: Dict[int, Row] = {}
+    described = 0
     workers = 0
     worker_stats: List[Dict[str, object]] = []
-    pool = None
     try:
-        if not in_process and not use_scheduler:
-            # One worker lifecycle per campaign: the legacy pool path
-            # shares this pool across the describe and run passes
-            # instead of spawning a throwaway pool for each phase.
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else "spawn"
-            pool = multiprocessing.get_context(method).Pool(
-                processes=min(jobs, len(pending))
-            )
-        for graph_key, description in _map_payloads(
-            _describe_worker, describe_payloads, jobs, pool=pool
-        ):
-            store.record_graph(graph_key, description)
-            descriptions[graph_key] = description
-            described += 1
-        if use_scheduler:
+        if scheduled:
             from .scheduler import run_scheduled
 
-            fresh, described_in_units, workers, worker_stats = run_scheduled(
+            fresh, described, workers, worker_stats = run_scheduled(
                 pending,
                 descriptions,
                 store,
                 jobs=jobs,
+                make_runner=make_runner,
                 executor_name=executor_name,
                 do_verify=do_verify,
-                compute_diameter=compute_diameter,
                 observers=observers,
                 record_description=_record_description,
             )
-            described += described_in_units
         else:
-            # The batch runner consumes specs directly; only the worker
-            # path needs the JSON form (it crosses a process boundary).
-            payloads = [
-                (
-                    index,
-                    None if use_batch else spec.to_json_dict(),
-                    descriptions.get(spec.graph_key()),
-                    do_verify,
-                    compute_diameter,
-                )
-                for index, spec, _ in pending
-            ]
-            runner = (
-                _BatchRunner(pending, do_verify, compute_diameter) if use_batch else None
-            )
-            if in_process:
-                # Run inline below so observers see each cell's events live.
-                outcomes: List[object] = [None] * len(payloads)
-            else:
-                for _, spec, _ in pending:
-                    _notify(observers, "on_run_start", spec)
-                outcomes = _map_payloads(_run_worker, payloads, jobs, pool=pool)
-            for (index, spec, _), payload, outcome in zip(pending, payloads, outcomes):
-                if in_process:
-                    _notify(observers, "on_run_start", spec)
-                    outcome = (
-                        runner.run(index, spec, payload[2])
-                        if runner is not None
-                        else _run_worker(payload)
-                    )
-                out_index, row, result_json, used = outcome
-                assert index == out_index
+            runner = make_runner([spec for _, spec, _ in pending])
+            for index, spec, _ in pending:
+                _notify(observers, "on_run_start", spec)
+                # Looked up as the cell runs: the first cell of a graph
+                # describes it, and its record serves the later cells.
+                row, result_json, used = runner.run(spec, descriptions.get(spec.graph_key()))
                 if _record_description(spec, used):
                     described += 1
                 _commit(store, spec, row, result_json, executor_name, do_verify, observers)
                 fresh[index] = row
     finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
         # Group-commit contract: whatever durability level the store
         # runs at, a campaign that returned has all of its records on
         # disk -- and one that *raised* (verification failure, Ctrl-C,

@@ -1,21 +1,23 @@
-"""Batched-parallel campaign scheduler: graph-affine units on persistent workers.
+"""Campaign scheduler: graph-affine units on persistent workers.
 
-This module composes the two fast execution paths that used to be
-mutually exclusive -- batching (:class:`~repro.campaign.executor._BatchRunner`)
-and multiprocessing (the ``jobs > 1`` pool) -- into one scheduler:
+This is where every ``jobs > 1`` campaign runs, whichever cell runner
+the parent names -- the batch runner
+(:class:`~repro.campaign.executor._BatchRunner`, the default) or the
+per-cell one (:class:`~repro.campaign.executor._CellRunner`,
+``batch=False``):
 
 * the pending cells are partitioned into **graph-affine work units**
   (:func:`partition_units`): cells sharing a ``graph_key`` always land
-  in the same unit, so whichever worker leases the unit builds each
-  graph and its verification oracle exactly once, like the in-process
-  batch runner does;
+  in the same unit, so a worker batching the unit builds each graph
+  and its verification oracle exactly once, like the in-process batch
+  runner does;
 * units are leased from a shared task queue to **persistent worker
-  processes** -- one process lifecycle per campaign, not one pool per
-  phase; a worker that finishes a unit immediately leases the next, so
-  stragglers self-balance;
-* each worker runs a local :class:`_BatchRunner` over its unit and
-  reports every finished cell (row, result JSON, used description) on
-  a result queue; workers never open a store;
+  processes** -- one process lifecycle per campaign; a worker that
+  finishes a unit immediately leases the next, so stragglers
+  self-balance;
+* each worker builds the named runner over its unit and reports every
+  finished cell (row, result JSON, used description) on a result
+  queue; workers never open a store;
 * the parent is the campaign store's only writer: it commits each
   reported cell with :meth:`~repro.campaign.store.RunStore.record_run`
   at the store's own durability, then fires the observers
@@ -23,13 +25,13 @@ and multiprocessing (the ``jobs > 1`` pool) -- into one scheduler:
   ``on_phase`` / ``on_result`` stream live, in completion order.
 
 Rows, store records and resume semantics are byte-identical to the
-serial, batched and legacy pool paths; only wall-clock time, the
-store's record order (completion order) and the provenance
-``executor`` tag (``"batched-pool-<jobs>"``) differ.  A worker that
-dies mid-campaign loses only the cells it had not reported: every
-reported cell is committed, the campaign raises, and a ``--resume``
-completes exactly the missing cells.  Workers whose parent died stop
-before their next lease.
+in-process paths; only wall-clock time, the store's record order
+(completion order) and the provenance ``executor`` tag
+(``"batched-pool-<jobs>"``, or ``"pool-<jobs>"`` per cell) differ.  A
+worker that dies mid-campaign loses only the cells it had not
+reported: every reported cell is committed, the campaign raises, and a
+``--resume`` completes exactly the missing cells.  Workers whose
+parent died stop before their next lease.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import queue
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import ConfigurationError, SimulationError
 from .spec import content_hash, RunSpec
@@ -84,8 +86,8 @@ def partition_units(
     Cells are grouped by ``graph_key`` in first-occurrence (campaign)
     order, and whole groups are packed greedily into units of about
     ``len(pending) / (jobs * UNITS_PER_WORKER)`` cells.  A group is
-    never split: every cell sharing a graph lands in one unit, so the
-    worker leasing it pays one graph build, one oracle and one
+    never split: every cell sharing a graph lands in one unit, so a
+    worker batching it pays one graph build, one oracle and one
     description for the whole group.  The partition is a pure function
     of the pending cells (keys are content hashes), so re-running a
     campaign leases identical units.
@@ -140,12 +142,9 @@ def _worker_main(
     tasks: "multiprocessing.Queue",
     results: "multiprocessing.Queue",
     abort: "multiprocessing.Event",
-    do_verify: bool,
-    compute_diameter: bool,
+    make_runner: Callable[[Sequence[RunSpec]], Any],
 ) -> None:
     """Persistent worker: lease units until the sentinel, report every cell."""
-    from .executor import _BatchRunner
-
     busy = 0.0
     units = cells = 0
     try:
@@ -159,14 +158,11 @@ def _worker_main(
             if abort.is_set():
                 continue  # keep draining so every worker reaches a sentinel
             started = time.perf_counter()
-            pending = [
-                (index, RunSpec.from_json_dict(spec_json), "")
-                for index, spec_json, _ in unit.cells
-            ]
-            runner = _BatchRunner(pending, do_verify, compute_diameter)
-            for (index, spec, _), (_, _, description) in zip(pending, unit.cells):
+            specs = [RunSpec.from_json_dict(spec_json) for _, spec_json, _ in unit.cells]
+            runner = make_runner(specs)
+            for spec, (index, _, description) in zip(specs, unit.cells):
                 results.put(("start", worker_id, index))
-                _, row, result_json, used = runner.run(index, spec, description)
+                row, result_json, used = runner.run(spec, description)
                 cells += 1
                 results.put(("result", worker_id, index, row, result_json, used))
             units += 1
@@ -185,13 +181,16 @@ def run_scheduled(
     descriptions: Dict[str, GraphDescription],
     store: RunStore,
     jobs: int,
+    make_runner: Callable[[Sequence[RunSpec]], Any],
     executor_name: str,
     do_verify: bool,
-    compute_diameter: bool,
     observers: Sequence[object],
     record_description: Callable[[RunSpec, GraphDescription], bool],
 ) -> Tuple[Dict[int, Dict[str, object]], int, int, List[Dict[str, object]]]:
     """Run the pending cells on persistent workers, committing each to ``store``.
+
+    Each worker builds ``make_runner(specs)`` over the cells of every
+    unit it leases and calls its ``run(spec, description)`` per cell.
 
     Returns ``(fresh, described, workers, worker_stats)``: the freshly
     simulated rows by campaign index, the number of graph descriptions
@@ -216,7 +215,7 @@ def run_scheduled(
         raise ConfigurationError(
             f"{active_provider_count()} engine provider(s) are installed but this "
             "platform cannot fork worker processes; providers do not survive "
-            "spawn -- run with jobs=1 (or batch=False) inside engine_provider"
+            "spawn -- run with jobs=1 inside engine_provider"
         )
     context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
     units = partition_units(pending, descriptions, jobs)
@@ -242,7 +241,7 @@ def run_scheduled(
         for worker_id in range(worker_count):
             process = context.Process(
                 target=_worker_main,
-                args=(worker_id, tasks, results, abort, do_verify, compute_diameter),
+                args=(worker_id, tasks, results, abort, make_runner),
                 daemon=True,
             )
             process.start()

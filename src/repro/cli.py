@@ -233,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="batch",
         action="store_false",
         default=None,
-        help="force per-cell execution (serial, or the legacy process "
-        "pool with --jobs N); the default batches, in-process or per worker",
+        help="run every cell on its own (in-process, or on the --jobs N "
+        "workers); the default batches, in-process or per worker",
     )
     # No default retarget: presets keep the engines they were designed
     # with (the zoo runs on the fast kernel) unless --engine is given.

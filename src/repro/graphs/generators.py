@@ -347,6 +347,15 @@ def hub_path_graph(n: int, seed: Optional[int] = None, random_weights: bool = Tr
     return graph
 
 
+def _frozen(value: object) -> object:
+    """A hashable copy of a params value: dicts and lists become frozensets and tuples."""
+    if isinstance(value, dict):
+        return frozenset((key, _frozen(item)) for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(item) for item in value)
+    return value
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Declarative description of a benchmark graph instance.
@@ -358,6 +367,10 @@ class GraphSpec:
 
     family: str
     params: Dict[str, object]
+
+    def __hash__(self) -> int:
+        # The generated hash would hash the params dict and raise.
+        return hash((self.family, _frozen(self.params)))
 
     def build(self) -> nx.Graph:
         return make_graph(self.family, **self.params)

@@ -62,10 +62,27 @@ def _sixteen_cell_grid() -> Campaign:
     )
 
 
+def _shared_and_single_cell_grid() -> Campaign:
+    """The sixteen-cell grid plus two graphs that serve one cell each."""
+    singles = [
+        RunSpec(graph=graph_spec_for(family, 14), algorithm="elkin", engine="fast", seed=0)
+        for family in ("path", "grid")
+    ]
+    return Campaign("shared-and-single", _sixteen_cell_grid().specs + singles)
+
+
 def _execute_into(path, campaign, **kwargs):
     """``execute_campaign`` into the JSONL store at ``path``, then close it."""
     with RunStore(path) as store:
         return execute_campaign(campaign, store=store, **kwargs)
+
+
+def _untagged_records(path):
+    """The store's records in file order, without the provenance ``executor`` tag."""
+    records = [json.loads(line) for line in Path(path).read_text().splitlines()]
+    for record in records:
+        record.get("provenance", {}).pop("executor", None)
+    return records
 
 
 class TestBatchedEquivalence:
@@ -88,6 +105,18 @@ class TestBatchedEquivalence:
                 == batched_store.get_result(key).to_json_dict()
             )
             assert serial_store.get_spec(key) == batched_store.get_spec(key)
+
+    def test_per_cell_store_matches_the_batched_store_line_for_line(self, tmp_path):
+        """Each cell looks its graph's description up as it runs, so the
+        first cell of a graph writes its description, whichever runner
+        ran it; a describe pass used to write the shared graphs first."""
+        campaign = _shared_and_single_cell_grid()
+        per_cell = _execute_into(tmp_path / "per-cell.jsonl", campaign, batch=False)
+        batched = _execute_into(tmp_path / "batched.jsonl", campaign)
+        assert per_cell.described == batched.described == 6
+        assert _untagged_records(tmp_path / "per-cell.jsonl") == _untagged_records(
+            tmp_path / "batched.jsonl"
+        )
 
     def test_resume_across_execution_modes(self, tmp_path):
         campaign = _sixteen_cell_grid()
@@ -284,9 +313,41 @@ class TestScheduledEquivalence:
         assert report.workers == 2
         assert sum(stat["cells"] for stat in report.worker_stats) == report.executed
         assert "workers" in report.summary()
-        legacy = execute_campaign(campaign, jobs=2, batch=False)
-        assert legacy.workers == 0
-        assert report.rows == legacy.rows
+        per_cell = execute_campaign(campaign, jobs=2, batch=False)
+        assert per_cell.workers == 2
+        assert report.rows == per_cell.rows
+
+    def test_per_cell_runner_runs_on_the_scheduler(self, tmp_path):
+        campaign = _shared_and_single_cell_grid()
+        serial = _execute_into(tmp_path / "serial.jsonl", campaign, batch=False)
+        events = []
+
+        class Recorder:
+            def on_run_start(self, spec):
+                events.append(("start", spec.run_key()))
+
+            def on_result(self, spec, result, row):
+                events.append(("result", spec.run_key()))
+
+        scheduled = _execute_into(
+            tmp_path / "sched.jsonl", campaign, jobs=2, batch=False, observers=[Recorder()]
+        )
+        assert scheduled.rows == serial.rows
+        assert scheduled.workers == 2
+        assert sum(stat["cells"] for stat in scheduled.worker_stats) == len(campaign)
+        assert "on 2 workers" in scheduled.summary()
+        with RunStore(tmp_path / "sched.jsonl", read_only=True) as store:
+            assert {store.get_provenance(key)["executor"] for key in store.run_keys()} == {
+                "pool-2"
+            }
+
+        def sorted_records(path):
+            return sorted(json.dumps(r, sort_keys=True) for r in _untagged_records(path))
+
+        assert sorted_records(tmp_path / "sched.jsonl") == sorted_records(tmp_path / "serial.jsonl")
+        for key in campaign.run_keys():
+            assert events.count(("start", key)) == events.count(("result", key)) == 1
+            assert events.index(("start", key)) < events.index(("result", key))
 
     def test_resume_across_scheduled_and_serial(self, tmp_path):
         campaign = _sixteen_cell_grid()
@@ -776,7 +837,10 @@ class TestProviderEdgeCases:
             row["rounds"] for row in bare.rows
         ]
 
-    def test_scheduler_fails_loudly_without_fork(self, monkeypatch):
+    @pytest.mark.parametrize("batch", [None, False])
+    def test_scheduler_fails_loudly_without_fork(self, monkeypatch, batch):
+        """Bugfix: ``batch=False`` ran ``jobs>1`` on a spawned pool that
+        silently dropped the provider; it now takes the scheduler's guard."""
         campaign = _sixteen_cell_grid()
         monkeypatch.setattr(
             "repro.campaign.scheduler.multiprocessing.get_all_start_methods",
@@ -784,7 +848,7 @@ class TestProviderEdgeCases:
         )
         with engine_provider(lambda g, b, name: None):
             with pytest.raises(ConfigurationError, match="cannot fork"):
-                execute_campaign(campaign, jobs=2)
+                execute_campaign(campaign, jobs=2, batch=batch)
 
 
 class TestMSTOracle:

@@ -18,6 +18,7 @@ import tracemalloc
 import pytest
 
 from repro.analysis.experiments import run_single
+from repro.api import Scenario
 from repro.campaign import (
     available_presets,
     Campaign,
@@ -105,7 +106,7 @@ class TestRunSpec:
         """Regression: 1-indexed graphs must not grow a spurious node 0."""
         import networkx as nx
 
-        from repro.api import Runner, Scenario
+        from repro.api import Runner
 
         graph = nx.Graph()
         graph.add_edge(1, 2, weight=1.0)
@@ -175,6 +176,38 @@ class TestRunSpecMemo:
         assert clone == fresh == keyed
         assert (clone.run_key(), clone.graph_key()) == (key, graph_key)
         assert json.dumps(keyed.to_json_dict()) == json.dumps(fresh.to_json_dict())
+
+
+class TestSpecHashing:
+    """Bugfix: the frozen specs advertised a hash that raised on ``params``."""
+
+    def test_specs_work_in_sets_and_as_dict_keys(self):
+        graph = GraphSpec("path", {"n": 5})
+        spec = RunSpec(graph=graph)
+        scenario = Scenario(graph=GraphSpec("path", {"n": 5, "seed": 0}))
+        assert {graph, GraphSpec("path", {"n": 5})} == {graph}
+        assert {spec: 1}[RunSpec(graph=GraphSpec("path", {"n": 5}))] == 1
+        assert scenario in {Scenario(graph=GraphSpec("path", {"seed": 0, "n": 5}))}
+        assert len({spec, RunSpec(graph=graph, algorithm="ghs")}) == 2
+
+    def test_equal_specs_hash_equal(self):
+        edges = {"edges": [[0, 1, 1.0], [1, 2, 2.0]]}
+        pairs = [
+            (GraphSpec("grid", {"rows": 3, "cols": 4}), GraphSpec("grid", {"cols": 4, "rows": 3})),
+            (GraphSpec("path", {"n": 5}), GraphSpec("path", {"n": 5.0})),
+            (GraphSpec("edge_list", edges), GraphSpec("edge_list", json.loads(json.dumps(edges)))),
+        ]
+        for first, second in pairs:
+            assert first == second and hash(first) == hash(second)
+            assert hash(RunSpec(graph=first)) == hash(RunSpec(graph=second))
+
+    def test_a_replaced_spec_hashes_like_a_fresh_one(self):
+        spec = RunSpec(graph=GraphSpec("random_connected", {"n": 20}), seed=0)
+        hash(spec)
+        spec.run_key()
+        moved = dataclasses.replace(spec, engine="fast", seed=2)
+        rebuilt = RunSpec(graph=GraphSpec("random_connected", {"n": 20}), engine="fast", seed=2)
+        assert moved == rebuilt and hash(moved) == hash(rebuilt)
 
 
 class TestCampaignGrid:
