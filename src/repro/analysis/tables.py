@@ -8,7 +8,8 @@ layer depends on the standard library alone.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, repeat
+from typing import Iterable, List, Mapping, Sequence
 
 
 def _render_cell(value: object) -> str:
@@ -29,28 +30,33 @@ def format_table(rows: Sequence[Mapping[str, object]], columns: Iterable[str] | 
     ratios only the paper's algorithm reports) never lose them to the
     accident of which row came first; missing values render as ``-``.
     Returns a string ending without a newline.
+
+    Cells are rendered a column at a time: a column holding no
+    ``float`` (subclasses included) renders through ``str``, which is
+    what :func:`_render_cell` does to every other value, so only a
+    column holding a float pays for :func:`_render_cell`.  Each line
+    right-justifies its row's cells as it joins them, so the table
+    never holds a justified copy of its cells besides their text.
     """
     rows = list(rows)
     if not rows:
         return "(no rows)"
-    if columns is not None:
-        column_names = list(columns)
-    else:
-        column_names = []
-        for row in rows:
-            for name in row:
-                if name not in column_names:
-                    column_names.append(name)
-    rendered = [
-        [_render_cell(row.get(name, "-")) for name in column_names] for row in rows
-    ]
-    widths = [
-        max(len(name), *(len(line[index]) for line in rendered))
-        for index, name in enumerate(column_names)
-    ]
-    header = "  ".join(name.ljust(width) for name, width in zip(column_names, widths))
+    if columns is None:
+        columns = dict.fromkeys(chain.from_iterable(rows))
+    column_names = list(columns)
+    cells: List[List[str]] = []
+    widths: List[int] = []
+    for name in column_names:
+        values = [row.get(name, "-") for row in rows]
+        if any(issubclass(kind, float) for kind in set(map(type, values))):
+            column = list(map(_render_cell, values))
+        else:
+            column = list(map(str, values))
+        cells.append(column)
+        widths.append(max(len(name), max(map(len, column))))
+    header = "  ".join(map(str.ljust, column_names, widths))
     separator = "  ".join("-" * width for width in widths)
-    body = [
-        "  ".join(cell.rjust(width) for cell, width in zip(line, widths)) for line in rendered
-    ]
+    # With no columns, each row is still one (empty) line.
+    lines = zip(*cells) if cells else repeat((), len(rows))
+    body = ["  ".join(map(str.rjust, line, widths)) for line in lines]
     return "\n".join([header, separator, *body])

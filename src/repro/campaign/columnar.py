@@ -41,6 +41,7 @@ from ..exceptions import ConfigurationError
 from .spec import RunSpec
 from .store import (
     DURABILITY_LEVELS,
+    encode_record,
     GraphDescription,
     make_run_record,
     merge_stores,
@@ -231,7 +232,7 @@ class ColumnarStore:
                         cursor.lastrowid,
                         key,
                         *(self._scalar(row.get(column)) for column in _ROW_COLUMNS),
-                        json.dumps(row),
+                        encode_record(row),
                     ),
                 )
             self._physical_records += 1
@@ -278,7 +279,7 @@ class ColumnarStore:
 
     def _insert_run_record(self, record: Dict[str, object]) -> None:
         """Backend hook: adopt one already-built run record (last wins)."""
-        self._adopt_run_record(record, json.dumps(record))
+        self._adopt_run_record(record, encode_record(record))
 
     def _adopt_run_record(self, record: Dict[str, object], payload: str) -> None:
         self._require_writable()
@@ -289,9 +290,9 @@ class ColumnarStore:
 
     def record_graph(self, key: str, description: GraphDescription) -> None:
         self._require_writable()
+        payload = encode_record({"kind": "graph", "key": key, "description": dict(description)})
         self._graphs[key] = dict(description)
-        record = {"kind": "graph", "key": key, "description": dict(description)}
-        self._append("graph", key, json.dumps(record), None)
+        self._append("graph", key, payload, None)
 
     # -- run lookups -----------------------------------------------------
 

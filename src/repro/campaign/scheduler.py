@@ -160,9 +160,19 @@ def _worker_main(
             started = time.perf_counter()
             specs = [RunSpec.from_json_dict(spec_json) for _, spec_json, _ in unit.cells]
             runner = make_runner(specs)
+            # The description each deterministic graph's first cell used
+            # serves its later cells in the unit, as the parent's store
+            # serves them in-process, so a per-cell runner too describes
+            # each graph once per unit.
+            described: Dict[str, GraphDescription] = {}
             for spec, (index, _, description) in zip(specs, unit.cells):
                 results.put(("start", worker_id, index))
+                deterministic = spec.is_deterministic()
+                if description is None and deterministic:
+                    description = described.get(spec.graph_key())
                 row, result_json, used = runner.run(spec, description)
+                if deterministic:
+                    described.setdefault(spec.graph_key(), used)
                 cells += 1
                 results.put(("result", worker_id, index, row, result_json, used))
             units += 1

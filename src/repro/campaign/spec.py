@@ -33,9 +33,12 @@ from ..graphs.properties import reject_bad_weights
 from ..simulator.engine import DEFAULT_ENGINE
 
 
-def _canonical_json(payload: object) -> str:
-    """Deterministic JSON encoding (sorted keys, no whitespace)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+#: The canonical JSON encoding (sorted keys, no whitespace), built once:
+#: ``json.dumps`` with these arguments builds a new encoder per call.
+#: No walk for circular references: payloads are trees of plain data.
+_CANONICAL_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+)
 
 
 def content_hash(payload: object) -> str:
@@ -46,7 +49,7 @@ def content_hash(payload: object) -> str:
     canonical JSON encoding, so identities agree across processes,
     hosts and sessions.
     """
-    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(_CANONICAL_ENCODER.encode(payload).encode("utf-8")).hexdigest()[:16]
 
 
 def graph_spec_for(family: str, n: int, seed: Optional[int] = None) -> GraphSpec:

@@ -64,7 +64,27 @@ GraphDescription = Dict[str, object]
 #: Supported durability levels (see :class:`RunStore`).
 DURABILITY_LEVELS = ("record", "batch", "none")
 
+#: Value types a read hands out shared with the store rather than
+#: copied: exactly these types, whose instances cannot change.
+_IMMUTABLE = frozenset({str, int, float, bool, type(None)})
+
 _LOG = get_logger(__name__)
+
+
+def _detached(mapping: Dict[str, object]) -> Dict[str, object]:
+    """A fresh dict of ``mapping`` through which no caller can change it.
+
+    Values of an immutable type are shared and every other value is
+    deep-copied: the isolation ``copy.deepcopy(mapping)`` gives, for
+    the price of one dict copy when every value is a scalar, as in a
+    flat row.
+    """
+    detached = dict(mapping)
+    if not _IMMUTABLE.issuperset(map(type, detached.values())):
+        for key, value in detached.items():
+            if type(value) not in _IMMUTABLE:
+                detached[key] = copy.deepcopy(value)
+    return detached
 
 
 def parse_record_line(text: str) -> Dict[str, object]:
@@ -447,11 +467,14 @@ class RunStore:
     def get_row(self, key: str) -> Dict[str, object]:
         """The flat output row recorded for ``key`` (KeyError if absent).
 
-        Deep-copied: mutating the returned row (including nested lists
-        or detail dicts) must never reach the row the store holds, which
-        every later read and report serves.
+        A fresh dict: its ``str``, ``int``, ``float``, ``bool`` and
+        ``None`` values are the store's own (they cannot change) and
+        every other value -- a nested list, a detail dict, a tuple of
+        lists -- is a deep copy, so mutating the returned row never
+        reaches the row the store holds, which every later read and
+        report serves.
         """
-        return copy.deepcopy(self._rows[key])
+        return _detached(self._rows[key])
 
     def get_result(self, key: str) -> MSTRunResult:
         """The full deserialized result recorded for ``key``."""
@@ -461,7 +484,8 @@ class RunStore:
         return RunSpec.from_json_dict(self._read(key)[1]["spec"])
 
     def get_provenance(self, key: str) -> Dict[str, object]:
-        return copy.deepcopy(self._provenance[key])
+        """The provenance recorded for ``key``, copied as :meth:`get_row` copies a row."""
+        return _detached(self._provenance[key])
 
     def record_run(
         self,
@@ -477,20 +501,21 @@ class RunStore:
     def _insert_run_record(self, record: Dict[str, object]) -> None:
         """Backend hook: adopt one already-built run record (last wins)."""
         self._require_writable()
-        # No sort_keys: records are built in deterministic order, and
-        # preserving row insertion order keeps table columns stable
-        # when rows are reloaded on resume.
         key = str(record["key"])
-        self._lines[key] = self._append(json.dumps(record))
+        self._lines[key] = self._append(encode_record(record))
         # The caller's row and provenance already share their keys.
         self._rows[key] = record["row"]
         self._provenance[key] = record["provenance"]
         self._commit_if_due()
 
     def iter_rows(self) -> Iterator[Dict[str, object]]:
-        """All recorded rows, in insertion (file) order (deep copies)."""
+        """All recorded rows, in insertion (file) order.
+
+        Each is a fresh dict copied as :meth:`get_row` copies it: scalar
+        values shared, nested ones deep-copied.
+        """
         for row in self._rows.values():
-            yield copy.deepcopy(row)
+            yield _detached(row)
 
     def iter_run_records(self) -> Iterator[Dict[str, object]]:
         """Every live run record, in insertion order.
@@ -509,7 +534,7 @@ class RunStore:
 
     def graph_description(self, key: str) -> Optional[GraphDescription]:
         description = self._graphs.get(key)
-        return copy.deepcopy(description) if description is not None else None
+        return _detached(description) if description is not None else None
 
     def has_graph(self, key: str) -> bool:
         return key in self._graphs
@@ -521,8 +546,9 @@ class RunStore:
 
     def record_graph(self, key: str, description: GraphDescription) -> None:
         self._require_writable()
+        text = encode_record({"kind": "graph", "key": key, "description": dict(description)})
         self._graphs[key] = dict(description)
-        self._append(json.dumps({"kind": "graph", "key": key, "description": dict(description)}))
+        self._append(text)
         self._commit_if_due()
 
     def graph_keys(self) -> List[str]:
@@ -533,7 +559,7 @@ class RunStore:
     def _graph_lines(self) -> Iterator[str]:
         """Every live graph description's record text, in insertion order."""
         for key, description in self._graphs.items():
-            yield json.dumps({"kind": "graph", "key": key, "description": description})
+            yield encode_record({"kind": "graph", "key": key, "description": description})
 
     def compact(self) -> Dict[str, int]:
         """Rewrite the store keeping only the last record per key.
@@ -673,6 +699,33 @@ def make_run_record(
         "result": result_json,
         "provenance": provenance,
     }
+
+
+#: Built once, and without ``json.dumps``' walk for circular
+#: references: a record is a tree its store built.  The output is the same.
+_RECORD_ENCODER = json.JSONEncoder(check_circular=False)
+
+
+def encode_record(record: Dict[str, object]) -> str:
+    """The JSON text a store writes for ``record``: a run or graph record,
+    or the row a columnar store projects out of a run record.
+
+    Byte-identical to ``json.dumps(record)``: insertion order, no sorted
+    keys, so reloaded rows keep their column order.  A record JSON
+    cannot encode (a value with no JSON form, such as a set, or a
+    container that holds itself) raises
+    :class:`~repro.exceptions.ConfigurationError` naming the record's
+    kind, its key and the encoder's message.  Both stores encode a record
+    before they take it, so a refused record leaves no trace.
+    """
+    try:
+        return _RECORD_ENCODER.encode(record)
+    except (TypeError, ValueError, RecursionError) as error:
+        # Without the circular walk a cycle surfaces as RecursionError.
+        raise ConfigurationError(
+            f"cannot store {record.get('kind')} record {record.get('key')}: "
+            f"it is not JSON ({type(error).__name__}: {error})"
+        ) from error
 
 
 def _looks_like_sqlite(path: Path) -> bool:

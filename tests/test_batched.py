@@ -11,6 +11,7 @@ builds its own kernel.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import multiprocessing
 import os
@@ -19,6 +20,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -28,7 +30,7 @@ import pytest
 import repro
 from repro.algorithms import run_algorithm
 from repro.campaign import Campaign, execute_campaign, executor, RunStore
-from repro.campaign.scheduler import partition_units
+from repro.campaign.scheduler import _worker_main, partition_units, WorkUnit
 from repro.campaign.spec import graph_spec_for, RunSpec
 from repro.exceptions import (
     ConfigurationError,
@@ -873,3 +875,41 @@ class TestMSTOracle:
         result.total_weight += 5.0
         with pytest.raises(VerificationError, match="does not match"):
             oracle.verify(result)
+
+
+class TestSchedulerWorker:
+    def test_a_per_cell_worker_describes_each_graph_once_per_unit(self, monkeypatch):
+        """Bugfix: a per-cell runner on the scheduler was handed only the
+        descriptions the parent's store held when the units were cut, so
+        it described its graph once per cell instead of once per graph."""
+        specs = [
+            RunSpec(graph=graph_spec_for(family, 16, seed=0), algorithm=algorithm)
+            for family in ("random_connected", "path")
+            for algorithm in ("elkin", "kruskal")
+        ]
+        assert all(spec.is_deterministic() for spec in specs)
+        expected = execute_campaign(Campaign("worker", specs), batch=False).rows
+        cells = tuple((index, spec.to_json_dict(), None) for index, spec in enumerate(specs))
+        unit = WorkUnit("unit", cells)
+        tasks, results = queue.Queue(), queue.Queue()
+        tasks.put(unit)
+        tasks.put(None)
+        described = []
+        describe = executor._describe_graph
+
+        def counting(graph, compute_diameter):
+            described.append(graph)
+            return describe(graph, compute_diameter)
+
+        monkeypatch.setattr(executor, "_describe_graph", counting)
+        make_runner = functools.partial(
+            executor._CellRunner, do_verify=True, compute_diameter=True
+        )
+        _worker_main(0, tasks, results, threading.Event(), make_runner)
+        events = []
+        while not results.empty():
+            events.append(results.get_nowait())
+        rows = {event[2]: event[3] for event in events if event[0] == "result"}
+        assert [event[0] for event in events if event[0] in ("error", "done")] == ["done"]
+        assert len(described) == 2  # one per graph
+        assert [rows[index] for index in range(len(specs))] == expected

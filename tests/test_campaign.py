@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import json
 import pickle
 import tracemalloc
@@ -27,7 +28,7 @@ from repro.campaign import (
     RunSpec,
     RunStore,
 )
-from repro.campaign.spec import graph_spec_for, inline_graph_spec
+from repro.campaign.spec import content_hash, graph_spec_for, inline_graph_spec
 from repro.core.results import MSTRunResult
 from repro.exceptions import ConfigurationError
 from repro.graphs import GraphSpec, random_connected_graph
@@ -208,6 +209,35 @@ class TestSpecHashing:
         moved = dataclasses.replace(spec, engine="fast", seed=2)
         rebuilt = RunSpec(graph=GraphSpec("random_connected", {"n": 20}), engine="fast", seed=2)
         assert moved == rebuilt and hash(moved) == hash(rebuilt)
+
+
+class TestContentHash:
+    """Run, graph and unit keys hash the canonical JSON of their payload:
+    sorted keys, no whitespace, whatever encoder produces it."""
+
+    PAYLOADS = [
+        {"b": 1, "a": [1, 2.5, None, True], "c": {"z": "\u00e9", "y": {}}},
+        {"family": "grid", "params": {"rows": 3, "cols": 4, "seed": 0}},
+        [["0123456789abcdef", "fedcba9876543210"], "unit"],
+        (1, (2.0, -0.0)),
+        "text",
+        7,
+        0.1,
+        None,
+        [],
+        {},
+    ]
+
+    @pytest.mark.parametrize("payload", PAYLOADS)
+    def test_is_the_sha256_of_sorted_compact_json(self, payload):
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert content_hash(payload) == hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+    def test_insertion_order_does_not_change_the_hash(self):
+        first = {"a": 1, "b": {"x": [1, 2], "y": None}, "c": "z"}
+        second = {"c": "z", "b": {"y": None, "x": [1, 2]}, "a": 1}
+        assert list(first) != list(second) and list(first["b"]) != list(second["b"])
+        assert content_hash(first) == content_hash(second)
 
 
 class TestCampaignGrid:

@@ -22,7 +22,7 @@ from repro.analysis.report import (
     render_markdown,
     write_report,
 )
-from repro.analysis.tables import format_table
+from repro.analysis.tables import _render_cell, format_table
 from repro.exceptions import ConfigurationError, ReproError, VerificationError
 
 GOLDEN_ROWS = Path(__file__).parent / "golden_rows.jsonl"
@@ -53,6 +53,87 @@ class TestFormatTableUnionRegression:
     def test_explicit_columns_still_win(self):
         text = format_table([{"a": 1, "b": 2}], columns=["b"])
         assert text.splitlines()[0].split() == ["b"]
+
+
+def _format_table_by_row(rows, columns=None):
+    """The row-at-a-time renderer ``format_table`` replaced: its reference."""
+    rows = list(rows)
+    if not rows:
+        return "(no rows)"
+    if columns is not None:
+        column_names = list(columns)
+    else:
+        column_names = []
+        for row in rows:
+            for name in row:
+                if name not in column_names:
+                    column_names.append(name)
+    rendered = [
+        [_render_cell(row.get(name, "-")) for name in column_names] for row in rows
+    ]
+    widths = [
+        max(len(name), *(len(line[index]) for line in rendered))
+        for index, name in enumerate(column_names)
+    ]
+    header = "  ".join(name.ljust(width) for name, width in zip(column_names, widths))
+    separator = "  ".join("-" * width for width in widths)
+    body = [
+        "  ".join(cell.rjust(width) for cell, width in zip(line, widths)) for line in rendered
+    ]
+    return "\n".join([header, separator, *body])
+
+
+class _Ratio(float):
+    """A float subclass (as numpy's float64 is): rendered like a float."""
+
+    def __str__(self) -> str:
+        return "ratio"
+
+
+_FLOATS = [0.0, -0.0, 0.004, 0.5, 999.9996, 1234.5, float("nan"), float("inf"), _Ratio(0.25)]
+_MIXED = [
+    {"name": "a", "count": 3, "flag": True, "note": None, "value": 0.5},
+    {"name": "longer name", "count": -12345, "flag": False, "note": "x", "value": 7},
+    {"value": "text", "name": "", "extra": 1e-9},
+]
+
+
+class TestFormatTableByColumn:
+    """``format_table`` renders a column at a time; every table it
+    renders equals the row-at-a-time reference byte for byte."""
+
+    PANEL = {
+        "floats": ([{"v": value, "i": index} for index, value in enumerate(_FLOATS)], None),
+        "float subclass alone": ([{"r": _Ratio(0.125)}, {"r": 3}], None),
+        "ints bools none strings": (
+            [{"i": 1, "b": True, "n": None, "s": "x"}, {"i": 22, "b": False, "n": None, "s": ""}],
+            None,
+        ),
+        "a column of mixed types": (
+            [{"v": 1}, {"v": 2.5}, {"v": "s"}, {"v": None}, {"v": True}],
+            None,
+        ),
+        "rows missing keys": (_MIXED, None),
+        "explicit columns": (_MIXED, ["value", "missing", "name"]),
+        "explicit columns, one twice": (_MIXED, ["count", "count"]),
+        "no columns": (_MIXED, []),
+        "empty rows": ([{}, {}], None),
+        "names wider than cells": ([{"a_long_column_name": 1, "b": 0.5}], None),
+        "no rows": ([], None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PANEL))
+    def test_equals_the_row_wise_renderer(self, case):
+        rows, columns = self.PANEL[case]
+        assert format_table(rows, columns) == _format_table_by_row(rows, columns)
+
+    def test_equals_the_row_wise_renderer_on_the_golden_rows(self):
+        rows = _golden_rows()
+        assert format_table(rows) == _format_table_by_row(rows)
+
+    def test_a_float_subclass_column_renders_through_render_cell(self):
+        table = format_table([{"r": _Ratio(0.125)}])
+        assert table.splitlines()[-1] == "0.125"
 
 
 class TestPrsForcedKRegression:

@@ -924,3 +924,75 @@ class TestConvertRobustness:
         monkeypatch.undo()
         convert_store(plain, dest)  # the retry is not refused
         assert dest.exists()
+
+
+class TestRecordEncoding:
+    """Both backends write every record as ``json.dumps(record)`` through
+    one shared encoder, and a record JSON cannot encode is refused with a
+    typed error before the store changes (DESIGN.md, Section 11)."""
+
+    BACKENDS = ("jsonl", "columnar")
+
+    def _path(self, tmp_path, backend):
+        return tmp_path / ("store.sqlite" if backend == "columnar" else "store.jsonl")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_each_written_record_is_json_dumps_of_it(self, tmp_path, backend):
+        row = {
+            "graph": "grille é ☃",
+            "ratio": float("nan"),
+            "bound": float("inf"),
+            "zero": -0.0,
+            "pair": ([1], [2.5]),
+            "detail": {"b": [None, True], "a": "x"},
+        }
+        description = {"n": 3, "m": 2, "D": 2}
+        with open_store(self._path(tmp_path, backend)) as store:
+            record = store.record_run(_spec(0), row, {"rounds": 3}, {"seed": None})
+            store.record_graph("g", description)
+            graph = {"kind": "graph", "key": "g", "description": description}
+            assert list(store.iter_record_lines()) == [json.dumps(record), json.dumps(graph)]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("value", ["set", "itself"])
+    def test_a_run_record_json_cannot_encode_raises_and_stores_nothing(
+        self, tmp_path, backend, value
+    ):
+        """Bugfix: the encoder's bare TypeError (a set) or ValueError (a
+        row holding itself) escaped ``record_run`` untyped."""
+        path = self._path(tmp_path, backend)
+        row: dict = {"graph": "g"}
+        row["x"] = {1, 2} if value == "set" else row
+        spec = _spec(0)
+        with open_store(path) as store:
+            assert len(store) == 0
+            with pytest.raises(ConfigurationError, match=f"run record {spec.run_key()}"):
+                store.record_run(spec, row, {}, {})
+            assert len(store) == 0 and not store.has_run(spec.run_key())
+        with open_store(path) as reopened:
+            assert len(reopened) == 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_graph_record_json_cannot_encode_raises_and_caches_nothing(
+        self, tmp_path, backend
+    ):
+        path = self._path(tmp_path, backend)
+        with open_store(path) as store:
+            with pytest.raises(ConfigurationError, match="graph record g"):
+                store.record_graph("g", {"n": {1, 2}})
+            assert store.graph_keys() == [] and store.graph_description("g") is None
+        with open_store(path) as reopened:
+            assert reopened.graph_keys() == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_row_holding_a_tuple_of_lists_reads_back_isolated(self, tmp_path, backend):
+        """A tuple is immutable but its lists are not: reads copy it."""
+        spec = _spec(0)
+        key = spec.run_key()
+        recorded = json.dumps({"graph": "g", "pair": [[1], [2]]})
+        with open_store(self._path(tmp_path, backend)) as store:
+            store.record_run(spec, {"graph": "g", "pair": ([1], [2])}, {}, {})
+            store.get_row(key)["pair"][0].append(99)
+            next(iter(store.iter_rows()))["pair"][1].append(99)
+            assert json.dumps(store.get_row(key)) == recorded
+            assert [json.dumps(row) for row in store.iter_rows()] == [recorded]
