@@ -198,9 +198,18 @@ def run_algorithm(
                 converted.condition_telemetry = scope.telemetry()
                 raise converted from error
         result.details["condition"] = scope.telemetry()
-    if config.seed is not None:
-        result.details.setdefault("seed", config.seed)
+    _record_seed(result, config.seed)
     return result
+
+
+def _record_seed(result: MSTRunResult, seed: Optional[int]) -> None:
+    """Record a generator ``seed`` in ``result.details`` for provenance.
+
+    The batch runner's served ``kruskal`` / ``prim`` cells take this
+    step too, so their details match :func:`run_algorithm`'s.
+    """
+    if seed is not None:
+        result.details.setdefault("seed", seed)
 
 
 # -- built-in entries ----------------------------------------------------

@@ -56,15 +56,24 @@ def run_single(
         condition=condition,
     )
     result = run_algorithm(graph, algorithm, config)
-    # Workload-zoo instances that plant a known MST surface it in the
-    # result details for provenance; the verifier checks it as one of
-    # its oracles (repro.verify.mst_checks.MSTOracle).
-    from ..verify.mst_checks import verify_mst_result
+    _record_planted_mst(graph, result)
+    if verify:
+        from ..verify.mst_checks import verify_mst_result
+
+        verify_mst_result(graph, result)
+    return result
+
+
+def _record_planted_mst(graph: nx.Graph, result: MSTRunResult) -> None:
+    """Surface the planted MST of a workload-zoo instance in ``result.details``.
+
+    The record is provenance only; the verifier checks the tree as one
+    of its oracles (:class:`~repro.verify.mst_checks.MSTOracle`).  The
+    batch runner's served ``kruskal`` / ``prim`` cells take this step
+    too, so their details match :func:`run_single`'s.
+    """
     from ..verify.planted_checks import planted_mst_details
 
     planted = planted_mst_details(graph)
     if planted is not None:
         result.details.setdefault("planted_mst", planted)
-    if verify:
-        verify_mst_result(graph, result)
-    return result

@@ -492,7 +492,23 @@ def render_markdown(analysis: CampaignAnalysis, title: str = "EXPERIMENTS") -> s
             *_code_block(format_table(family_rows)),
             "",
         ]
-    return "\n".join(lines).rstrip() + "\n"
+    return _document(lines)
+
+
+def _document(lines: List[str]) -> str:
+    """``"\\n".join(lines).rstrip() + "\\n"``, built as one joined string.
+
+    The formula holds the line list, the joined text and its stripped
+    copy at once; trimming the trailing whitespace off the list first
+    leaves one join.  ``lines`` is consumed.
+    """
+    while lines and not lines[-1].rstrip():
+        lines.pop()
+    if not lines:
+        return "\n"
+    lines[-1] = lines[-1].rstrip()
+    lines.append("")
+    return "\n".join(lines)
 
 
 def write_report(

@@ -24,12 +24,18 @@ def boruvka_mst(graph: nx.Graph) -> Set[Edge]:
     and compacted as phases merge components (an edge that has become
     internal can never cross a cut again), so later phases scan only the
     surviving candidates instead of re-reading every networkx edge
-    attribute -- the classical edge-pruning formulation.
+    attribute -- the classical edge-pruning formulation.  Each phase
+    first labels every vertex with its component root, then scans the
+    surviving edges against those labels: one ``find`` per vertex
+    instead of two per edge.  The unions still run after the scan, in
+    the order the scan picked the edges, so the labels are the roots a
+    ``find`` would return and the chosen set is built in the same order.
     """
     n = graph.number_of_nodes()
     if n == 0:
         raise GraphError("cannot compute the MST of an empty graph")
-    union_find = UnionFind(graph.nodes())
+    vertices = list(graph.nodes())
+    union_find = UnionFind(vertices)
     find = union_find.find
     edges = [
         (data["weight"], *normalize_edge(u, v))
@@ -38,10 +44,12 @@ def boruvka_mst(graph: nx.Graph) -> Set[Edge]:
     chosen: Set[Edge] = set()
     components = n
     while components > 1:
+        root = {vertex: find(vertex) for vertex in vertices}
         best: Dict[VertexId, Tuple[float, VertexId, VertexId]] = {}
         crossing = []
         for key in edges:
-            root_u, root_v = find(key[1]), find(key[2])
+            root_u = root[key[1]]
+            root_v = root[key[2]]
             if root_u == root_v:
                 continue
             crossing.append(key)

@@ -39,6 +39,13 @@ def sequential_runner(name: str, edge_fn: EdgeSetFn) -> SequentialRunner:
     crosses an edge, and reports zero rounds/messages/words.  A
     self-loop raises the distributed runners'
     :class:`~repro.exceptions.GraphError`.
+
+    A verifying batched sweep answers the built-in ``kruskal`` and
+    ``prim`` cells from the graph's
+    :class:`~repro.verify.mst_checks.MSTOracle`, which has already run
+    both references.  It builds that result through
+    :func:`_sequential_result` too, so a served result and this runner's
+    cannot drift apart.
     """
 
     def runner(graph: nx.Graph, config: Optional[RunConfig] = None) -> MSTRunResult:
@@ -48,18 +55,31 @@ def sequential_runner(name: str, edge_fn: EdgeSetFn) -> SequentialRunner:
         reject_self_loops(graph)
         edges = edge_fn(graph)
         total_weight = sum(graph[u][v]["weight"] for u, v in edges)
-        return MSTRunResult(
-            algorithm=name,
-            edges=set(edges),
-            total_weight=total_weight,
-            cost=CostReport(),
-            n=graph.number_of_nodes(),
-            m=graph.number_of_edges(),
-            bandwidth=config.bandwidth,
-            details={"distributed": False},
-        )
+        return _sequential_result(name, graph, edges, config.bandwidth, total_weight)
 
     runner.__name__ = f"{name}_sequential_runner"
     runner.__qualname__ = runner.__name__
     runner.__doc__ = f"Sequential {name} MST adapted to the registry runner contract."
     return runner
+
+
+def _sequential_result(
+    name: str, graph: nx.Graph, edges: Set[Edge], bandwidth: int, total_weight: float
+) -> MSTRunResult:
+    """The result of sequential reference ``name`` that selected ``edges``.
+
+    ``edges`` is copied, so the caller keeps its set.  ``total_weight``
+    must be summed in the iteration order of the reference's own set:
+    equal sets can iterate in different orders, and the order decides
+    the last bits of a float sum.
+    """
+    return MSTRunResult(
+        algorithm=name,
+        edges=set(edges),
+        total_weight=total_weight,
+        cost=CostReport(),
+        n=graph.number_of_nodes(),
+        m=graph.number_of_edges(),
+        bandwidth=bandwidth,
+        details={"distributed": False},
+    )

@@ -3,7 +3,10 @@
 Every execution mode drives each cell through the same single-cell
 contract (:func:`repro.analysis.experiments.run_single`), so all of them
 produce *row-for-row identical* output -- the mode only changes
-wall-clock time.  A mode is two independent choices:
+wall-clock time.  Only verified batched ``kruskal`` and ``prim`` cells
+skip the call: their graph's oracle has already run the reference, and
+their result is built from the oracle by the same helpers
+``run_single``'s path uses.  A mode is two independent choices:
 
 * ``batch`` picks the cell runner.  :class:`_BatchRunner` (the default)
   builds, describes and verifies against each distinct deterministic
@@ -28,16 +31,20 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
+from ..algorithms import _record_seed, algorithm_info
 from ..analysis.bounds import elkin_bounds
-from ..analysis.experiments import run_single
+from ..analysis.experiments import _record_planted_mst, run_single
+from ..baselines.sequential import _sequential_result
+from ..config import RunConfig
 from ..core.results import MSTRunResult
 from ..exceptions import ConfigurationError, NonTerminationError
-from ..graphs.properties import hop_diameter
+from ..graphs.properties import hop_diameter, reject_self_loops
 from ..types import CostReport
+from ..verify.mst_checks import MSTOracle
 from .spec import Campaign, RunSpec
 from .store import GraphDescription, RunStore
 
@@ -171,25 +178,50 @@ def run_spec(
     return _build_row(spec, description, result), result
 
 
+def _config_fields(spec: RunSpec) -> Dict[str, Any]:
+    """The spec's :class:`~repro.config.RunConfig` fields, as ``run_single`` takes them."""
+    return {
+        "bandwidth": spec.bandwidth,
+        "base_forest_k": spec.base_forest_k,
+        "engine": spec.engine,
+        "seed": spec.seed,
+        "collect_telemetry": spec.collect_telemetry,
+        "strict_bounds": spec.strict_bounds,
+        "condition": spec.condition,
+    }
+
+
 def _simulate(spec: RunSpec, graph: nx.Graph, verify: bool) -> MSTRunResult:
     """Simulate one cell on ``graph``; a conditioned non-termination becomes a result."""
     try:
-        return run_single(
-            graph,
-            algorithm=spec.algorithm,
-            bandwidth=spec.bandwidth,
-            verify=verify,
-            base_forest_k=spec.base_forest_k,
-            engine=spec.engine,
-            seed=spec.seed,
-            collect_telemetry=spec.collect_telemetry,
-            strict_bounds=spec.strict_bounds,
-            condition=spec.condition,
-        )
+        return run_single(graph, algorithm=spec.algorithm, verify=verify, **_config_fields(spec))
     except NonTerminationError as error:
         if spec.condition is None:
             raise
         return _non_terminated_result(spec, graph, error)
+
+
+#: The registry entries whose reference every ``MSTOracle`` runs, so a
+#: verifying batch runner reads their cells' results off the oracle.
+#: An entry re-registered under the same name runs like any other cell.
+_SERVED = {name: algorithm_info(name) for name in ("kruskal", "prim")}
+
+
+def _served_result(
+    algorithm: str, graph: nx.Graph, config: RunConfig, oracle: MSTOracle
+) -> MSTRunResult:
+    """The result ``run_single`` gives a served cell, read off ``oracle``.
+
+    It is built by the helpers a registry run goes through: the
+    sequential result, then the ``seed`` and ``planted_mst`` details,
+    in that order.  Prim's weight is Prim's own sum, because Prim's set
+    may iterate in another order than Kruskal's.
+    """
+    weight = oracle.prim_weight if algorithm == "prim" else oracle.expected_weight
+    result = _sequential_result(algorithm, graph, oracle.expected, config.bandwidth, weight)
+    _record_seed(result, config.seed)
+    _record_planted_mst(graph, result)
+    return result
 
 
 def _outcome(row: Row, result: MSTRunResult) -> Outcome:
@@ -229,6 +261,13 @@ class _BatchRunner:
     * verification runs against one cached
       :class:`~repro.verify.mst_checks.MSTOracle` per graph (planted
       tree included) instead of recomputing the references per cell;
+    * a verified ``kruskal`` or ``prim`` cell is served from that
+      oracle, which has already run both references: the runner gets
+      (or first builds) the oracle and reads the cell's result off it
+      instead of running the reference a second time.  The result is
+      the registry runner's, field for field (:func:`_served_result`);
+      unverified sweeps and :class:`_CellRunner` run every reference,
+      which is how their rows check the served ones;
     * instance descriptions are computed once per graph.
 
     Each cell still builds its own kernel through
@@ -246,7 +285,7 @@ class _BatchRunner:
         self._do_verify = do_verify
         self._compute_diameter = compute_diameter
         self._graphs: Dict[str, nx.Graph] = {}
-        self._oracles: Dict[str, object] = {}
+        self._oracles: Dict[str, MSTOracle] = {}
         self._descriptions: Dict[str, GraphDescription] = {}
         for spec in specs:
             graph_key = spec.graph_key()
@@ -266,19 +305,34 @@ class _BatchRunner:
             description = _describe_graph(graph, self._compute_diameter)
             if deterministic:
                 self._descriptions[graph_key] = description
-        # verify=False: the cell is verified below against the cached
-        # per-graph MSTOracle, the verifier run_single builds per call.
-        result = _simulate(spec, graph, verify=False)
+        oracle: Optional[MSTOracle] = None
+        if self._do_verify and _SERVED.get(spec.algorithm) is algorithm_info(spec.algorithm):
+            # A registry run's own first steps, before the oracle runs
+            # the references: a bad field raises RunConfig's
+            # ConfigurationError and a self-loop the runner's GraphError.
+            config = RunConfig(**_config_fields(spec))
+            reject_self_loops(graph)
+            oracle = self._oracle(graph_key, graph, deterministic)
+            result = _served_result(spec.algorithm, graph, config, oracle)
+        else:
+            # verify=False: the cell is verified below against the
+            # cached per-graph MSTOracle, the verifier run_single builds
+            # per call.
+            result = _simulate(spec, graph, verify=False)
         if self._do_verify and not result.details.get("non_terminated"):
-            oracle = self._oracles.get(graph_key) if deterministic else None
             if oracle is None:
-                from ..verify.mst_checks import MSTOracle
-
-                oracle = MSTOracle(graph)
-                if deterministic:
-                    self._oracles[graph_key] = oracle
+                oracle = self._oracle(graph_key, graph, deterministic)
             oracle.verify(result)
         return _outcome(_build_row(spec, description, result), result)
+
+    def _oracle(self, graph_key: str, graph: nx.Graph, deterministic: bool) -> MSTOracle:
+        """The graph's oracle: cached per deterministic graph, else fresh."""
+        oracle = self._oracles.get(graph_key) if deterministic else None
+        if oracle is None:
+            oracle = MSTOracle(graph)
+            if deterministic:
+                self._oracles[graph_key] = oracle
+        return oracle
 
 
 def _notify(observers: Sequence[object], method: str, *args: object) -> None:

@@ -14,7 +14,8 @@ to read.
 
 from __future__ import annotations
 
-from typing import Set
+import numbers
+from typing import Any, Set
 
 import networkx as nx
 
@@ -22,7 +23,7 @@ from ..baselines.kruskal import kruskal_mst
 from ..baselines.prim import prim_mst
 from ..core.results import MSTRunResult
 from ..exceptions import VerificationError
-from ..types import Edge, normalize_edges
+from ..types import Edge, normalize_edge, normalize_edges
 from .planted_checks import planted_mst_edges
 
 
@@ -57,6 +58,14 @@ class MSTOracle:
     references cannot forge.  :meth:`verify` then validates any number
     of results at set-comparison cost, which is why the batched campaign
     executor keeps one oracle per distinct graph.
+
+    An oracle keeps one edge set, Kruskal's (``expected``), and two
+    floats: ``expected_weight`` and ``prim_weight``, the tree weight
+    summed in the iteration order of Kruskal's and of Prim's own set.
+    Equal sets can iterate in different orders, and the order decides
+    the last bits of a float sum.  That is all a verifying batch runner
+    needs to serve a ``kruskal`` or ``prim`` cell without running the
+    reference again (DESIGN.md, Section 7).
     """
 
     def __init__(self, graph: nx.Graph) -> None:
@@ -75,10 +84,24 @@ class MSTOracle:
                 f"({len(planted ^ self.expected)} differing edges)"
             )
         self.expected_weight = sum(graph[u][v]["weight"] for u, v in self.expected)
+        self.prim_weight = sum(graph[u][v]["weight"] for u, v in prim_edges)
 
     def verify(self, result: MSTRunResult) -> None:
-        """Validate ``result`` against the precomputed unique MST."""
-        edge_set = normalize_edges(result.edges)
+        """Validate ``result`` against the precomputed unique MST.
+
+        Every discrepancy raises :class:`VerificationError`, a malformed
+        result included: an edge that is not a pair of distinct vertices
+        (named in the message), a different edge set, a weight that is
+        not a number within tolerance of the tree's (NaN fails), and a
+        round, message or word count that is not a number >= 0.
+        """
+        try:
+            edge_set = normalize_edges(result.edges)
+        except (TypeError, ValueError):
+            raise VerificationError(
+                f"malformed edge {_first_malformed(result.edges)!r} in the result: "
+                "an edge is a pair of distinct vertices"
+            ) from None
         if edge_set != self.expected:
             missing = sorted(self.expected - edge_set)
             extra = sorted(edge_set - self.expected)
@@ -88,10 +111,35 @@ class MSTOracle:
                 f"(e.g. {extra[:3]})"
             )
         recomputed = self.expected_weight
-        if abs(recomputed - result.total_weight) > 1e-6 * max(1.0, abs(recomputed)):
+        weight = result.total_weight
+        # Written so that NaN fails: every comparison with NaN is False.
+        if not (
+            isinstance(weight, numbers.Real)
+            and abs(recomputed - weight) <= 1e-6 * max(1.0, abs(recomputed))
+        ):
             raise VerificationError(
-                f"reported weight {result.total_weight} does not match the edge set "
-                f"({recomputed})"
+                f"reported weight {weight} does not match the edge set ({recomputed})"
             )
-        if result.cost.rounds < 0 or result.cost.messages < 0:
-            raise VerificationError("negative cost counters")
+        cost = result.cost
+        counters = (cost.rounds, cost.messages, cost.words)
+        if not all(isinstance(count, numbers.Real) and count >= 0 for count in counters):
+            raise VerificationError(
+                f"cost counters must be numbers >= 0, got rounds={cost.rounds}, "
+                f"messages={cost.messages}, words={cost.words}"
+            )
+
+
+def _first_malformed(edges: Any) -> Any:
+    """The first of ``edges`` that is not a pair of distinct, hashable
+    vertices, or ``edges`` itself when it is not iterable."""
+    try:
+        iterator = iter(edges)
+    except TypeError:
+        return edges
+    for edge in iterator:
+        try:
+            u, v = edge
+            hash(normalize_edge(u, v))
+        except (TypeError, ValueError):
+            return edge
+    return None

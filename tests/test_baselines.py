@@ -2,22 +2,34 @@
 
 from __future__ import annotations
 
+from typing import Dict, Optional, Set, Tuple
+
 import networkx as nx
 import pytest
 
+from repro.algorithms import algorithm_info
 from repro.baselines import (
     boruvka_mst,
     ghs_style_mst,
     gkp_mst,
     kruskal_mst,
+    prim_dense_mst,
     prim_mst,
     prs_style_mst,
 )
 from repro.baselines.kruskal import kruskal_filter, UnionFind
+from repro.campaign.presets import preset_campaign
 from repro.config import RunConfig
 from repro.exceptions import DisconnectedGraphError, GraphError
-from repro.graphs import complete_graph, grid_graph, path_graph, random_connected_graph, star_graph
-from repro.types import normalize_edges
+from repro.graphs import (
+    complete_graph,
+    grid_graph,
+    make_graph,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+)
+from repro.types import Edge, normalize_edge, normalize_edges, VertexId
 from repro.verify import MSTOracle
 from repro.verify.mst_checks import verify_mst_result
 
@@ -70,6 +82,135 @@ class TestSequentialReferences:
         edges = [(3.0, 0, 1), (1.0, 1, 2), (2.0, 0, 2), (5.0, 3, 4)]
         chosen = kruskal_filter(edges, range(5))
         assert chosen == {(1, 2), (0, 2), (3, 4)}
+
+
+def _boruvka_two_finds_per_edge(graph: nx.Graph) -> Set[Edge]:
+    """``boruvka_mst`` as it was before per-phase labels, kept as the reference.
+
+    Each phase calls ``find`` on both endpoints of every surviving edge.
+    The labelled scan must return an equal set that iterates in the same
+    order, and raise the same errors.
+    """
+    n = graph.number_of_nodes()
+    if n == 0:
+        raise GraphError("cannot compute the MST of an empty graph")
+    union_find = UnionFind(graph.nodes())
+    find = union_find.find
+    edges = [
+        (data["weight"], *normalize_edge(u, v))
+        for u, v, data in graph.edges(data=True)
+    ]
+    chosen: Set[Edge] = set()
+    components = n
+    while components > 1:
+        best: Dict[VertexId, Tuple[float, VertexId, VertexId]] = {}
+        crossing = []
+        for key in edges:
+            root_u, root_v = find(key[1]), find(key[2])
+            if root_u == root_v:
+                continue
+            crossing.append(key)
+            current: Optional[Tuple[float, VertexId, VertexId]] = best.get(root_u)
+            if current is None or key < current:
+                best[root_u] = key
+            current = best.get(root_v)
+            if current is None or key < current:
+                best[root_v] = key
+        edges = crossing
+        if not best:
+            raise DisconnectedGraphError(
+                f"graph is disconnected: {components} components remain with no crossing edges"
+            )
+        merged_any = False
+        for weight, u, v in best.values():
+            if union_find.union(u, v):
+                chosen.add((u, v))
+                components -= 1
+                merged_any = True
+        if not merged_any:
+            raise GraphError("Boruvka made no progress (duplicate edge weights?)")
+    return chosen
+
+
+def _zoo_graphs():
+    """Every distinct graph of the ``zoo`` preset, its dense stress families included."""
+    graphs = {}
+    for spec in preset_campaign("zoo").specs:
+        if spec.graph_key() not in graphs:
+            graphs[spec.graph_key()] = (spec.display_label(), spec.build_graph())
+    return list(graphs.values())
+
+
+def _outcome(mst, graph):
+    """``mst(graph)`` as its iteration order, or its error's type and message."""
+    try:
+        return list(mst(graph))
+    except (GraphError, ValueError) as error:
+        return type(error), str(error)
+
+
+class TestBoruvkaPhaseLabels:
+    """Labelling components once per phase changes no result and no error."""
+
+    def test_same_set_in_the_same_order_on_every_zoo_graph(self):
+        graphs = _zoo_graphs()
+        assert any(label.startswith("complete(n=96") for label, _ in graphs)
+        for label, graph in graphs + [(name, builder()) for name, builder in GRAPHS]:
+            before = _boruvka_two_finds_per_edge(graph)
+            after = boruvka_mst(graph)
+            assert after == before, label
+            assert list(after) == list(before), label
+
+    def test_duplicate_weights_give_the_same_set_in_the_same_order(self):
+        graph = make_graph("duplicate_weight_stress", n=64, extra_edges=200, seed=2)
+        for u, v in graph.edges():
+            graph[u][v]["weight"] = 1.0
+        expected = _outcome(_boruvka_two_finds_per_edge, graph)
+        assert isinstance(expected, list)
+        assert _outcome(boruvka_mst, graph) == expected
+
+    def test_disconnected_empty_and_self_loop_graphs_raise_as_before(self):
+        disconnected = nx.Graph()
+        disconnected.add_edge(0, 1, weight=1.0)
+        disconnected.add_edge(2, 3, weight=2.0)
+        disconnected.add_node(4)
+        self_loop = random_connected_graph(10, seed=1)
+        self_loop.add_edge(3, 3, weight=0.5)
+        for graph in (disconnected, nx.Graph(), self_loop):
+            expected = _outcome(_boruvka_two_finds_per_edge, graph)
+            assert not isinstance(expected, list)
+            assert _outcome(boruvka_mst, graph) == expected
+
+
+class TestReferencesRepeatThemselves:
+    """A sweep serves ``kruskal`` and ``prim`` cells from the run its
+    oracle made, so each reference must give the same answer every time
+    it runs: equal sets, iterating in equal order, with bit-equal
+    weights (the order decides the last bits of a float sum)."""
+
+    @pytest.mark.parametrize(
+        "name,edge_fn",
+        [
+            ("kruskal", kruskal_mst),
+            ("prim", prim_mst),
+            ("prim_dense", prim_dense_mst),
+            ("boruvka_seq", boruvka_mst),
+        ],
+    )
+    def test_two_runs_on_one_graph_agree_bit_for_bit(self, name, edge_fn):
+        runner = algorithm_info(name).runner
+        for graph in (
+            random_connected_graph(50, seed=3),
+            make_graph("expander", n=16, degree=6, seed=0),
+            make_graph("planted_fragments", n=128, extra_edges=512, seed=1),
+        ):
+            first, second = edge_fn(graph), edge_fn(graph)
+            assert first == second
+            assert list(first) == list(second)
+            one, two = runner(graph), runner(graph)
+            assert one.edges == two.edges == first
+            assert list(one.edges) == list(two.edges)
+            assert one.total_weight.hex() == two.total_weight.hex()
 
 
 class TestDistributedBaselines:

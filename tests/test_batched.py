@@ -11,6 +11,7 @@ builds its own kernel.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -28,7 +29,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.algorithms import run_algorithm
+from repro.algorithms import algorithm_info, register_algorithm, run_algorithm
+from repro.baselines.kruskal import kruskal_mst
+from repro.baselines.prim import prim_mst
 from repro.campaign import Campaign, execute_campaign, executor, RunStore
 from repro.campaign.scheduler import _worker_main, partition_units, WorkUnit
 from repro.campaign.spec import graph_spec_for, RunSpec
@@ -71,6 +74,40 @@ def _shared_and_single_cell_grid() -> Campaign:
         for family in ("path", "grid")
     ]
     return Campaign("shared-and-single", _sixteen_cell_grid().specs + singles)
+
+
+def _reference_grid() -> Campaign:
+    """4 graphs (2 specs x 2 seeds), each run by elkin, kruskal and prim."""
+    return Campaign.from_grid(
+        "served",
+        [graph_spec_for("random_connected", 20), graph_spec_for("planted_fragments", 16)],
+        algorithms=("elkin", "kruskal", "prim"),
+        engines=("fast",),
+        seeds=(0, 1),
+    )
+
+
+@contextlib.contextmanager
+def _counting_calls(*functions):
+    """Count every call of ``functions``, however the caller reached them.
+
+    The registry's sequential runners hold the reference functions
+    themselves, so patching a module attribute would miss their calls; a
+    profile hook sees each function's code start.
+    """
+    names = {function.__code__: function.__name__ for function in functions}
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(previous)
 
 
 def _execute_into(path, campaign, **kwargs):
@@ -272,6 +309,151 @@ class TestWhatBatchingShares:
         report = execute_campaign(_sixteen_cell_grid(), batch=False)
         assert report.executed == 16
         assert calls["build_graph"] >= 16
+
+    @pytest.mark.parametrize(
+        "mode,expected",
+        [
+            # One oracle per graph runs each reference; the kruskal and
+            # prim cells are served from it.
+            ({"batch": True}, 4),
+            # No oracle: each kruskal and prim cell runs its reference.
+            ({"batch": True, "verify": False}, 4),
+            # One oracle per cell (12), plus each reference's own 4 cells.
+            ({"batch": False}, 16),
+        ],
+        ids=["batched", "batched-unverified", "per-cell"],
+    )
+    def test_how_often_each_served_reference_runs(self, mode, expected):
+        with _counting_calls(kruskal_mst, prim_mst) as counts:
+            report = execute_campaign(_reference_grid(), **mode)
+        assert report.executed == 12
+        assert dict(counts) == {"kruskal_mst": expected, "prim_mst": expected}
+
+
+class TestServedCells:
+    """A verified batched sweep serves ``kruskal`` and ``prim`` cells
+    from the graph's oracle.  An unverified sweep and the per-cell
+    runner run every reference themselves, so their stores check the
+    served cells byte for byte."""
+
+    @staticmethod
+    def _campaign() -> Campaign:
+        graphs = [
+            graph_spec_for("random_connected", 50),
+            GraphSpec("expander", {"n": 16, "degree": 6}),
+            graph_spec_for("planted_fragments", 16),
+        ]
+        clean = Campaign.from_grid(
+            "served",
+            graphs,
+            algorithms=("kruskal", "elkin", "prim"),
+            engines=("fast",),
+            seeds=(0, 3),
+        )
+        lossy = Campaign.from_grid(
+            "served-lossy",
+            graphs[:1],
+            algorithms=("kruskal", "prim"),
+            seeds=(3,),
+            conditions=("lossy",),
+        )
+        return Campaign("served", clean.specs + lossy.specs)
+
+    def test_served_rows_and_results_match_self_computed_ones(self, tmp_path):
+        campaign = self._campaign()
+
+        def weight(graph, edges):
+            return sum(graph[u][v]["weight"] for u, v in edges)
+
+        # On some graph here Prim's set iterates in another order than
+        # Kruskal's, and the order changes the last bits of the sum:
+        # a prim cell served with Kruskal's sum would show.
+        graphs = {spec.graph_key(): spec.build_graph() for spec in campaign.specs}
+        assert any(
+            weight(graph, prim_mst(graph)) != weight(graph, kruskal_mst(graph))
+            for graph in graphs.values()
+        )
+        texts = {}
+        for mode, kwargs in (
+            ("served", {}),
+            ("unverified", {"verify": False}),
+            ("per-cell", {"batch": False}),
+        ):
+            report = _execute_into(tmp_path / f"{mode}.jsonl", campaign, **kwargs)
+            texts[mode] = [
+                (
+                    json.dumps(report.store.get_row(key)),
+                    json.dumps(report.store.get_result(key).to_json_dict()),
+                )
+                for key in campaign.run_keys()
+            ]
+            assert [json.dumps(row) for row in report.rows] == [row for row, _ in texts[mode]]
+        assert texts["served"] == texts["unverified"] == texts["per-cell"]
+        lossy_rows = [json.loads(row) for row, _ in texts["served"][-2:]]
+        assert [(row["algorithm"], row["condition"]) for row in lossy_rows] == [
+            ("kruskal", "lossy"),
+            ("prim", "lossy"),
+        ]
+
+    def test_mutating_a_served_result_leaves_the_oracle_intact(self, monkeypatch):
+        spec_for = functools.partial(
+            RunSpec, graph=graph_spec_for("planted_fragments", 16), engine="fast", seed=0
+        )
+        specs = [spec_for(algorithm=name) for name in ("kruskal", "elkin", "prim", "kruskal")]
+        specs[-1] = spec_for(algorithm="kruskal", bandwidth=2)
+        results = []
+        outcome = executor._outcome
+
+        def keeping(row, result):
+            results.append(result)
+            return outcome(row, result)
+
+        monkeypatch.setattr(executor, "_outcome", keeping)
+        runner = executor._BatchRunner(specs, do_verify=True, compute_diameter=True)
+        first = runner.run(specs[0], None)
+        oracle = runner._oracles[specs[0].graph_key()]
+        results[0].edges.clear()
+        assert oracle.expected == kruskal_mst(specs[0].build_graph())
+        later = [runner.run(spec, None) for spec in specs[1:]]
+        assert all(result.edges for result in results[1:])
+        fresh = executor._BatchRunner(specs, do_verify=True, compute_diameter=True)
+        assert [first, *later] == [fresh.run(spec, None) for spec in specs]
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("bandwidth", 0), ("base_forest_k", 0), ("engine", ""), ("seed", True)],
+    )
+    def test_a_served_cell_rejects_what_run_single_rejects(self, field, value):
+        spec = RunSpec(graph=graph_spec_for("random_connected", 12), algorithm="prim", seed=0)
+        campaign = Campaign("bad-field", [dataclasses.replace(spec, **{field: value})])
+        errors = []
+        for mode in ({}, {"batch": False}):
+            with pytest.raises(ConfigurationError) as raised:
+                execute_campaign(campaign, **mode)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+
+    def test_a_re_registered_reference_runs_instead_of_being_served(self):
+        info = algorithm_info("prim")
+        calls = []
+
+        def instrumented(graph, config=None):
+            calls.append(graph.number_of_nodes())
+            return info.runner(graph, config)
+
+        register_algorithm(dataclasses.replace(info, runner=instrumented))
+        try:
+            campaign = Campaign.from_grid(
+                "swapped-prim",
+                [graph_spec_for("random_connected", 16)],
+                algorithms=("prim",),
+                seeds=(0, 1),
+            )
+            report = execute_campaign(campaign, batch=True)
+        finally:
+            register_algorithm(info)
+        assert report.executed == 2
+        assert calls == [16, 16]
 
 
 class TestScheduledEquivalence:

@@ -12,10 +12,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from repro.analysis import report
 from repro.analysis.report import (
     analyze_rows,
     family_of,
@@ -485,6 +487,67 @@ class TestNonTerminatedRowsMissingMetrics:
         ]
         analysis = analyze_rows(rows)
         render_markdown(analysis)  # must not raise
+
+
+def _joined_then_stripped(lines):
+    """How ``render_markdown`` ended its document before, kept as the reference."""
+    return "\n".join(lines).rstrip() + "\n"
+
+
+class TestOneCopyOfTheDocument:
+    """The document is one join of its lines, with the bytes of the
+    join-then-strip it replaced."""
+
+    @pytest.mark.parametrize(
+        "variant", ["golden", "no-family-tables", "no-fits", "title-only-whitespace"]
+    )
+    def test_same_bytes_as_joining_then_stripping(self, monkeypatch, variant):
+        analysis = analyze_rows(_golden_rows())
+        title = "EXPERIMENTS"
+        if variant == "no-family-tables":
+            # The last section is then its heading and blank lines.
+            analysis = dataclasses.replace(analysis, families={})
+        elif variant == "no-fits":
+            analysis = dataclasses.replace(analysis, fits=[])
+        elif variant == "title-only-whitespace":
+            analysis = dataclasses.replace(analysis, families={})
+            title = " \t "
+        document = render_markdown(analysis, title=title)
+        monkeypatch.setattr(report, "_document", _joined_then_stripped)
+        assert document == render_markdown(analysis, title=title)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            [],
+            [""],
+            ["", " ", "\t\n"],
+            ["# T", "", "```", "a  \n b \n", "```", "", " \n", ""],
+            ["# T", "body  "],
+            ["# T", "x", "\n\n"],
+        ],
+    )
+    def test_trailing_whitespace_goes_as_the_strip_took_it(self, lines):
+        assert report._document(list(lines)) == _joined_then_stripped(lines)
+
+    def test_the_document_is_held_once_beside_its_lines(self):
+        # Many small family tables: no one table's rendering sets the
+        # peak, so it is the lines plus what the join makes of them.
+        golden = analyze_rows(_golden_rows())
+        rows = next(iter(golden.families.values()))
+        analysis = dataclasses.replace(
+            golden, families={f"family{index:04d}": rows for index in range(800)}
+        )
+        tracemalloc.start()
+        try:
+            document = render_markdown(analysis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Joining then stripping held the lines and two copies of the
+        # document at once: about three times its size.
+        assert len(document) > 10**6
+        assert peak < 2.5 * len(document)
 
 
 def _regenerate() -> None:

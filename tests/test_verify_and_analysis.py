@@ -25,11 +25,13 @@ from repro.analysis.fitting import fit_power_law
 from repro.analysis.tables import format_table
 from repro.api import Runner, Scenario
 from repro.baselines.kruskal import kruskal_mst
+from repro.baselines.prim import prim_mst
 from repro.campaign import Campaign, execute_campaign, graph_spec_for
 from repro.core.elkin_mst import compute_mst
 from repro.core.fragments import MSTForest
 from repro.exceptions import ConfigurationError, ReproError, VerificationError
 from repro.graphs import GraphSpec, make_graph, random_connected_graph
+from repro.types import CostReport
 from repro.verify.complexity_checks import assert_elkin_bounds
 from repro.verify.forest_checks import assert_alpha_beta_forest, assert_forest_coarsens
 from repro.verify.mst_checks import MSTOracle, reference_mst, verify_mst_result
@@ -132,6 +134,73 @@ class TestOneVerifier:
         )
         with pytest.raises(VerificationError, match="internal oracle disagreement"):
             execute_campaign(campaign, **mode)
+
+    @pytest.mark.parametrize(
+        "mode",
+        [{"batch": True}, {"batch": False}, {"jobs": 2}],
+        ids=["batched", "per-cell", "jobs-2"],
+    )
+    def test_corrupted_prim_reference_fails_the_sweep(self, monkeypatch, mode):
+        # Only kruskal and prim cells: a batched sweep serves them from
+        # the oracle, so a served cell is what builds it.
+        if "jobs" in mode and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("scheduler workers inherit the patched reference through fork")
+        monkeypatch.setattr(
+            "repro.verify.mst_checks.prim_mst", lambda graph: set(sorted(prim_mst(graph))[1:])
+        )
+        campaign = Campaign.from_grid(
+            "corrupt-prim",
+            [graph_spec_for("random_connected", 16)],
+            algorithms=("kruskal", "prim"),
+            seeds=(0, 1),
+        )
+        with pytest.raises(VerificationError, match="internal oracle disagreement"):
+            execute_campaign(campaign, **mode)
+
+
+class TestMalformedResults:
+    """Whatever is wrong with a result, ``verify`` raises ``VerificationError``."""
+
+    @pytest.fixture
+    def case(self):
+        graph = random_connected_graph(20, seed=1)
+        return MSTOracle(graph), run_single(graph, "kruskal", verify=False)
+
+    @pytest.mark.parametrize("weight", [float("nan"), None])
+    def test_a_weight_that_is_not_a_close_number_fails(self, case, weight):
+        oracle, result = case
+        with pytest.raises(VerificationError, match=f"reported weight {weight} "):
+            oracle.verify(dataclasses.replace(result, total_weight=weight))
+
+    @pytest.mark.parametrize(
+        "bad,named",
+        [((3, 3), r"\(3, 3\)"), ((1, 2, 3), r"\(1, 2, 3\)"), (7, "7")],
+        ids=["self-loop", "triple", "not-a-pair"],
+    )
+    def test_a_malformed_edge_is_named(self, case, bad, named):
+        oracle, result = case
+        broken = dataclasses.replace(result, edges=set(result.edges) | {bad})
+        with pytest.raises(VerificationError, match=f"malformed edge {named} "):
+            oracle.verify(broken)
+
+    def test_edges_that_are_not_a_collection_fail(self, case):
+        oracle, result = case
+        with pytest.raises(VerificationError, match="malformed edge None "):
+            oracle.verify(dataclasses.replace(result, edges=None))
+
+    @pytest.mark.parametrize(
+        "cost,named",
+        [(CostReport(words=-5), "words=-5"), (CostReport(rounds=None), "rounds=None")],
+        ids=["negative-words", "no-rounds"],
+    )
+    def test_a_counter_that_is_not_a_count_fails(self, case, cost, named):
+        oracle, result = case
+        with pytest.raises(VerificationError, match=named):
+            oracle.verify(dataclasses.replace(result, cost=cost))
+
+    def test_the_unbroken_result_passes(self, case):
+        oracle, result = case
+        oracle.verify(result)
 
 
 class TestForestChecks:
