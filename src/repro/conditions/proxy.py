@@ -116,6 +116,7 @@ class ConditionedEngine(Engine):
         self.send_to_neighbors = inner.send_to_neighbors
         self.has_edge = inner.has_edge
         self.node = inner.node
+        self.node_lookup = inner.node_lookup
         self.vertices = inner.vertices
         self.sorted_edges = inner.sorted_edges
         if condition.is_noop() and condition.round_cap is None:

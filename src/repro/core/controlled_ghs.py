@@ -85,7 +85,7 @@ def _fragment_level_exchange(
     """
     forest_broadcast(network, fragment_forest, root_values)
     received = send_over_edges(network, cross_messages)
-    values: Dict[VertexId, Optional[object]] = {v: None for v in fragment_forest.vertices}
+    values: Dict[VertexId, Optional[object]] = dict.fromkeys(fragment_forest.vertices)
     for vertex, arrivals in received.items():
         if vertex in values and arrivals:
             values[vertex] = arrivals[0][1]

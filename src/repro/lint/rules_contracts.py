@@ -129,9 +129,9 @@ def check_direct_metrics_write(context: FileContext) -> Iterator[Finding]:
     """Assignments to ``metrics.rounds/messages/words`` outside metrics.py.
 
     The helpers (``record_round`` / ``record_message`` /
-    ``record_bulk`` and ``Counter.update`` for per-kind tallies) are the
-    single place accounting happens; raw ``+=`` on the counters is how
-    engines drift apart.
+    ``record_bulk`` / ``record_delivered_round`` and ``Counter.update``
+    for per-kind tallies) are the single place accounting happens; raw
+    ``+=`` on the counters is how engines drift apart.
     """
     if context.is_metrics_owner:
         return

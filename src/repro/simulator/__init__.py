@@ -17,7 +17,7 @@ The kernel behind the model is pluggable
 :class:`~repro.simulator.network.SyncNetwork` mirrors the model
 definition line by line, while the *fast* kernel
 :class:`~repro.simulator.fast_network.FastNetwork` batches the hot path
-(dense indexing, tuple messages, bulk accounting) without changing a
+(flat edge slots, tuple messages, bulk accounting) without changing a
 single reported number.  :func:`~repro.simulator.engine.create_engine`
 selects one by name.  :mod:`repro.simulator.protocol` drives per-node
 protocols; and :mod:`repro.simulator.primitives` contains the classical

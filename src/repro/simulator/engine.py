@@ -12,8 +12,8 @@ ship with the package:
   :class:`~repro.simulator.message.Message` object per transmission,
   explicit per-edge dictionaries);
 * ``"fast"`` -- :class:`~repro.simulator.fast_network.FastNetwork`, a
-  batched kernel with dense vertex indexing, CSR-style adjacency, flat
-  per-edge bandwidth counters and bulk metric charging;
+  batched kernel with CSR-style edge slots, flat per-edge bandwidth
+  counters and one metrics call per delivered round;
 * ``"array"`` -- :class:`~repro.simulator.array_network.ArrayNetwork`,
   a numpy structure-of-arrays kernel (CSR adjacency as arrays,
   vectorized neighbourhood broadcasts, array-reduction accounting);
@@ -129,6 +129,16 @@ class Engine(abc.ABC):
     @abc.abstractmethod
     def node(self, vertex: VertexId) -> NodeState:
         """Return the :class:`NodeState` of ``vertex``."""
+
+    def node_lookup(self) -> Callable[[VertexId], NodeState]:
+        """A callable that does what :meth:`node` does, fetched once per protocol run.
+
+        The round driver calls it at every visit.  The default is the
+        bound :meth:`node`; a kernel may hand out something cheaper with
+        the same results and the same :class:`SimulationError` for an
+        unknown vertex.
+        """
+        return self.node
 
     @abc.abstractmethod
     def send(

@@ -5,25 +5,24 @@ the reference :class:`~repro.simulator.network.SyncNetwork` -- same
 round semantics, same bandwidth enforcement, same cost accounting -- but
 restructures the hot path for throughput:
 
-* vertex identities are mapped to dense integer indices once, at
-  construction; each directed edge ``u -> v`` owns one flat CSR-style
-  slot at ``v``'s position in ``u``'s adjacency run, and a single
-  precomputed table resolves ``(u, v)`` to (slot, receiver bucket,
-  receiver index) in one lookup;
+* each directed edge ``u -> v`` owns one flat CSR-style slot at
+  ``v``'s position in ``u``'s adjacency run, and a single precomputed
+  table resolves ``(u, v)`` to its slot in one lookup;
 * in-flight messages are plain tuples (:class:`FastMessage`, a
-  ``NamedTuple``) appended to per-receiver buckets -- no per-message
-  dataclass allocation and no global pending list to re-partition at
-  delivery time;
+  ``NamedTuple``) appended to per-receiver lists of one pending dict,
+  which delivery hands out whole -- no per-message dataclass
+  allocation, no global pending list to re-partition and no
+  per-receiver copy at delivery time;
 * per-edge bandwidth accounting uses one flat counter array whose
   entries pack ``generation * (bandwidth + 1) + words_used``: advancing
   the round bumps the generation, which makes every stored value stale
   (it reads as zero words used) without touching the array -- per-round
   reset by generation stamping instead of reallocating dictionaries;
-* metrics are charged in bulk per round: message and word totals as one
-  addition each, the per-kind histogram through one C-level
-  ``Counter.update`` over the round's messages;
+* metrics are charged in one call per delivered round: the clock,
+  message and word totals as one addition each, and the per-kind
+  histogram through one C-level tally over the round's messages;
 * edge checks (:meth:`FastNetwork.has_edge`) answer from the same
-  routing table, not from networkx.
+  slot table, not from networkx.
 
 The equivalence suite (``tests/test_engine_equivalence.py``) pins down
 that both kernels report identical MST edges, round counts, message
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, NamedTuple, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 import networkx as nx
 
@@ -49,6 +48,8 @@ from .node import NodeState
 #: C-level field extractors for bulk accounting at delivery time.
 _KIND_OF = itemgetter(2)
 _WORDS_OF = itemgetter(4)
+#: builds a FastMessage without the generated constructor's Python frame
+_new_tuple = tuple.__new__
 
 
 class FastMessage(NamedTuple):
@@ -69,6 +70,19 @@ class FastMessage(NamedTuple):
     payload: Tuple[Any, ...] = ()
     words: int = 1
     sent_in_round: int = 0
+
+
+class _NodeTable(dict):
+    """Vertex -> :class:`NodeState`; a missing vertex raises :class:`SimulationError`.
+
+    Its bound ``__getitem__`` is the node lookup :meth:`FastNetwork.node_lookup`
+    hands the round driver: a C call, with no Python frame per visit.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, vertex: VertexId) -> NodeState:
+        raise SimulationError(f"unknown vertex {vertex}")
 
 
 class FastNetwork(Engine):
@@ -93,16 +107,12 @@ class FastNetwork(Engine):
         "metrics",
         "_n",
         "_m",
-        "_vertex_of",
-        "_index",
         "_nodes",
-        "_edge_info",
+        "_slot_of",
         "_edge_packed",
         "_band_span",
         "_gen_base",
-        "_generation",
-        "_buckets",
-        "_touched",
+        "_pending",
         "_round_value",
     )
 
@@ -117,43 +127,30 @@ class FastNetwork(Engine):
         self._n = graph.number_of_nodes()
         self._m = graph.number_of_edges()
 
-        order = sorted(graph.nodes())
-        self._vertex_of: List[VertexId] = order
-        self._index: Dict[VertexId, int] = {vertex: i for i, vertex in enumerate(order)}
-        self._buckets: List[List[FastMessage]] = [[] for _ in order]
-
         # CSR-style adjacency: each directed edge u -> v owns one flat
-        # slot, v's position in u's sorted adjacency run; the slot indexes
-        # the bandwidth-accounting array.  One lookup per send resolves (sender, receiver) -> (slot, receiver's
-        # bucket object, receiver's dense index).  Buckets are never
-        # replaced (delivery copies and clears them in place), so the
-        # bucket aliases stay valid for the lifetime of the engine.
-        index = self._index
-        buckets = self._buckets
-        nodes: Dict[VertexId, NodeState] = {}
-        edge_info: Dict[Tuple[VertexId, VertexId], Tuple[int, List[FastMessage], int]] = {}
-        for vertex in order:
+        # slot, v's position in u's sorted adjacency run; the slot
+        # indexes the bandwidth-accounting array.
+        nodes = _NodeTable()
+        slot_of: Dict[Tuple[VertexId, VertexId], int] = {}
+        for vertex in sorted(graph.nodes()):
             neighbors = tuple(sorted(graph.neighbors(vertex)))
             weights = {u: graph[vertex][u]["weight"] for u in neighbors}
             nodes[vertex] = NodeState(vertex=vertex, neighbors=neighbors, edge_weights=weights)
             for neighbor in neighbors:
-                receiver_index = index[neighbor]
-                edge_info[(vertex, neighbor)] = (
-                    len(edge_info),
-                    buckets[receiver_index],
-                    receiver_index,
-                )
+                slot_of[(vertex, neighbor)] = len(slot_of)
         self._nodes = nodes
-        self._edge_info = edge_info
+        self._slot_of = slot_of
 
         # Bandwidth accounting: one flat entry per directed edge packing
         # ``generation * span + words_used``; see the module docstring.
+        # ``_gen_base`` is the current generation times the span.
         self._band_span = bandwidth + 1
-        self._edge_packed: List[int] = [0] * len(edge_info)
-        self._generation = 0
+        self._edge_packed: List[int] = [0] * len(slot_of)
         self._gen_base = 0
 
-        self._touched: List[int] = []
+        #: receiver -> the messages it gets next round, in send order;
+        #: receivers in first-message order
+        self._pending: Dict[VertexId, List[FastMessage]] = {}
         self._round_value = 0
 
     # ------------------------------------------------------------------ #
@@ -176,14 +173,15 @@ class FastNetwork(Engine):
 
     def node(self, vertex: VertexId) -> NodeState:
         """Return the :class:`NodeState` of ``vertex``."""
-        try:
-            return self._nodes[vertex]
-        except KeyError as exc:
-            raise SimulationError(f"unknown vertex {vertex}") from exc
+        return self._nodes[vertex]
+
+    def node_lookup(self) -> Callable[[VertexId], NodeState]:
+        """The node table's own ``__getitem__``: :meth:`node` without its frame."""
+        return self._nodes.__getitem__
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
         """True when ``{u, v}`` is an edge of the communication graph."""
-        return (u, v) in self._edge_info
+        return (u, v) in self._slot_of
 
     # ------------------------------------------------------------------ #
     # communication
@@ -207,7 +205,7 @@ class FastNetwork(Engine):
         # counters, and a raw tuple.__new__ (the generated NamedTuple
         # constructor adds a Python frame per message).
         try:
-            slot, bucket, receiver_index = self._edge_info[sender, receiver]
+            slot = self._slot_of[sender, receiver]
         except (KeyError, TypeError):
             raise SimulationError(
                 f"cannot send {kind!r}: ({sender}, {receiver}) is not an edge of the graph"
@@ -224,52 +222,49 @@ class FastNetwork(Engine):
                 f"adding {words} exceeds bandwidth {self.bandwidth} (message kind {kind!r})"
             )
         packed[slot] = base + used + words
-        if not bucket:
-            self._touched.append(receiver_index)
-        bucket.append(
-            tuple.__new__(
-                FastMessage, (sender, receiver, kind, payload, words, self._round_value)
-            )
+        message = _new_tuple(
+            FastMessage, (sender, receiver, kind, payload, words, self._round_value)
         )
+        pending = self._pending
+        inbox = pending.get(receiver)
+        if inbox is None:
+            pending[receiver] = [message]
+        else:
+            inbox.append(message)
 
     def pending_count(self) -> int:
         """Number of messages queued for delivery in the next round."""
-        buckets = self._buckets
-        return sum(len(buckets[i]) for i in self._touched)
+        return sum(map(len, self._pending.values()))
 
     def deliver_round(self) -> Dict[VertexId, List[FastMessage]]:
         """Advance the clock by one round and deliver all queued messages.
 
         Same contract as the reference kernel: receivers appear in
         first-message order, per-receiver lists preserve send order, and
-        counters are charged at delivery time -- here in bulk updates
-        per round (C-level counting) rather than one call per message.
+        counters are charged at delivery time -- here through one
+        :meth:`Metrics.record_delivered_round` call per round (C-level
+        counting) rather than one call per message.  The pending dict
+        itself is the round's inboxes; an empty round charges only the
+        clock.
         """
         metrics = self.metrics
-        metrics.record_round()
-        self._round_value = metrics.rounds
-        self._generation += 1
-        self._gen_base = self._generation * self._band_span
-
-        inboxes: Dict[VertexId, List[FastMessage]] = {}
-        buckets = self._buckets
-        vertex_of = self._vertex_of
-        for receiver_index in self._touched:
-            bucket = buckets[receiver_index]
-            inboxes[vertex_of[receiver_index]] = bucket[:]
-            # Clear in place: the _edge_info bucket aliases must stay
-            # attached to these exact list objects.
-            bucket.clear()
-        self._touched = []
-
-        # Chained in touched order, the inboxes hand the histogram its
-        # kinds in the order one update per receiver would, so the
-        # Counter's key order does not change.
-        delivered = list(chain.from_iterable(inboxes.values()))
-        metrics.record_bulk(
-            len(delivered), sum(map(_WORDS_OF, delivered)), kinds=map(_KIND_OF, delivered)
+        self._round_value = metrics.rounds + 1
+        self._gen_base += self._band_span
+        inboxes = self._pending
+        if not inboxes:
+            metrics.record_round()
+            return {}
+        self._pending = {}
+        if len(inboxes) == 1:
+            (delivered,) = inboxes.values()
+        else:
+            # Chained in first-message order, the inboxes hand the
+            # histogram its kinds in the order one update per receiver
+            # would, so the Counter's key order does not change.
+            delivered = list(chain.from_iterable(inboxes.values()))
+        metrics.record_delivered_round(
+            len(delivered), sum(map(_WORDS_OF, delivered)), map(_KIND_OF, delivered)
         )
         return inboxes
-
 
 register_engine("fast", FastNetwork)

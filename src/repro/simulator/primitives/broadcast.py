@@ -4,7 +4,8 @@ Each root holds a value; every vertex of its tree learns it.  Running the
 broadcast over an MST forest models the paper's "every root vertex of a
 base fragment broadcasts the identity of its new fragment to all vertices
 of the fragment" step: O(max fragment diameter) rounds and O(n) messages,
-because all trees of the forest run in parallel.
+because all trees of the forest run in parallel -- exactly the forest's
+height in rounds and one message per tree edge.
 """
 
 from __future__ import annotations
@@ -39,22 +40,22 @@ class _ForestBroadcastProtocol(NodeProtocol):
             )
         forest.check_edges(network, "forest_broadcast")
         self._forest = forest
+        self._parent = forest.parent
+        self._children = forest.children
         self._root_values = root_values
         self._value: Dict[VertexId, Any] = {}
 
     def initiators(self) -> Tuple[VertexId, ...]:
         return self._forest.roots
 
-    def _forward(self, vertex: VertexId, api: ProtocolApi) -> None:
-        for child in self._forest.children[vertex]:
-            api.send(vertex, child, "value", payload=(self._value[vertex],), words=1)
-
     def on_start(self, vertex: VertexId, node: NodeState, api: ProtocolApi) -> None:
-        if not self._forest.is_root(vertex):
+        if self._parent[vertex] is not None:
             api.wait(vertex)
             return
-        self._value[vertex] = self._root_values[vertex]
-        self._forward(vertex, api)
+        value = self._value[vertex] = self._root_values[vertex]
+        payload = (value,)
+        for child in self._children[vertex]:
+            api.send(vertex, child, "value", payload, 1)
         api.finish(vertex)
 
     def on_round(
@@ -63,13 +64,21 @@ class _ForestBroadcastProtocol(NodeProtocol):
         if vertex in self._value:
             api.finish(vertex)
             return
-        values = [message for message in inbox if message.kind.endswith(":value")]
-        if not values:
-            return
-        if len(values) > 1:
-            raise ProtocolError(f"vertex {vertex} received {len(values)} broadcast values")
-        self._value[vertex] = values[0].payload[0]
-        self._forward(vertex, api)
+        if len(inbox) == 1:
+            message = inbox[0]
+            if not message.kind.endswith(":value"):
+                return
+        else:
+            values = [message for message in inbox if message.kind.endswith(":value")]
+            if not values:
+                return
+            if len(values) > 1:
+                raise ProtocolError(f"vertex {vertex} received {len(values)} broadcast values")
+            message = values[0]
+        payload = message.payload
+        self._value[vertex] = payload[0]
+        for child in self._children[vertex]:
+            api.send(vertex, child, "value", payload, 1)
         api.finish(vertex)
 
     def result(self, network: Engine) -> Dict[VertexId, Any]:
@@ -84,9 +93,12 @@ def forest_broadcast(
 ) -> Dict[VertexId, Any]:
     """Broadcast ``root_values[r]`` from every root ``r`` to its whole tree.
 
-    Returns the value learnt by each vertex of the forest.  Cost: at most
-    ``height(forest) + 1`` rounds and exactly ``size(forest) - #roots``
-    messages (all trees proceed in parallel).
+    Returns the value learnt by each vertex of the forest.  Cost on a
+    clean network: exactly ``height(forest)`` rounds (the largest depth;
+    0 for a forest of singletons) and exactly ``size(forest) - #roots``
+    messages, all of kind ``bcast:value`` (all trees proceed in
+    parallel).  ``tests/test_primitive_costs.py`` checks both identities
+    on drawn forests.
     """
     protocol = _ForestBroadcastProtocol(network, forest, root_values)
     return run_protocol(network, protocol)

@@ -6,8 +6,8 @@ paper's per-fragment computations: the minimum-weight outgoing edge of a
 fragment, subtree sizes for the interval labelling, and the "does my
 subtree still contain an unmatched child" predicate of the maximal
 matching procedure.  All trees of the forest aggregate in parallel, so
-the cost is O(max tree height) rounds and exactly one message per
-non-root vertex.
+the cost is exactly the forest's height in rounds and exactly one
+message per non-root vertex.
 """
 
 from __future__ import annotations
@@ -58,14 +58,16 @@ class _ForestConvergecastProtocol(NodeProtocol):
         combiner: Combiner,
     ) -> None:
         super().__init__(forest.vertices)
-        missing = set(self.participants).difference(values)
-        if missing:
+        if not all(map(values.__contains__, self.participants)):
+            missing = set(self.participants).difference(values)
             raise ProtocolError(
                 f"forest_convergecast: {len(missing)} vertices have no input value, "
                 f"e.g. {min(missing)}"
             )
         forest.check_edges(network, "forest_convergecast")
         self._forest = forest
+        self._parent = forest.parent
+        self._children = forest.children
         self._combiner = combiner
         self._accumulated: Dict[VertexId, Any] = dict(values)
         #: aggregates received so far, created at a vertex's first one
@@ -75,36 +77,48 @@ class _ForestConvergecastProtocol(NodeProtocol):
     def initiators(self) -> Tuple[VertexId, ...]:
         return self._forest.leaves
 
-    def _maybe_send_up(self, vertex: VertexId, api: ProtocolApi) -> None:
-        if vertex in self._sent:
-            return
-        if len(self._received_from.get(vertex, ())) < len(self._forest.children[vertex]):
+    def on_start(self, vertex: VertexId, node: NodeState, api: ProtocolApi) -> None:
+        if self._children[vertex]:
             api.wait(vertex)
             return
+        # A leaf, singleton roots included, sends its own value at once.
         self._sent.add(vertex)
-        parent = self._forest.parent[vertex]
+        parent = self._parent[vertex]
         if parent is not None:
-            api.send(vertex, parent, "aggregate", payload=(self._accumulated[vertex],), words=1)
+            api.send(vertex, parent, "aggregate", (self._accumulated[vertex],), 1)
         api.finish(vertex)
-
-    def on_start(self, vertex: VertexId, node: NodeState, api: ProtocolApi) -> None:
-        self._maybe_send_up(vertex, api)
 
     def on_round(
         self, vertex: VertexId, node: NodeState, api: ProtocolApi, inbox: List[Message]
     ) -> None:
+        accumulated = self._accumulated[vertex]
+        received = self._received_from.get(vertex)
         for message in inbox:
             if not message.kind.endswith(":aggregate"):
                 continue
-            received = self._received_from.setdefault(vertex, {})
-            if message.sender in received:
+            if received is None:
+                received = self._received_from[vertex] = {}
+            sender = message.sender
+            if sender in received:
                 raise ProtocolError(
-                    f"vertex {vertex} received two aggregates from child {message.sender}"
+                    f"vertex {vertex} received two aggregates from child {sender}"
                 )
             child_value = message.payload[0]
-            received[message.sender] = child_value
-            self._accumulated[vertex] = self._combiner(self._accumulated[vertex], child_value)
-        self._maybe_send_up(vertex, api)
+            received[sender] = child_value
+            accumulated = self._combiner(accumulated, child_value)
+        self._accumulated[vertex] = accumulated
+        if vertex in self._sent:
+            return
+        # Send up once every child has reported.
+        children = self._children[vertex]
+        if children and (received is None or len(received) < len(children)):
+            api.wait(vertex)
+            return
+        self._sent.add(vertex)
+        parent = self._parent[vertex]
+        if parent is not None:
+            api.send(vertex, parent, "aggregate", (accumulated,), 1)
+        api.finish(vertex)
 
     def result(self, network: Engine) -> ConvergecastResult:
         unfinished = len(self.participants) - len(self._sent)
@@ -127,8 +141,12 @@ def forest_convergecast(
     """Aggregate ``values`` towards the root of every tree of ``forest``.
 
     ``combiner`` must be associative and commutative and its results must
-    fit in O(1) words (e.g. ``min``, ``+``, logical or).  Cost: at most
-    ``height(forest) + 1`` rounds and one message per non-root vertex.
+    fit in O(1) words (e.g. ``min``, ``+``, logical or).  Cost on a clean
+    network: exactly ``height(forest)`` rounds (the largest depth; 0 for
+    a forest of singletons) and exactly one message per non-root vertex,
+    ``size(forest) - #roots``, all of kind ``cvgc:aggregate``.
+    ``tests/test_primitive_costs.py`` checks both identities on drawn
+    forests.
     """
     protocol = _ForestConvergecastProtocol(network, forest, values, combiner)
     return run_protocol(network, protocol)

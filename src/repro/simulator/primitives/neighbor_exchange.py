@@ -51,7 +51,10 @@ def neighbor_exchange(
     """Send ``values[v]`` from every vertex ``v`` to all of its neighbours.
 
     Returns a nested mapping ``received[v][u]`` = value sent by neighbour
-    ``u`` to ``v``.  Cost: 1 round and ``2 |E|`` messages.
+    ``u`` to ``v``.  Cost on a clean network: exactly 1 round (0 on a
+    graph without edges) and ``2 |E|`` messages, all of kind
+    ``nbrx:value`` (``tests/test_primitive_costs.py`` checks this on
+    drawn graphs).
     """
     protocol = _NeighborExchangeProtocol(network, values)
     return run_protocol(network, protocol)

@@ -13,7 +13,7 @@ primitive runs.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
@@ -40,39 +40,47 @@ class RootedForest:
     _checked_graph: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.parent:
+        parent_of = self.parent
+        if not parent_of:
             raise ProtocolError("a rooted forest needs at least one vertex")
-        children: Dict[VertexId, List[VertexId]] = defaultdict(list)
+        grouped: Dict[VertexId, List[VertexId]] = {}
         roots: List[VertexId] = []
-        for vertex, parent in self.parent.items():
+        for vertex, parent in parent_of.items():
             if parent is None:
                 roots.append(vertex)
                 continue
-            if parent not in self.parent:
-                raise ProtocolError(
-                    f"vertex {vertex} has parent {parent} which is not in the forest"
-                )
+            siblings = grouped.get(parent)
+            if siblings is None:
+                if parent not in parent_of:
+                    raise ProtocolError(
+                        f"vertex {vertex} has parent {parent} which is not in the forest"
+                    )
+                siblings = grouped[parent] = []
             if parent == vertex:
                 raise ProtocolError(f"vertex {vertex} is its own parent")
-            children[parent].append(vertex)
+            siblings.append(vertex)
         if not roots:
             raise ProtocolError("forest has no roots (parent pointers form a cycle)")
-        self.children = {v: tuple(sorted(children.get(v, ()))) for v in self.parent}
+        children: Dict[VertexId, Tuple[VertexId, ...]] = dict.fromkeys(parent_of, ())
+        for vertex, siblings in grouped.items():
+            siblings.sort()
+            children[vertex] = tuple(siblings)
+        self.children = children
         self.roots = tuple(sorted(roots))
 
-        # Depth by BFS from the roots; detects unreachable vertices (cycles).
-        depth: Dict[VertexId, int] = {}
-        queue: deque[VertexId] = deque()
-        for root in self.roots:
-            depth[root] = 0
-            queue.append(root)
+        # Depth by BFS from the roots, queueing only vertices with
+        # children; detects unreachable vertices (cycles).
+        depth = dict.fromkeys(self.roots, 0)
+        queue = deque(filter(children.__getitem__, self.roots))
         while queue:
             vertex = queue.popleft()
-            for child in self.children[vertex]:
-                depth[child] = depth[vertex] + 1
-                queue.append(child)
-        if len(depth) != len(self.parent):
-            missing = set(self.parent) - set(depth)
+            below = depth[vertex] + 1
+            for child in children[vertex]:
+                depth[child] = below
+                if children[child]:
+                    queue.append(child)
+        if len(depth) != len(parent_of):
+            missing = set(parent_of) - set(depth)
             raise ProtocolError(
                 f"{len(missing)} vertices unreachable from any root (cycle?), e.g. {next(iter(missing))}"
             )

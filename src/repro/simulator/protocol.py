@@ -25,6 +25,7 @@ another.
 from __future__ import annotations
 
 import abc
+from collections.abc import Set as AbstractSet
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..exceptions import ConvergenceError, ProtocolError, SimulationError
@@ -39,11 +40,15 @@ class ProtocolApi:
 
     Protocols use it to send messages and to mark vertices as finished
     or waiting; they never touch the kernel's queues or counters directly.
+    :meth:`unfinish` refuses a vertex outside the run's ``participants``.
     """
 
-    def __init__(self, network: Engine, protocol_name: str) -> None:
+    def __init__(
+        self, network: Engine, protocol_name: str, participants: AbstractSet[VertexId]
+    ) -> None:
         self._network = network
         self._protocol_name = protocol_name
+        self._participants = participants
         self._send = network.send
         self._send_to_neighbors = network.send_to_neighbors
         #: kind -> namespaced kind, so a run formats each kind once
@@ -98,12 +103,26 @@ class ProtocolApi:
         return self._network.node(vertex)
 
     def finish(self, vertex: VertexId) -> None:
-        """Declare that ``vertex`` has completed its part of the protocol."""
+        """Declare that ``vertex`` has completed its part of the protocol.
+
+        Finishing a vertex that is not a participant makes the run raise
+        :class:`ProtocolError` when it would otherwise end.
+        """
         self._finished.add(vertex)
         self._awake.discard(vertex)
 
     def unfinish(self, vertex: VertexId) -> None:
-        """Re-activate a vertex (used when a new message re-engages it)."""
+        """Re-activate a vertex (used when a new message re-engages it).
+
+        Raises:
+            ProtocolError: when ``vertex`` is not a participant, which
+                the driver would otherwise call.
+        """
+        if vertex not in self._participants:
+            raise ProtocolError(
+                f"protocol {self._protocol_name!r}: unfinish of vertex {vertex}, "
+                "which is not a participant"
+            )
         self._finished.discard(vertex)
         self._awake.add(vertex)
 
@@ -205,19 +224,23 @@ def run_protocol(
     in sorted order; every other participant starts waiting.  A round
     calls ``on_round`` only at the awake participants and at those that
     received mail, in sorted order, which is what keeps message emission
-    -- and therefore every reported metric -- deterministic.  The driver
-    keeps no other per-participant state: it looks a vertex's
-    :class:`~repro.simulator.node.NodeState` up when it calls it.  The
-    clock still advances one round at a time, quiet rounds included.
+    -- and therefore every reported metric -- deterministic.  A round in
+    which no participant is awake calls only its recipients and skips
+    the awake-set union; a quiet one calls nobody.  The driver keeps no
+    other per-participant state: it looks a vertex's
+    :class:`~repro.simulator.node.NodeState` up through
+    :meth:`~repro.simulator.engine.Engine.node_lookup` when it calls it.
+    The clock still advances one round at a time, quiet rounds included.
 
     Raises:
         SimulationError: before round 1, when a participant is not a
             vertex of ``network``.
         ProtocolError: before round 1, when an initiator is not a
-            participant.
+            participant; when a callback unfinishes a vertex that is not
+            a participant; and when the run would end with a
+            non-participant among the finished vertices.
         ConvergenceError: when the run exceeds its round limit.
     """
-    api = ProtocolApi(network, protocol.name)
     if max_rounds is not None:
         limit = max_rounds
     else:
@@ -231,22 +254,26 @@ def run_protocol(
     # the inboxes when the right operand is an exact set, but the whole
     # participant set when it is a frozenset.
     participants = set(protocol.participants)
-    unknown = participants.difference(network.vertices())
-    if unknown:
+    vertices = network.vertices()
+    if not isinstance(vertices, AbstractSet):
+        vertices = set(vertices)
+    if not participants <= vertices:
         # Checked up front: a waiting participant is never looked up, so
         # a bad one would otherwise surface only at the round limit.
-        raise SimulationError(f"unknown vertex {min(unknown)}")
+        unknown = min(vertex for vertex in participants if vertex not in vertices)
+        raise SimulationError(f"unknown vertex {unknown}")
     initiators = sorted(protocol.initiators())
     if not participants.issuperset(initiators):
         stray = next(vertex for vertex in initiators if vertex not in participants)
         raise ProtocolError(
             f"protocol {protocol.name!r}: initiator {stray} is not a participant"
         )
+    api = ProtocolApi(network, protocol.name, participants)
     total = len(participants)
     finished = api._finished
     awake = api._awake
     awake.update(initiators)
-    node = network.node
+    node = network.node_lookup()
     on_start = protocol.on_start
     on_round = protocol.on_round
     # Bound methods resolved once per protocol, not once per round: the
@@ -260,8 +287,15 @@ def run_protocol(
 
     rounds_used = 0
     while True:
-        if len(finished) == total and pending_count() == 0:
-            break
+        if len(finished) >= total and pending_count() == 0:
+            # Once per clean run: a finished non-participant would have
+            # counted towards the total in place of a participant.
+            if finished <= participants:
+                break
+            raise ProtocolError(
+                f"protocol {protocol.name!r}: vertex {min(finished - participants)} "
+                "finished, but it is not a participant"
+            )
         if rounds_used >= limit:
             error = ConvergenceError(
                 f"protocol {protocol.name!r} did not terminate within {limit} rounds "
@@ -274,6 +308,15 @@ def run_protocol(
             raise error
         inboxes = deliver_round()
         rounds_used += 1
+        if not awake:
+            # Only this round's recipients act (a quiet round calls
+            # nobody): the same visits, in the same order, as below.
+            if inboxes:
+                recipients = inboxes.keys() & participants
+                awake |= recipients - finished
+                for vertex in sorted(recipients):
+                    on_round(vertex, node(vertex), api, inboxes[vertex])
+            continue
         get_inbox = inboxes.get
         # Mail wakes a waiting recipient; a finished one is visited in
         # this round only.  Mail to non-participants is never read.

@@ -9,13 +9,18 @@ import pytest
 
 from repro.exceptions import ProtocolError
 from repro.graphs import grid_graph, path_graph, random_connected_graph, star_graph
+from repro.simulator.message import Message
 from repro.simulator.network import SyncNetwork
 from repro.simulator.primitives.bfs import build_bfs_tree
-from repro.simulator.primitives.broadcast import forest_broadcast
-from repro.simulator.primitives.convergecast import forest_convergecast
+from repro.simulator.primitives.broadcast import _ForestBroadcastProtocol, forest_broadcast
+from repro.simulator.primitives.convergecast import (
+    _ForestConvergecastProtocol,
+    forest_convergecast,
+)
 from repro.simulator.primitives.direct import send_over_edges
 from repro.simulator.primitives.neighbor_exchange import neighbor_exchange
 from repro.simulator.primitives.trees import RootedForest
+from repro.simulator.protocol import ProtocolApi
 
 
 class TestBFS:
@@ -82,6 +87,17 @@ class TestForestBroadcast:
         with pytest.raises(ProtocolError):
             forest_broadcast(network, forest, {0: 1})
 
+    def test_two_values_in_one_inbox_raise(self):
+        # A forest gives every vertex one parent, so only a hand-built
+        # inbox reaches this check.
+        network = SyncNetwork(path_graph(3, seed=1))
+        forest = RootedForest(parent={0: None, 1: 0, 2: 1})
+        protocol = _ForestBroadcastProtocol(network, forest, {0: "x"})
+        api = ProtocolApi(network, protocol.name, set(protocol.participants))
+        inbox = [Message(0, 1, "bcast:value", ("x",)), Message(2, 1, "bcast:value", ("y",))]
+        with pytest.raises(ProtocolError, match="vertex 1 received 2 broadcast values"):
+            protocol.on_round(1, network.node(1), api, inbox)
+
 
 class TestForestConvergecast:
     def test_sum_aggregation_per_tree(self):
@@ -108,8 +124,23 @@ class TestForestConvergecast:
     def test_missing_value_raises(self):
         network = SyncNetwork(path_graph(3, seed=1))
         forest = RootedForest(parent={0: None, 1: 0, 2: 1})
-        with pytest.raises(ProtocolError):
+        with pytest.raises(
+            ProtocolError,
+            match="forest_convergecast: 1 vertices have no input value, e.g. 2",
+        ):
             forest_convergecast(network, forest, {0: 1, 1: 1}, operator.add)
+
+    def test_a_second_aggregate_from_one_child_raises(self):
+        # Only a hand-built inbox repeats a child: each child sends once.
+        network = SyncNetwork(path_graph(3, seed=1))
+        forest = RootedForest(parent={0: None, 1: 0, 2: 1})
+        protocol = _ForestConvergecastProtocol(
+            network, forest, dict.fromkeys(forest.vertices, 1), operator.add
+        )
+        api = ProtocolApi(network, protocol.name, set(protocol.participants))
+        inbox = [Message(2, 1, "cvgc:aggregate", (1,)), Message(2, 1, "cvgc:aggregate", (1,))]
+        with pytest.raises(ProtocolError, match="vertex 1 received two aggregates from child 2"):
+            protocol.on_round(1, network.node(1), api, inbox)
 
     def test_singleton_forest_costs_nothing(self):
         network = SyncNetwork(path_graph(3, seed=1))
@@ -151,10 +182,13 @@ class TestSendOverEdges:
 
     def test_non_edge_raises(self):
         network = SyncNetwork(path_graph(4, seed=1))
-        with pytest.raises(ProtocolError):
-            send_over_edges(network, [(0, 3, "x")])
+        with pytest.raises(ProtocolError, match=r"edge message over non-edge \(0, 3\)"):
+            send_over_edges(network, [(0, 1, "ok"), (0, 3, "x")])
 
     def test_bandwidth_violation_raises(self):
         network = SyncNetwork(path_graph(3, seed=1), bandwidth=1)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(
+            ProtocolError,
+            match=r"2 messages over directed edge \(0, 1\) exceed bandwidth 1",
+        ):
             send_over_edges(network, [(0, 1, "a"), (0, 1, "b")])

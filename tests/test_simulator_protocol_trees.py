@@ -147,6 +147,50 @@ class _UnfinishAfterWaitProtocol(NodeProtocol):
         return list(self.calls)
 
 
+class _StrangerFinishProtocol(NodeProtocol):
+    """Vertex 0 finishes itself and vertex 5; vertex 1 waits for mail."""
+
+    name = "stranger-finish"
+
+    def on_start(self, vertex, node, api):
+        if vertex == 0:
+            api.finish(0)
+            api.finish(5)
+        else:
+            api.wait(vertex)
+
+    def on_round(self, vertex, node, api, inbox):
+        raise AssertionError(f"vertex {vertex} was called without mail")
+
+    def result(self, network):
+        return "returned"
+
+
+class _StrangerUnfinishProtocol(NodeProtocol):
+    """Vertex 0 unfinishes vertex 6 and waits for the token vertex 1 sends."""
+
+    name = "stranger-unfinish"
+
+    def __init__(self, participants):
+        super().__init__(participants)
+        self.calls = []
+
+    def on_start(self, vertex, node, api):
+        if vertex == 0:
+            api.unfinish(6)
+            api.wait(0)
+        else:
+            api.send(1, 0, "token")
+            api.finish(1)
+
+    def on_round(self, vertex, node, api, inbox):
+        self.calls.append(vertex)
+        api.finish(vertex)
+
+    def result(self, network):
+        return list(self.calls)
+
+
 class TestProtocolDriver:
     def test_relay_reaches_every_vertex_and_counts_rounds(self):
         network = SyncNetwork(path_graph(6, seed=0))
@@ -209,6 +253,31 @@ class TestProtocolDriver:
         with pytest.raises(SimulationError, match="unknown vertex 99"):
             run_protocol(network, protocol)
         assert protocol.started == []
+        assert (network.round, network.metrics.messages) == (0, 0)
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_finishing_a_non_participant_raises(self, engine):
+        # Two finished vertices reach the participant count, but vertex 1
+        # never finished: the run must not end early with a result.
+        network = create_engine(path_graph(8, seed=0), engine=engine)
+        with pytest.raises(
+            ProtocolError,
+            match="protocol 'stranger-finish': vertex 5 finished, but it is not a participant",
+        ):
+            run_protocol(network, _StrangerFinishProtocol([0, 1]))
+        assert network.round == 0
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_unfinishing_a_non_participant_raises(self, engine):
+        # The driver would otherwise call on_round at vertex 6 every round.
+        network = create_engine(path_graph(8, seed=0), engine=engine)
+        protocol = _StrangerUnfinishProtocol([0, 1])
+        with pytest.raises(
+            ProtocolError,
+            match="protocol 'stranger-unfinish': unfinish of vertex 6, which is not a participant",
+        ):
+            run_protocol(network, protocol)
+        assert protocol.calls == []
         assert (network.round, network.metrics.messages) == (0, 0)
 
     def test_initiator_outside_the_participants_raises_before_round_one(self):
