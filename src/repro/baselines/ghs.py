@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
+from .._collector import paused_collector
 from ..conditions.proxy import require_condition_applied
 from ..config import normalize_config, RunConfig
 from ..core.boruvka_merge import merge_fragment_graph
@@ -36,8 +37,12 @@ from ..simulator.primitives.neighbor_exchange import neighbor_exchange
 from ..types import CostReport, Edge, FragmentId, PhaseTelemetry, VertexId
 
 
+@paused_collector()
 def ghs_style_mst(graph: nx.Graph, config: Optional[RunConfig] = None) -> MSTRunResult:
-    """Compute the MST with the GHS-style synchronous Boruvka baseline."""
+    """Compute the MST with the GHS-style synchronous Boruvka baseline.
+
+    The cyclic garbage collector is paused while the run lasts.
+    """
     config = normalize_config(config)
     validate_weighted_graph(graph, require_unique_weights=True)
     n = graph.number_of_nodes()

@@ -19,12 +19,13 @@ from typing import Dict, List, Optional, Set
 
 import networkx as nx
 
+from .._collector import paused_collector
 from ..conditions.proxy import require_condition_applied
 from ..config import normalize_config, RunConfig
 from ..core.controlled_ghs import build_base_forest
 from ..core.results import MSTRunResult
 from ..exceptions import FragmentError
-from ..graphs.properties import validate_weighted_graph
+from ..graphs.properties import reject_bad_identities, validate_weighted_graph
 from ..simulator.engine import create_engine
 from ..simulator.primitives.bfs import build_bfs_tree
 from ..simulator.primitives.neighbor_exchange import neighbor_exchange
@@ -33,14 +34,22 @@ from .kruskal import kruskal_filter
 from .pipeline_mst import CandidateEdge, pipeline_mst_upcast
 
 
+@paused_collector()
 def gkp_mst(
     graph: nx.Graph,
     config: Optional[RunConfig] = None,
     root: Optional[VertexId] = None,
 ) -> MSTRunResult:
-    """Compute the MST with the Garay-Kutten-Peleg two-phase baseline."""
+    """Compute the MST with the Garay-Kutten-Peleg two-phase baseline.
+
+    Raises :class:`~repro.exceptions.GraphError` before round 1 when a
+    vertex identity is not a non-negative integer (Controlled-GHS colours
+    fragments by them).  The cyclic garbage collector is paused while
+    the run lasts.
+    """
     config = normalize_config(config)
     validate_weighted_graph(graph, require_unique_weights=True)
+    reject_bad_identities(graph)
     n = graph.number_of_nodes()
     if n == 1:
         return MSTRunResult(

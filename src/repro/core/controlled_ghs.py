@@ -121,14 +121,10 @@ def build_base_forest(network: Engine, k: int) -> ControlledGHSResult:
         neighbor_fragments = neighbor_exchange(network, fragment_of)
 
         # Step 2: fragments of diameter <= 2^i (the set F'_i) find their MWOE.
-        diameters = {
-            fragment_id: fragment.diameter()
-            for fragment_id, fragment in forest.fragments.items()
-        }
         small_ids = {
             fragment_id
-            for fragment_id, diameter in diameters.items()
-            if diameter <= diameter_bound
+            for fragment_id, fragment in forest.fragments.items()
+            if fragment.diameter() <= diameter_bound
         }
         if not small_ids:
             # Nothing can merge this phase; the paper's analysis never
@@ -145,8 +141,10 @@ def build_base_forest(network: Engine, k: int) -> ControlledGHSResult:
             )
             continue
 
+        # F'_i's identities in increasing order, each with its root.
+        small_roots = {fid: forest.root_of(fid) for fid in sorted(small_ids)}
         small_parent: Dict[VertexId, Optional[VertexId]] = {}
-        for fragment_id in sorted(small_ids):
+        for fragment_id in small_roots:
             small_parent.update(forest.fragments[fragment_id].parent)
         small_forest = RootedForest(parent=small_parent)
 
@@ -154,8 +152,8 @@ def build_base_forest(network: Engine, k: int) -> ControlledGHSResult:
             network, small_forest, fragment_of, neighbor_fragments
         )
         mwoe: Dict[FragmentId, Candidate] = {}
-        for fragment_id in sorted(small_ids):
-            candidate = mwoe_by_root[forest.root_of(fragment_id)]
+        for fragment_id, root in small_roots.items():
+            candidate = mwoe_by_root[root]
             if candidate is None:
                 raise FragmentError(
                     f"fragment {fragment_id} has no outgoing edge although "
@@ -169,19 +167,17 @@ def build_base_forest(network: Engine, k: int) -> ControlledGHSResult:
         forest_broadcast(
             network,
             small_forest,
-            {forest.root_of(fid): mwoe[fid][:3] for fid in sorted(small_ids)},
+            {root: mwoe[fid][:3] for fid, root in small_roots.items()},
         )
         send_over_edges(
             network,
-            [(mwoe[fid][1], mwoe[fid][2], fid) for fid in sorted(small_ids)],
+            [(mwoe[fid][1], mwoe[fid][2], fid) for fid in small_roots],
         )
 
         # Step 3: orient F'_i into the candidate fragment forest.
-        target_of: Dict[FragmentId, FragmentId] = {
-            fid: mwoe[fid][3] for fid in sorted(small_ids)
-        }
+        target_of: Dict[FragmentId, FragmentId] = {fid: mwoe[fid][3] for fid in small_roots}
         candidate_parent: Dict[FragmentId, Optional[FragmentId]] = {}
-        for fid in sorted(small_ids):
+        for fid in small_roots:
             target = target_of[fid]
             if target not in small_ids:
                 candidate_parent[fid] = None
@@ -193,42 +189,36 @@ def build_base_forest(network: Engine, k: int) -> ControlledGHSResult:
                 candidate_parent[fid] = None
             else:
                 candidate_parent[fid] = target
+        # Every fragment with a candidate parent, with the parent and the
+        # MWOE endpoints (u in the fragment, v in the parent): the edges
+        # every exchange below crosses, the same in each exchange.
+        links = [
+            (fid, candidate_parent[fid], mwoe[fid][1], mwoe[fid][2])
+            for fid in small_roots
+            if candidate_parent[fid] is not None
+        ]
 
         # Step 4a: Cole-Vishkin 3-colouring; each colour exchange is
         # charged as one fragment-level communication step.
         def charge_color_exchange(colors: Dict[FragmentId, int]) -> None:
-            root_values = {
-                forest.root_of(fid): colors[fid] for fid in sorted(small_ids)
-            }
-            cross = []
-            for fid in sorted(small_ids):
-                parent_fid = candidate_parent[fid]
-                if parent_fid is None:
-                    continue
-                _, u, v, _ = mwoe[fid]
-                cross.append((v, u, colors[parent_fid]))
+            root_values = {root: colors[fid] for fid, root in small_roots.items()}
+            cross = [(v, u, colors[parent_fid]) for _, parent_fid, u, v in links]
             _fragment_level_exchange(network, small_forest, root_values, cross)
 
         coloring = cole_vishkin_coloring(
             candidate_parent,
-            initial_ids={fid: int(fid) for fid in sorted(small_ids)},
+            initial_ids={fid: int(fid) for fid in small_roots},
             on_exchange=charge_color_exchange,
         )
 
         # Step 4b: maximal matching, two fragment-level exchanges per
         # colour sub-step (children report their status, parents notify
         # the chosen child).
+        gather = [(u, v, fid) for fid, _, u, v in links]
+        notify = [(v, u, parent_fid) for _, parent_fid, u, v in links]
+
         def charge_matching_step(step: int, matching_so_far) -> None:
-            gather = []
-            notify = []
-            for fid in sorted(small_ids):
-                parent_fid = candidate_parent[fid]
-                if parent_fid is None:
-                    continue
-                _, u, v, _ = mwoe[fid]
-                gather.append((u, v, fid))
-                notify.append((v, u, parent_fid))
-            root_values = {forest.root_of(fid): step for fid in sorted(small_ids)}
+            root_values = dict.fromkeys(small_roots.values(), step)
             _fragment_level_exchange(network, small_forest, root_values, gather)
             _fragment_level_exchange(network, small_forest, root_values, notify)
 
@@ -246,7 +236,7 @@ def build_base_forest(network: Engine, k: int) -> ControlledGHSResult:
             child = a if candidate_parent.get(a) == b else b
             edge = candidate_edge(mwoe[child])
             merge_edges.append((edge, a, b))
-        for fid in sorted(small_ids):
+        for fid in small_roots:
             if fid in matched:
                 continue
             edge = candidate_edge(mwoe[fid])
@@ -254,7 +244,8 @@ def build_base_forest(network: Engine, k: int) -> ControlledGHSResult:
 
         groups = _merge_components(forest, small_ids, merge_edges)
         new_forest = forest.merge_groups(groups)
-        added = len(new_forest.tree_edges()) - len(forest.tree_edges())
+        # A spanning forest of n vertices and c trees has n - c edges.
+        added = forest.count - new_forest.count
 
         # The new fragment identity is broadcast inside every fragment.
         new_combined = new_forest.combined_forest()

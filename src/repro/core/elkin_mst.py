@@ -32,10 +32,11 @@ from typing import Dict, Optional, Set
 
 import networkx as nx
 
+from .._collector import paused_collector
 from ..conditions.proxy import require_condition_applied
 from ..config import normalize_config, RunConfig
 from ..exceptions import FragmentError
-from ..graphs.properties import validate_weighted_graph
+from ..graphs.properties import reject_bad_identities, validate_weighted_graph
 from ..simulator.engine import create_engine
 from ..simulator.primitives.bfs import build_bfs_tree
 from ..simulator.primitives.broadcast import forest_broadcast
@@ -49,12 +50,16 @@ from .mwoe import Candidate, fragment_outgoing_edges
 from .parameters import choose_base_forest_parameter
 from .results import MSTRunResult
 
+
+@paused_collector()
 def compute_mst(
     graph: nx.Graph,
     config: Optional[RunConfig] = None,
     root: Optional[VertexId] = None,
 ) -> MSTRunResult:
     """Compute the MST of ``graph`` with the paper's deterministic algorithm.
+
+    Python's cyclic garbage collector is paused while the run lasts.
 
     Args:
         graph: connected undirected graph with distinct positive edge
@@ -67,9 +72,14 @@ def compute_mst(
     Returns:
         An :class:`~repro.core.results.MSTRunResult` with
         ``algorithm == "elkin"``.
+
+    Raises:
+        GraphError: before round 1, when ``graph`` is not a valid input
+            or a vertex identity is not a non-negative integer.
     """
     config = normalize_config(config)
     validate_weighted_graph(graph, require_unique_weights=True)
+    reject_bad_identities(graph)
     n = graph.number_of_nodes()
     if n == 1:
         return MSTRunResult(

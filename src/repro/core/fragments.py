@@ -14,8 +14,9 @@ how to merge groups of fragments along connecting MST edges.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import FragmentError
@@ -51,6 +52,15 @@ class Fragment:
                 f"fragment rooted at {self.root} has {len(self._forest.roots)} roots"
             )
 
+    @classmethod
+    def _assemble(cls, root: VertexId, tree: RootedForest) -> "Fragment":
+        """The fragment over ``tree``, a valid tree rooted at ``root``; nothing is checked."""
+        fragment = cls.__new__(cls)
+        fragment.root = root
+        fragment.parent = tree.parent
+        fragment._forest = tree
+        return fragment
+
     @property
     def fragment_id(self) -> FragmentId:
         """The fragment identity: the identity of its root (as in the paper)."""
@@ -73,43 +83,43 @@ class Fragment:
 
     def tree_edges(self) -> Set[Edge]:
         """The fragment's tree edges in canonical form."""
-        return {normalize_edge(child, parent) for child, parent in self._forest.edges()}
+        return {
+            normalize_edge(child, parent)
+            for child, parent in self.parent.items()
+            if parent is not None
+        }
 
     def diameter(self) -> int:
-        """Strong diameter of the fragment tree (longest path, in hops).
+        """Strong diameter of the fragment tree (longest path, in hops)."""
+        return self._diameter
 
-        Computed with the classical double-BFS on trees; the fragment tree
-        is a tree, for which double-BFS is exact.
-        """
-        adjacency: Dict[VertexId, List[VertexId]] = defaultdict(list)
-        for child, parent in self._forest.edges():
-            adjacency[child].append(parent)
-            adjacency[parent].append(child)
-        if self.size == 1:
-            return 0
-
-        def farthest(start: VertexId) -> Tuple[VertexId, int]:
-            seen = {start: 0}
-            queue = deque([start])
-            far_vertex, far_distance = start, 0
-            while queue:
-                vertex = queue.popleft()
-                for neighbor in adjacency[vertex]:
-                    if neighbor not in seen:
-                        seen[neighbor] = seen[vertex] + 1
-                        if seen[neighbor] > far_distance:
-                            far_vertex, far_distance = neighbor, seen[neighbor]
-                        queue.append(neighbor)
-            return far_vertex, far_distance
-
-        extreme, _ = farthest(self.root)
-        _, diameter = farthest(extreme)
+    @cached_property
+    def _diameter(self) -> int:
+        # One bottom-up pass, children before parents: a vertex's height
+        # is known once all its children's are, and the longest path
+        # through it joins its two tallest child subtrees.
+        children = self._forest.children
+        height: Dict[VertexId, int] = {}
+        diameter = 0
+        for vertex in reversed(self._forest.depth):
+            tallest = second = 0
+            for child in children[vertex]:
+                below = height[child] + 1
+                if below > tallest:
+                    tallest, second = below, tallest
+                elif below > second:
+                    second = below
+            height[vertex] = tallest
+            if tallest + second > diameter:
+                diameter = tallest + second
         return diameter
 
     @staticmethod
     def singleton(vertex: VertexId) -> "Fragment":
         """A fragment consisting of a single vertex."""
-        return Fragment(root=vertex, parent={vertex: None})
+        return Fragment._assemble(
+            vertex, RootedForest._assemble({vertex: None}, {vertex: ()}, (vertex,), {vertex: 0})
+        )
 
     @staticmethod
     def from_edges(root: VertexId, edges: Iterable[Edge]) -> "Fragment":
@@ -121,14 +131,24 @@ class Fragment:
             adjacency[u].append(v)
             adjacency[v].append(u)
             vertex_set.update((u, v))
+        # One BFS orients the tree and records its children and depths.
+        # Neighbours are taken in the order of ``edges``; that order is the
+        # parent map's key order, and with it the order in which a run
+        # later sums its tree edges into its weight.
         parent: Dict[VertexId, Optional[VertexId]] = {root: None}
-        queue = deque([root])
-        while queue:
-            vertex = queue.popleft()
+        children: Dict[VertexId, Tuple[VertexId, ...]] = {}
+        depth: Dict[VertexId, int] = {root: 0}
+        order = [root]
+        for vertex in order:
+            below = depth[vertex] + 1
+            found = []
             for neighbor in adjacency[vertex]:
                 if neighbor not in parent:
                     parent[neighbor] = vertex
-                    queue.append(neighbor)
+                    depth[neighbor] = below
+                    found.append(neighbor)
+            order.extend(found)
+            children[vertex] = tuple(sorted(found))
         if len(parent) != len(vertex_set):
             raise FragmentError(
                 f"edges do not form a tree connected to root {root}: "
@@ -138,7 +158,8 @@ class Fragment:
             raise FragmentError(
                 f"{len(edge_list)} edges over {len(vertex_set)} vertices is not a tree"
             )
-        return Fragment(root=root, parent=parent)
+        tree = RootedForest._assemble(parent, children, (root,), depth)
+        return Fragment._assemble(root, tree)
 
 
 @dataclass
@@ -161,6 +182,18 @@ class MSTForest:
                         f"{self._vertex_fragment[vertex]} and {fragment_id}"
                     )
                 self._vertex_fragment[vertex] = fragment_id
+
+    @classmethod
+    def _assemble(
+        cls,
+        fragments: Dict[FragmentId, Fragment],
+        vertex_fragment: Dict[VertexId, FragmentId],
+    ) -> "MSTForest":
+        """The forest of ``fragments``, already known to be disjoint and keyed by identity."""
+        forest = cls.__new__(cls)
+        forest.fragments = fragments
+        forest._vertex_fragment = vertex_fragment
+        return forest
 
     # -------------------------------------------------------------- #
     # queries
@@ -199,11 +232,20 @@ class MSTForest:
         return edges
 
     def combined_forest(self) -> RootedForest:
-        """All fragment trees as one :class:`RootedForest` (for parallel tree ops)."""
+        """All fragment trees as one :class:`RootedForest` (for parallel tree ops).
+
+        Assembled from the fragments' own trees, which each fragment
+        validated when it was built.
+        """
         parent: Dict[VertexId, Optional[VertexId]] = {}
+        children: Dict[VertexId, Tuple[VertexId, ...]] = {}
+        depth: Dict[VertexId, int] = {}
         for fragment in self.fragments.values():
-            parent.update(fragment.parent)
-        return RootedForest(parent=parent)
+            tree = fragment._forest
+            parent.update(tree.parent)
+            children.update(tree.children)
+            depth.update(tree.depth)
+        return RootedForest._assemble(parent, children, tuple(sorted(self.fragments)), depth)
 
     def root_of(self, fragment_id: FragmentId) -> VertexId:
         """Root vertex of the fragment with identity ``fragment_id``."""
@@ -223,7 +265,7 @@ class MSTForest:
         fragments = {vertex: Fragment.singleton(vertex) for vertex in vertices}
         if not fragments:
             raise FragmentError("cannot build a forest over an empty vertex set")
-        return MSTForest(fragments=fragments)
+        return MSTForest._assemble(fragments, {vertex: vertex for vertex in fragments})
 
     def merge_groups(
         self,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import networkx as nx
 
@@ -28,6 +28,22 @@ def reject_self_loops(graph: nx.Graph) -> None:
         if node in neighbours:
             raise GraphError(
                 f"edge ({node}, {node}) is a self-loop; CONGEST links join two vertices"
+            )
+
+
+def reject_bad_identities(graph: nx.Graph) -> None:
+    """Raise :class:`GraphError` naming the first vertex that is not an integer >= 0.
+
+    Controlled-GHS seeds Cole-Vishkin colouring with fragment (root
+    vertex) identities, which must be distinct non-negative integers.
+    One type test per vertex, O(n), before the run sends anything.
+    """
+    for node in graph:
+        if not (isinstance(node, Integral) and node >= 0):
+            raise GraphError(
+                f"vertex {node!r} is not a non-negative integer; Controlled-GHS "
+                "colours fragments by their root's identity (relabel the graph "
+                "with networkx.convert_node_labels_to_integers)"
             )
 
 

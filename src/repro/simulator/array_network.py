@@ -245,28 +245,98 @@ def _ascending(fill: int) -> Any:
     return _ARANGE[:fill]
 
 
+class _RoundColumns:
+    """One large round's message columns, turned into inboxes once.
+
+    The views of the round share it; it holds no reference back to them
+    or to the mapping that holds them, so a round's inboxes form no
+    reference cycle and are freed as soon as the round's consumer drops
+    them, with Python's cyclic collector on or off.
+    """
+
+    __slots__ = (
+        "_senders",
+        "_recv",
+        "_kinds",
+        "_payloads",
+        "_words",
+        "_round",
+        "_vertex_of",
+        "_order",
+        "_buckets",
+    )
+
+    def __init__(
+        self,
+        senders: Any,
+        recv: Any,
+        kinds: List[str],
+        payloads: List[Tuple[Any, ...]],
+        words: Any,
+        round_value: int,
+        vertex_of: List[VertexId],
+        order: List[int],
+    ) -> None:
+        self._senders = senders
+        self._recv = recv
+        self._kinds = kinds
+        self._payloads = payloads
+        self._words = words
+        self._round = round_value
+        self._vertex_of = vertex_of
+        self._order = order
+        self._buckets: Optional[Dict[int, List[FastMessage]]] = None
+
+    def buckets(self) -> Dict[int, List[FastMessage]]:
+        """Receiver index -> its messages in send order, built on first call."""
+        buckets = self._buckets
+        if buckets is not None:
+            return buckets
+        vertex_of = self._vertex_of
+        recv_list = self._recv.tolist()
+        sender_vertices = [vertex_of[i] for i in self._senders.tolist()]
+        receiver_vertices = [vertex_of[i] for i in recv_list]
+        messages = list(
+            map(
+                FastMessage._make,
+                zip(
+                    sender_vertices,
+                    receiver_vertices,
+                    self._kinds,
+                    self._payloads,
+                    self._words.tolist(),
+                    repeat(self._round),
+                ),
+            )
+        )
+        buckets = self._buckets = {index: [] for index in self._order}
+        for receiver_index, message in zip(recv_list, messages):
+            buckets[receiver_index].append(message)
+        return buckets
+
+
 class _InboxView(Sequence):
     """One receiver's inbox, materialized on first per-message access.
 
     ``len`` and truthiness come straight from the vectorized group
-    counts; iterating or indexing triggers the parent's one-shot
-    materialization of every inbox of the round.  Messages are the same
+    counts; iterating or indexing triggers the round's one-shot
+    materialization of every inbox.  Messages are the same
     :class:`~repro.simulator.fast_network.FastMessage` tuples the fast
     kernel delivers, in the same global send order.
     """
 
-    __slots__ = ("_parent", "_count", "_list")
+    __slots__ = ("_columns", "_receiver_index", "_count", "_list")
 
-    def __init__(self, parent: "_LazyInboxes", count: int) -> None:
-        self._parent = parent
+    def __init__(self, columns: _RoundColumns, receiver_index: int, count: int) -> None:
+        self._columns = columns
+        self._receiver_index = receiver_index
         self._count = count
         self._list: Optional[List[FastMessage]] = None
 
     def _materialized(self) -> List[FastMessage]:
         messages = self._list
         if messages is None:
-            self._parent._force()
-            messages = self._list
+            messages = self._list = self._columns.buckets()[self._receiver_index]
         return messages
 
     def __len__(self) -> int:
@@ -305,17 +375,7 @@ class _LazyInboxes(dict):
     forces materialization.
     """
 
-    __slots__ = (
-        "_senders",
-        "_recv",
-        "_kinds",
-        "_payloads",
-        "_words",
-        "_round",
-        "_vertex_of",
-        "_order",
-        "_forced",
-    )
+    __slots__ = ()
 
     def __init__(
         self,
@@ -328,14 +388,6 @@ class _LazyInboxes(dict):
         vertex_of: List[VertexId],
     ) -> None:
         dict.__init__(self)
-        self._senders = senders
-        self._recv = recv
-        self._kinds = kinds
-        self._payloads = payloads
-        self._words = words
-        self._round = round_value
-        self._vertex_of = vertex_of
-        self._forced = False
         n = len(vertex_of)
         fill = len(recv)
         if fill >= (n >> 2):
@@ -356,38 +408,12 @@ class _LazyInboxes(dict):
             positions = np.argsort(first, kind="stable")
             order = unique[positions].tolist()
             counts_in_order = counts[positions].tolist()
+        columns = _RoundColumns(
+            senders, recv, kinds, payloads, words, round_value, vertex_of, order
+        )
         setitem = dict.__setitem__
         for receiver_index, count in zip(order, counts_in_order):
-            setitem(self, vertex_of[receiver_index], _InboxView(self, count))
-        self._order = order
-
-    def _force(self) -> None:
-        if self._forced:
-            return
-        self._forced = True
-        vertex_of = self._vertex_of
-        recv_list = self._recv.tolist()
-        sender_vertices = [vertex_of[i] for i in self._senders.tolist()]
-        receiver_vertices = [vertex_of[i] for i in recv_list]
-        messages = list(
-            map(
-                FastMessage._make,
-                zip(
-                    sender_vertices,
-                    receiver_vertices,
-                    self._kinds,
-                    self._payloads,
-                    self._words.tolist(),
-                    repeat(self._round),
-                ),
-            )
-        )
-        buckets: Dict[int, List[FastMessage]] = {index: [] for index in self._order}
-        for receiver_index, message in zip(recv_list, messages):
-            buckets[receiver_index].append(message)
-        # Views were inserted in ``_order`` order, so dict order matches.
-        for receiver_index, view in zip(self._order, self.values()):
-            view._list = buckets[receiver_index]
+            setitem(self, vertex_of[receiver_index], _InboxView(columns, receiver_index, count))
 
 
 # ---------------------------------------------------------------------- #

@@ -5,7 +5,9 @@ parent pointers.  BFS trees, MST fragment trees and the auxiliary tree
 ``tau`` of the paper are all instances; the broadcast, convergecast and
 pipelining primitives operate on any of them.  The structure is validated
 eagerly (no cycles, parents are present, edges are consistent) because a
-malformed forest would silently corrupt cost accounting.  Whether its
+malformed forest would silently corrupt cost accounting; only a forest
+assembled from parts that were validated before, or that a traversal
+built and checked, skips it (:meth:`RootedForest._assemble`).  Whether its
 tree edges are graph edges is checked once per graph
 (:meth:`RootedForest.check_edges`), since one forest is reused by many
 primitive runs.
@@ -30,6 +32,9 @@ class RootedForest:
     Attributes:
         parent: maps every vertex of the forest to its parent, or ``None``
             for roots.  The key set defines the vertex set of the forest.
+        depth: every vertex's distance from its root, keyed so that
+            every vertex comes after its parent: a reversed walk visits
+            children before parents.
     """
 
     parent: Dict[VertexId, Optional[VertexId]]
@@ -85,6 +90,27 @@ class RootedForest:
                 f"{len(missing)} vertices unreachable from any root (cycle?), e.g. {next(iter(missing))}"
             )
         self.depth = depth
+
+    @classmethod
+    def _assemble(
+        cls,
+        parent: Dict[VertexId, Optional[VertexId]],
+        children: Dict[VertexId, Tuple[VertexId, ...]],
+        roots: Tuple[VertexId, ...],
+        depth: Dict[VertexId, int],
+    ) -> "RootedForest":
+        """A forest from parts that a traversal built, or that were validated before.
+
+        Nothing is checked again: ``children`` must hold sorted tuples,
+        ``roots`` must be sorted and ``depth`` must key every vertex after
+        its parent.
+        """
+        forest = cls.__new__(cls)
+        forest.parent = parent
+        forest.children = children
+        forest.roots = roots
+        forest.depth = depth
+        return forest
 
     # ------------------------------------------------------------------ #
 

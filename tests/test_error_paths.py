@@ -10,11 +10,12 @@ the actionable messages of scenario validation.
 from __future__ import annotations
 
 import math
+import re
 
 import networkx as nx
 import pytest
 
-from repro import GraphSpec, RunConfig, Runner
+from repro import compute_mst, GraphSpec, RunConfig, Runner
 from repro.algorithms import algorithm_info, available_algorithms, run_algorithm
 from repro.analysis.experiments import run_single
 from repro.api import Scenario
@@ -28,7 +29,7 @@ from repro.exceptions import (
     WeightError,
 )
 from repro.graphs.generators import make_graph, random_connected_graph
-from repro.simulator.engine import available_engines, create_engine
+from repro.simulator.engine import available_engines, create_engine, engine_wrapper
 
 
 class TestUnknownNamesListOptions:
@@ -164,3 +165,64 @@ class TestSelfLoopsAreRejected:
     def test_a_scenario_over_a_looped_graph_fails_its_build(self, algorithm):
         with pytest.raises(GraphError, match=r"edge \(5, 5\) is a self-loop"):
             Runner().run(Scenario(graph=self._looped_graph(), algorithm=algorithm))
+
+
+class TestVertexIdentitiesMustBeNonNegativeIntegers:
+    """Controlled-GHS colours fragments by their root's identity.
+
+    ``elkin``, ``prs`` and ``gkp`` run it, so they reject a graph whose
+    vertices are not non-negative integers before the run sends a
+    message.  They used to fail late, after the BFS stage: negative
+    labels with a ``ProtocolError``, strings with a bare ``ValueError``
+    and tuples with a bare ``TypeError``; float labels were truncated.
+    ``ghs`` and the sequential references never read an identity's
+    value, and accept these graphs.
+    """
+
+    #: case -> (relabelling of ``random_connected_graph(120, seed=1)``,
+    #: the first vertex the error names)
+    RELABELLINGS = {
+        "negative": (lambda v: v - 60, -60),
+        "string": (lambda v: f"v{v}", "v0"),
+        "tuple": (lambda v: (v, v), (0, 0)),
+        "float": (lambda v: v + 0.5, 0.5),
+    }
+
+    def _graph(self, case):
+        relabel, _ = self.RELABELLINGS[case]
+        return nx.relabel_nodes(random_connected_graph(120, seed=1), relabel)
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("case", sorted(RELABELLINGS))
+    def test_controlled_ghs_runners_refuse_before_round_one(self, case, engine):
+        graph = self._graph(case)
+        first = self.RELABELLINGS[case][1]
+        message = re.escape(f"vertex {first!r} is not a non-negative integer")
+        built = []
+
+        def record(engine_obj, *_):
+            built.append(engine_obj)
+            return engine_obj
+
+        with engine_wrapper(record):
+            for algorithm in ("elkin", "prs", "gkp"):
+                with pytest.raises(GraphError, match=message):
+                    run_algorithm(graph, algorithm, RunConfig(engine=engine))
+        assert built == []
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_two_floats_that_truncate_alike_are_refused_too(self, engine):
+        # They used to fail in Cole-Vishkin: "0.7 and 0.5 share 0".
+        graph = nx.Graph()
+        graph.add_edge(0.5, 0.7, weight=1.0)
+        with pytest.raises(GraphError, match=r"vertex 0\.5 is not"):
+            compute_mst(graph, RunConfig(engine=engine))
+
+    @pytest.mark.parametrize("case", sorted(RELABELLINGS))
+    def test_ghs_and_the_sequential_references_accept_them(self, case):
+        graph = self._graph(case)
+        expected = nx.minimum_spanning_tree(graph).size(weight="weight")
+        for algorithm in ("ghs", "kruskal", "prim", "prim_dense", "boruvka_seq"):
+            result = run_algorithm(graph, algorithm, RunConfig(engine="fast"))
+            assert len(result.edges) == 119
+            assert result.total_weight == pytest.approx(expected)
